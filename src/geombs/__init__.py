@@ -7,7 +7,6 @@ for unit disks and unit squares (weighted too), a 2-approximation for
 unit-height rectangles, an exhaustive oracle for small scenes, and a
 doubling reduction tying bipartite subgraphs to independent sets.
 """
-from ._kernels import BACKEND
 from .arcs import solve_arcs
 from .bench import BenchReport, BenchRow, bench_instance, run_bench
 from .diskgeneral import SlabAssignment, assign_slabs, solve_3approx, solve_logn
@@ -50,6 +49,9 @@ from .serialize import (
 )
 
 __version__ = "0.1.0"
+
+# The kernels are pure Python; benchmark records report this name.
+BACKEND = "python"
 
 __all__ = [
     "ARCS",

@@ -1,16 +1,13 @@
-"""Pure-Python kernels: exhaustive subset search and the chain DP.
+"""Bitmask kernels: exhaustive subset search and the chain DP.
 
 Adjacency is passed as a list of neighbor bitmasks (``masks[v] >> u & 1``
-iff u and v are adjacent).  The compiled backend in ``_ckernels.pyx``
-implements the same contracts; both must return identical results.
+iff u and v are adjacent).
 """
 from itertools import combinations
 
 MODE_INDEPENDENT = 0
 MODE_BIPARTITE = 1
 MODE_TRIANGLE_FREE = 2
-
-BACKEND = "python"
 
 
 def _edge_witness(masks, mask):
@@ -118,10 +115,6 @@ def max_subset(masks, mode):
     return 0, 0
 
 
-def subset_feasible(masks, mask, mode):
-    return _WITNESS[mode](masks, mask) is None
-
-
 def chain_mbs(masks):
     """Max triangle-free chain DP over x-ordered adjacency masks.
 
@@ -171,38 +164,3 @@ def chain_mbs(masks):
         chain.append(l)
         i, j, k = j, k, l
     return best, chain
-
-
-def has_induced_cycle_at_least(masks, min_len):
-    """True iff some induced subgraph is a cycle of length >= min_len."""
-    n = len(masks)
-    for mask in range(1, 1 << n):
-        if bin(mask).count("1") < min_len:
-            continue
-        ok = True
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if bin(masks[v] & mask).count("1") != 2:
-                ok = False
-                break
-        if not ok:
-            continue
-        # connectivity
-        start = mask & -mask
-        seen = start
-        frontier = start
-        while frontier:
-            nf = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nf |= masks[v] & mask
-            nf &= ~seen
-            seen |= nf
-            frontier = nf
-        if seen == mask:
-            return True
-    return False

@@ -3,11 +3,11 @@
 Each row records one (instance, algorithm) run with the solution size, the
 exhaustive optimum when requested, the ratio optimum/size, the wall time,
 and whether the algorithm's proven guarantee held.  Instances are solved
-concurrently; rows are emitted sorted by instance id either way.
+one after another, so each row's time is that solve alone; rows are sorted
+by instance id and algorithm.
 """
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -162,23 +162,16 @@ def run_bench(
     algorithms=None,
     with_oracle: bool = True,
     disk_mode: str = "general",
-    workers: int = 4,
 ) -> BenchReport:
     if count < 1:
         raise ValidationError("need count >= 1 instances")
     if algorithms is None:
         algorithms = default_suite(kind, disk_mode)
     width = len(str(count - 1))
-    jobs = [
-        (generate_instance(kind, n, seed + i, disk_mode=disk_mode),
-         f"{kind}-{i:0{width}d}")
-        for i in range(count)
-    ]
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        results = pool.map(
-            lambda job: bench_instance(job[0], job[1], algorithms, with_oracle),
-            jobs,
-        )
-        rows = [row for batch in results for row in batch]
+    rows = []
+    for i in range(count):
+        instance = generate_instance(kind, n, seed + i, disk_mode=disk_mode)
+        rows += bench_instance(instance, f"{kind}-{i:0{width}d}",
+                               algorithms, with_oracle)
     rows.sort(key=lambda r: (r.instance_id, r.algorithm))
     return BenchReport(tuple(rows))

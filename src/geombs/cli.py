@@ -140,7 +140,7 @@ def _cmd_bench(args):
     report = run_bench(
         args.kind, args.count, args.n, args.seed,
         algorithms=algorithms, with_oracle=not args.no_oracle,
-        disk_mode=args.disk_mode, workers=args.workers,
+        disk_mode=args.disk_mode,
     )
     text = report.to_tsv()
     if args.output:
@@ -213,7 +213,6 @@ def _build_parser():
                    help="comma-separated algorithm names")
     p.add_argument("--no-oracle", action="store_true")
     p.add_argument("--disk-mode", choices=DISK_MODES, default="general")
-    p.add_argument("--workers", type=int, default=4)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_bench)
 

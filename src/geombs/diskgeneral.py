@@ -14,8 +14,7 @@ two-sided 2-approximation, giving a max(1, 2 log2 n) factor overall.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diskline import solve_one_sided, solve_two_sided
-from .errors import ValidationError
+from .diskline import _require_disks, solve_one_sided, solve_two_sided
 from .model import (
     UNIT_DISKS,
     DiskObj,
@@ -24,14 +23,7 @@ from .model import (
     Solution,
     build_intersection_graph,
     is_bipartite,
-    validate_instance,
 )
-
-
-def _require_disks(instance):
-    if instance.kind != UNIT_DISKS:
-        raise ValidationError(f"expected a unit_disks scene, got {instance.kind}")
-    validate_instance(instance, require_nonempty=True)
 
 
 @dataclass(frozen=True)

@@ -45,18 +45,6 @@ def _x_order(instance):
                   key=lambda i: (instance.objects[i].center.x, i))
 
 
-def _ordered_masks(graph, order):
-    pos = {v: i for i, v in enumerate(order)}
-    masks = []
-    for v in order:
-        m = 0
-        for w in order:
-            if w != v and graph.adjacent(v, w):
-                m |= 1 << pos[w]
-        masks.append(m)
-    return masks
-
-
 def solve_one_sided(instance: GeometricInstance, line_y=0) -> Solution:
     """Exact maximum bipartite subset; centers on or above the line."""
     _require_disks(instance)
@@ -69,7 +57,7 @@ def solve_one_sided(instance: GeometricInstance, line_y=0) -> Solution:
         selected = tuple(range(n))
     else:
         order = _x_order(instance)
-        size, chain = _kernels.chain_mbs(_ordered_masks(graph, order))
+        size, chain = _kernels.chain_mbs(graph.induced_masks(order))
         if size >= 3:
             selected = tuple(sorted(order[i] for i in chain))
         else:

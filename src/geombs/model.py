@@ -31,7 +31,7 @@ RECT_KINDS = (UNIT_SQUARES, UNIT_HEIGHT_RECTS, RECTS)
 def _frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)

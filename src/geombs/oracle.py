@@ -2,7 +2,7 @@
 
 These are the ground truth for every guarantee test in the suite.  Ties
 between optima break to the lexicographically smallest index set, so golden
-outputs are deterministic regardless of backend.
+outputs are deterministic.
 """
 from typing import Optional
 

@@ -32,7 +32,9 @@ def format_rational(value) -> str:
 
 
 def parse_rational(text) -> Fraction:
-    if isinstance(text, (int, str)):
+    # JSON true/false arrive as bool, which is an int subclass.
+    if isinstance(text, str) or (
+            isinstance(text, int) and not isinstance(text, bool)):
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -135,7 +137,7 @@ def solution_from_dict(doc: dict):
         raise ValidationError(f"unknown solution mode {mode!r}")
     selected = doc.get("selected")
     if not isinstance(selected, list) or not all(
-        isinstance(v, int) and v >= 0 for v in selected
+        type(v) is int and v >= 0 for v in selected
     ):
         raise ValidationError("'selected' must list nonnegative indices")
     if len(set(selected)) != len(selected):
@@ -148,7 +150,8 @@ def solution_from_dict(doc: dict):
             coloring = {int(v): c for v, c in coloring.items()}
         except ValueError as exc:
             raise ValidationError(f"bad coloring key: {exc}") from exc
-        if any(c not in (0, 1) for c in coloring.values()):
+        if any(type(c) is not int or c not in (0, 1)
+               for c in coloring.values()):
             raise ValidationError("coloring values must be 0 or 1")
     return Solution(tuple(selected), coloring), mode
 

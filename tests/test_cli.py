@@ -68,6 +68,13 @@ def test_out_of_range_index_is_validation_error(tmp_path):
     assert cli("verify", inst, sol) == 3
 
 
+def test_boolean_indices_are_validation_error(tmp_path):
+    inst = gen(tmp_path, "intervals", n=5)
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"selected": [True, 0]}))
+    assert cli("verify", inst, sol) == 3
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         cli("solve")  # missing positional argument

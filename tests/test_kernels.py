@@ -1,65 +1,55 @@
-"""Backend parity: the compiled and pure-Python kernels must agree exactly."""
-import random
-
+"""Bitmask kernels against brute-force references on small random graphs."""
 import pytest
 
+import geombs
 from geombs import _kernels
-from geombs._kernels import _pykernels as pk
-
-ck = pytest.importorskip(
-    "geombs._kernels._ckernels", reason="compiled kernels unavailable"
+from conftest import random_graph
+from kernel_reference import (
+    brute_chain_size,
+    brute_max_subset,
+    has_induced_cycle_at_least,
+    is_chain,
 )
 
-MODES = (pk.MODE_INDEPENDENT, pk.MODE_BIPARTITE, pk.MODE_TRIANGLE_FREE)
+MODES = (_kernels.MODE_INDEPENDENT, _kernels.MODE_BIPARTITE,
+         _kernels.MODE_TRIANGLE_FREE)
 
 
-def random_masks(rng, n, p=0.4):
-    masks = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
+def test_backend_name():
+    assert geombs.BACKEND == "python"
 
 
-def test_backends_report_their_names():
-    assert pk.BACKEND == "python"
-    assert ck.BACKEND == "c"
-    assert _kernels.BACKEND in ("python", "c")
-
-
-def test_max_subset_parity(rng):
+@pytest.mark.parametrize("mode", MODES,
+                         ids=("independent", "bipartite", "triangle_free"))
+def test_max_subset_matches_brute_force(rng, mode):
     for trial in range(300):
-        masks = random_masks(rng, rng.randrange(1, 11))
-        for mode in MODES:
-            assert pk.max_subset(masks, mode) == ck.max_subset(masks, mode), (
-                trial, mode, masks
-            )
+        masks = random_graph(rng, rng.randrange(1, 11)).masks
+        assert _kernels.max_subset(masks, mode) == \
+            brute_max_subset(masks, mode), (trial, masks)
 
 
-def test_subset_feasible_parity(rng):
-    for _ in range(300):
-        n = rng.randrange(1, 11)
-        masks = random_masks(rng, n)
-        sub = rng.randrange(0, 1 << n)
-        for mode in MODES:
-            assert (pk.subset_feasible(masks, sub, mode)
-                    == ck.subset_feasible(masks, sub, mode))
+def test_lexicographic_tie_break():
+    # two disjoint edges: every single vertex is a maximum independent set
+    masks = [2, 1, 8, 4]
+    size, mask = _kernels.max_subset(masks, _kernels.MODE_INDEPENDENT)
+    assert size == 2 and mask == 0b0101  # vertices {0, 2}
 
 
-def test_chain_mbs_parity(rng):
+def test_edgeless_graph_keeps_every_vertex():
+    n = 26
+    size, mask = _kernels.max_subset([0] * n, _kernels.MODE_BIPARTITE)
+    assert size == n and mask == (1 << n) - 1
+
+
+def test_chain_mbs_matches_brute_force(rng):
     for trial in range(300):
-        masks = random_masks(rng, rng.randrange(1, 11))
-        assert pk.chain_mbs(masks) == ck.chain_mbs(masks), (trial, masks)
-
-
-def test_induced_cycle_parity(rng):
-    for _ in range(200):
-        masks = random_masks(rng, rng.randrange(1, 10), p=0.5)
-        for min_len in (4, 5, 6):
-            assert (pk.has_induced_cycle_at_least(masks, min_len)
-                    == ck.has_induced_cycle_at_least(masks, min_len))
+        masks = random_graph(rng, rng.randrange(1, 11)).masks
+        size, chain = _kernels.chain_mbs(masks)
+        assert size == brute_chain_size(masks), (trial, masks)
+        if size:
+            assert size == len(chain) and is_chain(masks, chain), (trial, masks)
+        else:
+            assert chain == []
 
 
 def test_induced_cycle_known_cases():
@@ -68,27 +58,6 @@ def test_induced_cycle_known_cases():
         j = (i + 1) % 5
         c5[i] |= 1 << j
         c5[j] |= 1 << i
-    for mod in (pk, ck):
-        assert mod.has_induced_cycle_at_least(c5, 5)
-        assert not mod.has_induced_cycle_at_least(c5, 6)
-        assert not mod.has_induced_cycle_at_least([0, 0, 0], 4)
-
-
-def test_dispatch_falls_back_above_scan_limit():
-    # edgeless graph larger than the compiled full-scan limit still solves
-    n = _kernels._C_SCAN_LIMIT + 1
-    size, mask = _kernels.max_subset([0] * n, pk.MODE_BIPARTITE)
-    assert size == n and mask == (1 << n) - 1
-
-
-def test_lexicographic_tie_break():
-    # two disjoint edges: every single vertex is a maximum independent set
-    masks = [2, 1, 8, 4]
-    for mod in (pk, ck):
-        size, mask = mod.max_subset(masks, pk.MODE_INDEPENDENT)
-        assert size == 2 and mask == 0b0101  # vertices {0, 2}
-
-
-@pytest.fixture
-def rng():
-    return random.Random(99)
+    assert has_induced_cycle_at_least(c5, 5)
+    assert not has_induced_cycle_at_least(c5, 6)
+    assert not has_induced_cycle_at_least([0, 0, 0], 4)

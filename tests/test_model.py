@@ -61,6 +61,8 @@ class TestObjects:
         assert p.x == F(1, 3) and isinstance(p.x, F)
         with pytest.raises(ValidationError):
             Point(0.5, 0)
+        with pytest.raises(ValidationError):
+            IntervalObj(False, True)
 
 
 class TestValidation:

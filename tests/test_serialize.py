@@ -99,6 +99,25 @@ def test_instance_document_validation():
         })
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "intervals", "objects": [{"left": False, "right": True}]},
+    {"kind": "unit_disks", "objects": [{"x": "0", "y": "0"}],
+     "disk_radius": True},
+])
+def test_instance_booleans_rejected(doc):
+    with pytest.raises(ValidationError):
+        instance_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"selected": [True, 0]},
+    {"selected": [0, 1], "coloring": {"0": True, "1": False}},
+])
+def test_solution_booleans_rejected(doc):
+    with pytest.raises(ValidationError):
+        solution_from_dict(doc)
+
+
 def test_unreadable_file(tmp_path):
     with pytest.raises(ValidationError):
         load_instance(tmp_path / "missing.json")
