@@ -11,7 +11,7 @@ from .arcs import solve_arcs
 from .bench import BenchReport, BenchRow, bench_instance, run_bench
 from .diskgeneral import SlabAssignment, assign_slabs, solve_3approx, solve_logn
 from .diskline import one_sided_mis, solve_one_sided, solve_two_sided
-from .errors import CapacityError, GeombsError, ValidationError
+from .errors import CapacityError, CertificateError, GeombsError, ValidationError
 from .generate import generate_instance, generate_weights
 from .intervals import solve_intervals
 from .model import (
@@ -31,6 +31,7 @@ from .model import (
     RectObj,
     Solution,
     build_intersection_graph,
+    certify,
     is_bipartite,
     is_independent,
     is_triangle_free,
@@ -59,6 +60,7 @@ __all__ = [
     "BenchReport",
     "BenchRow",
     "CapacityError",
+    "CertificateError",
     "GeombsError",
     "GeometricInstance",
     "INTERVALS",
@@ -81,6 +83,7 @@ __all__ = [
     "bench_instance",
     "build_intersection_graph",
     "build_slab_dag",
+    "certify",
     "double_instance",
     "exact_mbs",
     "exact_mis",

@@ -1,4 +1,4 @@
-"""Bitmask kernels: exhaustive subset search and the chain DP.
+"""Bitmask kernels: feasibility witnesses, subset search and the chain DP.
 
 Adjacency is passed as a list of neighbor bitmasks (``masks[v] >> u & 1``
 iff u and v are adjacent).
@@ -10,7 +10,17 @@ MODE_BIPARTITE = 1
 MODE_TRIANGLE_FREE = 2
 
 
-def _edge_witness(masks, mask):
+def mask_to_indices(mask):
+    """Ascending tuple of the set bits of ``mask``."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
+
+
+def edge_witness(masks, mask):
+    """Bitmask of the lex-first edge inside ``mask``, or None."""
     m = mask
     while m:
         v = (m & -m).bit_length() - 1
@@ -22,7 +32,8 @@ def _edge_witness(masks, mask):
     return None
 
 
-def _triangle_witness(masks, mask):
+def triangle_witness(masks, mask):
+    """Bitmask of the lex-first triangle inside ``mask``, or None."""
     m = mask
     while m:
         v = (m & -m).bit_length() - 1
@@ -38,13 +49,16 @@ def _triangle_witness(masks, mask):
     return None
 
 
-def _odd_cycle_witness(masks, mask):
-    """Bitmask of one odd cycle in the induced subgraph, or None."""
+def two_color(masks, mask):
+    """``(colouring, None)`` for the subgraph induced by ``mask``, with the
+    smallest vertex of every component coloured 0, or ``(None, bitmask of
+    one odd cycle)``."""
     color = {}
     parent = {}
     rem = mask
     while rem:
         root = (rem & -rem).bit_length() - 1
+        rem ^= 1 << root
         color[root] = 0
         parent[root] = None
         stack = [root]
@@ -55,6 +69,7 @@ def _odd_cycle_witness(masks, mask):
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
                 if v not in color:
+                    rem ^= 1 << v
                     color[v] = color[u] ^ 1
                     parent[v] = u
                     stack.append(v)
@@ -77,16 +92,14 @@ def _odd_cycle_witness(masks, mask):
                     while w != meet:
                         cyc |= 1 << w
                         w = parent[w]
-                    return cyc
-        for v in color:
-            rem &= ~(1 << v)
-    return None
+                    return None, cyc
+    return color, None
 
 
 _WITNESS = {
-    MODE_INDEPENDENT: _edge_witness,
-    MODE_BIPARTITE: _odd_cycle_witness,
-    MODE_TRIANGLE_FREE: _triangle_witness,
+    MODE_INDEPENDENT: edge_witness,
+    MODE_BIPARTITE: two_color,
+    MODE_TRIANGLE_FREE: triangle_witness,
 }
 
 
@@ -99,6 +112,7 @@ def max_subset(masks, mode):
     """
     n = len(masks)
     witness = _WITNESS[mode]
+    pair = mode == MODE_BIPARTITE  # two_color returns (colouring, cycle)
     bad = []
     for k in range(n, 0, -1):
         for combo in combinations(range(n), k):
@@ -108,6 +122,8 @@ def max_subset(masks, mode):
             if any(mask & w == w for w in bad):
                 continue
             w = witness(masks, mask)
+            if pair:
+                w = w[1]
             if w is None:
                 return k, mask
             if w not in bad:

@@ -16,6 +16,7 @@ from .model import (
     IntervalObj,
     Solution,
     build_intersection_graph,
+    certify,
     is_bipartite,
     validate_instance,
 )
@@ -91,6 +92,4 @@ def solve_arcs(instance: GeometricInstance) -> Solution:
         ):
             best = candidate
 
-    coloring = is_bipartite(graph, best)
-    assert coloring is not None
-    return Solution(best, coloring)
+    return certify(graph, Solution(best, is_bipartite(graph, best)))

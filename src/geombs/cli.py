@@ -1,6 +1,6 @@
 """Command-line surface: generate, solve, oracle, verify, bench, reduce.
 
-Exit codes: 0 success, 1 failed verification, 2 usage error, 3 invalid
+Exit codes: 0 success, 1 failed certificate check, 2 usage error, 3 invalid
 input, 4 capacity exceeded.  Errors print one machine-readable line
 ``error:<category>: <message>`` on stderr.
 """
@@ -9,16 +9,14 @@ import sys
 from fractions import Fraction
 
 from .bench import ALGORITHMS, default_suite, run_bench
-from .errors import GeombsError, ValidationError
+from .errors import CertificateError, GeombsError, ValidationError
 from .generate import DISK_MODES, generate_instance, generate_weights
 from .model import (
     KINDS,
     RECTS,
     UNIT_DISKS,
     build_intersection_graph,
-    is_bipartite,
-    is_independent,
-    is_triangle_free,
+    certify,
 )
 from .oracle import exact_mbs, exact_mis, exact_mtfs
 from .ptas import solve_ptas, solve_ptas_weighted
@@ -31,7 +29,7 @@ from .serialize import (
     save_solution,
 )
 
-_EXIT_BY_CATEGORY = {"validation": 3, "capacity": 4}
+_EXIT_BY_CATEGORY = {"certificate": 1, "validation": 3, "capacity": 4}
 
 
 def _pick_algorithm(instance):
@@ -97,40 +95,11 @@ def _cmd_oracle(args):
 def _cmd_verify(args):
     instance, _ = load_instance(args.instance)
     solution, mode = load_solution(args.solution)
-    graph = build_intersection_graph(instance)
-    if solution.selected and solution.selected[-1] >= graph.n:
-        raise ValidationError(
-            f"solution index {solution.selected[-1]} out of range 0..{graph.n - 1}"
-        )
-    if mode == "independent":
-        witness = is_independent(graph, solution.selected)
-        if witness:
-            print(f"verify: FAIL edge witness {witness}")
-            return 1
-    elif mode == "triangle_free":
-        witness = is_triangle_free(graph, solution.selected)
-        if witness:
-            print(f"verify: FAIL triangle witness {witness}")
-            return 1
-    else:
-        if solution.coloring is not None:
-            missing = [v for v in solution.selected
-                       if v not in solution.coloring]
-            if missing:
-                print(f"verify: FAIL uncolored vertices {missing}")
-                return 1
-            for u in solution.selected:
-                for v in solution.selected:
-                    if u < v and graph.adjacent(u, v) and \
-                            solution.coloring[u] == solution.coloring[v]:
-                        print(f"verify: FAIL monochromatic edge ({u}, {v})")
-                        return 1
-        elif is_bipartite(graph, solution.selected) is None:
-            # no certificate supplied; recompute and report an odd cycle
-            from .model import _two_color
-            _, cycle = _two_color(graph, list(solution.selected))
-            print(f"verify: FAIL odd cycle witness {cycle}")
-            return 1
+    try:
+        certify(build_intersection_graph(instance), solution, mode)
+    except CertificateError as exc:
+        print(f"verify: FAIL {exc}")
+        return 1
     print(f"verify: OK mode={mode} size={solution.size}")
     return 0
 

@@ -22,6 +22,7 @@ from .model import (
     Point,
     Solution,
     build_intersection_graph,
+    certify,
     is_bipartite,
 )
 
@@ -89,7 +90,7 @@ def solve_3approx(instance: GeometricInstance) -> Solution:
         candidates.append((everything, full_coloring))
 
     best = max(candidates, key=lambda c: len(c[0]))
-    return Solution(tuple(best[0]), best[1])
+    return certify(graph, Solution(tuple(best[0]), best[1]))
 
 
 def _swap_xy(instance, indices):
@@ -139,4 +140,4 @@ def solve_logn(instance: GeometricInstance) -> Solution:
         return sel_l + sel_r, col_l
 
     selected, coloring = rec(list(range(instance.n)))
-    return Solution(tuple(selected), coloring)
+    return certify(graph, Solution(tuple(selected), coloring))

@@ -8,8 +8,6 @@ disjointness chain in x-order, valid because disjointness is transitive
 along the x-order on one side) gives a 2-approximation whose side labels
 are the 2-coloring.
 """
-from fractions import Fraction
-
 from . import _kernels
 from .errors import ValidationError
 from .model import (
@@ -18,7 +16,9 @@ from .model import (
     GeometricInstance,
     Point,
     Solution,
+    _frac,
     build_intersection_graph,
+    certify,
     is_bipartite,
     validate_instance,
 )
@@ -48,7 +48,7 @@ def _x_order(instance):
 def solve_one_sided(instance: GeometricInstance, line_y=0) -> Solution:
     """Exact maximum bipartite subset; centers on or above the line."""
     _require_disks(instance)
-    line_y = Fraction(line_y)
+    line_y = _frac(line_y)
     _check_stabbed(instance, line_y, one_sided=True)
 
     graph = build_intersection_graph(instance)
@@ -63,15 +63,13 @@ def solve_one_sided(instance: GeometricInstance, line_y=0) -> Solution:
         else:
             # Every x-ordered triple is a triangle; a best pair remains.
             selected = (0, 1) if n >= 2 else (0,)
-    coloring = is_bipartite(graph, selected)
-    assert coloring is not None, "one-sided chain must be bipartite"
-    return Solution(selected, coloring)
+    return certify(graph, Solution(selected, is_bipartite(graph, selected)))
 
 
 def one_sided_mis(instance: GeometricInstance, line_y=0) -> tuple:
     """Exact maximum independent set via the longest disjointness chain."""
     _require_disks(instance)
-    line_y = Fraction(line_y)
+    line_y = _frac(line_y)
     _check_stabbed(instance, line_y, one_sided=True)
 
     graph = build_intersection_graph(instance)
@@ -111,9 +109,13 @@ def _side_subinstance(instance, indices, line_y, below):
 
 
 def solve_two_sided(instance: GeometricInstance, line_y=0) -> Solution:
-    """2-approximation: a maximum independent set per side, unioned."""
+    """2-approximation: a maximum independent set per side, unioned.
+
+    Uncertified: building the full graph for ``certify`` costs more than
+    the solve, and the side labels are proper by construction.
+    """
     _require_disks(instance)
-    line_y = Fraction(line_y)
+    line_y = _frac(line_y)
     _check_stabbed(instance, line_y, one_sided=False)
 
     above = [i for i, d in enumerate(instance.objects)

@@ -14,3 +14,9 @@ class CapacityError(GeombsError):
     """Input exceeds a configured exhaustive-search cap."""
 
     category = "capacity"
+
+
+class CertificateError(GeombsError):
+    """A solution fails its feasibility check; the message names a witness."""
+
+    category = "certificate"

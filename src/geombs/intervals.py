@@ -19,6 +19,7 @@ from .model import (
     GeometricInstance,
     Solution,
     build_intersection_graph,
+    certify,
     is_bipartite,
     validate_instance,
 )
@@ -75,6 +76,5 @@ def solve_intervals(
             y = rights[i]
 
     graph = build_intersection_graph(instance)
-    coloring = is_bipartite(graph, selected)
-    assert coloring is not None, "greedy selection must induce a forest"
-    return Solution(tuple(selected), coloring)
+    # the greedy selection induces a forest, so the coloring always exists
+    return certify(graph, Solution(tuple(selected), is_bipartite(graph, selected)))

@@ -1,5 +1,5 @@
 """Geometric object types, exact intersection predicates, graph construction,
-and the subset verifiers (bipartite / triangle-free / independent).
+the subset verifiers (bipartite / triangle-free / independent) and ``certify``.
 
 All coordinates are exact rationals (``fractions.Fraction``); predicates
 compare squared distances, so there is no tolerance parameter anywhere.
@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import ValidationError
+from . import _kernels
+from .errors import CertificateError, ValidationError
 
 Rational = Fraction
 
@@ -29,11 +30,16 @@ RECT_KINDS = (UNIT_SQUARES, UNIT_HEIGHT_RECTS, RECTS)
 
 
 def _frac(value) -> Fraction:
+    """Exact rational from a Fraction, an int or ``"p/q"`` text; bools,
+    floats and malformed text raise ``ValidationError``."""
+    if isinstance(value, str):  # first: parsing is the hot path
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad rational {value!r}: {exc}") from exc
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
         return Fraction(value)
     raise ValidationError(f"expected an exact rational, got {value!r}")
 
@@ -258,104 +264,31 @@ def build_intersection_graph(instance: GeometricInstance) -> IntersectionGraph:
     return IntersectionGraph(n, tuple(masks))
 
 
-def _check_subset(g: IntersectionGraph, subset: Iterable[int]) -> list:
-    out = sorted(set(subset))
-    if out and (out[0] < 0 or out[-1] >= g.n):
-        raise ValidationError(f"subset index out of range 0..{g.n - 1}")
-    return out
-
-
-def _two_color(g: IntersectionGraph, subset: Sequence[int]):
-    """BFS layering per component.
-
-    Returns (coloring, None) on success or (None, odd_cycle_vertices) where
-    the cycle is returned as an ordered vertex list.
-    """
-    sub = set(subset)
-    color = {}
-    parent = {}
-    for root in subset:
-        if root in color:
-            continue
-        color[root] = 0
-        parent[root] = None
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                m = g.masks[u]
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if v not in sub:
-                        continue
-                    if v not in color:
-                        color[v] = color[u] ^ 1
-                        parent[v] = u
-                        nxt.append(v)
-                    elif color[v] == color[u]:
-                        return None, _odd_cycle(parent, u, v)
-            frontier = nxt
-    return color, None
-
-
-def _odd_cycle(parent, u, v):
-    pu = []
-    w = u
-    while w is not None:
-        pu.append(w)
-        w = parent[w]
-    seen = set(pu)
-    pv = []
-    w = v
-    while w not in seen:
-        pv.append(w)
-        w = parent[w]
-    meet = w
-    cycle = pu[: pu.index(meet) + 1]
-    cycle.reverse()
-    cycle.extend(reversed(pv))
-    return cycle
+def _subset_mask(g: IntersectionGraph, subset: Iterable[int]) -> int:
+    mask = 0
+    for v in subset:
+        if not 0 <= v < g.n:
+            raise ValidationError(f"subset index {v} out of range 0..{g.n - 1}")
+        mask |= 1 << v
+    return mask
 
 
 def is_bipartite(g: IntersectionGraph, subset: Iterable[int]):
     """Proper 2-coloring of the induced subgraph, or None."""
-    sub = _check_subset(g, subset)
-    coloring, _ = _two_color(g, sub)
+    coloring, _ = _kernels.two_color(g.masks, _subset_mask(g, subset))
     return coloring
 
 
 def is_triangle_free(g: IntersectionGraph, subset: Iterable[int]):
-    """None if the induced subgraph has no K3, else one witness triple."""
-    sub = _check_subset(g, subset)
-    mask = 0
-    for v in sub:
-        mask |= 1 << v
-    for u in sub:
-        m = g.masks[u] & mask >> (u + 1) << (u + 1)
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            common = g.masks[u] & g.masks[v] & mask
-            common = common >> (v + 1) << (v + 1)
-            if common:
-                w = (common & -common).bit_length() - 1
-                return (u, v, w)
-    return None
+    """None if the induced subgraph has no K3, else the lex-first triple."""
+    w = _kernels.triangle_witness(g.masks, _subset_mask(g, subset))
+    return None if w is None else _kernels.mask_to_indices(w)
 
 
 def is_independent(g: IntersectionGraph, subset: Iterable[int]):
-    """None if the subset induces no edge, else one witness edge."""
-    sub = _check_subset(g, subset)
-    mask = 0
-    for v in sub:
-        mask |= 1 << v
-    for u in sub:
-        m = g.masks[u] & mask >> (u + 1) << (u + 1)
-        if m:
-            v = (m & -m).bit_length() - 1
-            return (u, v)
-    return None
+    """None if the subset induces no edge, else the lex-first edge."""
+    w = _kernels.edge_witness(g.masks, _subset_mask(g, subset))
+    return None if w is None else _kernels.mask_to_indices(w)
 
 
 @dataclass(frozen=True)
@@ -371,6 +304,48 @@ class Solution:
     @property
     def size(self) -> int:
         return len(self.selected)
+
+
+# mode -> (witness name, witness bitmask of the selection or None)
+_WITNESSES = {
+    "bipartite": ("odd cycle witness",
+                  lambda masks, mask: _kernels.two_color(masks, mask)[1]),
+    "triangle_free": ("triangle witness", _kernels.triangle_witness),
+    "independent": ("edge witness", _kernels.edge_witness),
+}
+
+
+def certify(
+    g: IntersectionGraph, solution: Solution, mode: str = "bipartite"
+) -> Solution:
+    """Return ``solution`` if its selection is feasible for ``mode`` and its
+    coloring, when given, is proper on exactly the selection.
+
+    Otherwise raises ``CertificateError`` naming a witness; an index
+    outside ``g`` or an unknown mode is a ``ValidationError``.
+    """
+    if mode not in _WITNESSES:
+        raise ValidationError(f"unknown certificate mode {mode!r}")
+    name, witness = _WITNESSES[mode]
+    checks = [_subset_mask(g, solution.selected)]
+    coloring = solution.coloring
+    if mode == "bipartite" and coloring is not None:
+        # a proper coloring leaves no edge inside either color class
+        name, witness, sides = "monochromatic edge", _kernels.edge_witness, [0, 0]
+        for v in solution.selected:
+            c = coloring.get(v)
+            if c not in (0, 1):
+                raise CertificateError(f"uncolored vertex {v}")
+            sides[c] |= 1 << v
+        if len(coloring) != checks[0].bit_count():
+            extra = sorted(set(coloring) - set(solution.selected))
+            raise CertificateError(f"colored vertices outside the selection {extra}")
+        checks = sides
+    for mask in checks:
+        w = witness(g.masks, mask)
+        if w is not None:
+            raise CertificateError(f"{name} {_kernels.mask_to_indices(w)}")
+    return solution
 
 
 def translate_instance(

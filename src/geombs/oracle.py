@@ -8,7 +8,7 @@ from typing import Optional
 
 from . import _kernels
 from .errors import CapacityError
-from .model import IntersectionGraph, Solution, is_bipartite
+from .model import IntersectionGraph, Solution, certify, is_bipartite
 
 DEFAULT_CAP = 20
 
@@ -19,33 +19,23 @@ def _check_cap(g: IntersectionGraph, cap: Optional[int]):
         raise CapacityError(f"oracle capped at {cap} vertices, got {g.n}")
 
 
-def _mask_to_indices(mask: int):
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return tuple(out)
-
-
 def exact_mbs(g: IntersectionGraph, cap: Optional[int] = None) -> Solution:
     """Maximum subset inducing a bipartite subgraph, with its 2-coloring."""
     _check_cap(g, cap)
     _, mask = _kernels.max_subset(g.masks, _kernels.MODE_BIPARTITE)
-    selected = _mask_to_indices(mask)
-    coloring = is_bipartite(g, selected)
-    assert coloring is not None
-    return Solution(selected, coloring)
+    selected = _kernels.mask_to_indices(mask)
+    return certify(g, Solution(selected, is_bipartite(g, selected)))
 
 
 def exact_mtfs(g: IntersectionGraph, cap: Optional[int] = None) -> Solution:
     """Maximum subset inducing a triangle-free subgraph."""
     _check_cap(g, cap)
     _, mask = _kernels.max_subset(g.masks, _kernels.MODE_TRIANGLE_FREE)
-    return Solution(_mask_to_indices(mask))
+    return certify(g, Solution(_kernels.mask_to_indices(mask)), "triangle_free")
 
 
 def exact_mis(g: IntersectionGraph, cap: Optional[int] = None) -> Solution:
     """Maximum independent set."""
     _check_cap(g, cap)
     _, mask = _kernels.max_subset(g.masks, _kernels.MODE_INDEPENDENT)
-    return Solution(_mask_to_indices(mask))
+    return certify(g, Solution(_kernels.mask_to_indices(mask)), "independent")

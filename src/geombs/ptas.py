@@ -24,8 +24,10 @@ from .model import (
     UNIT_SQUARES,
     GeometricInstance,
     Solution,
+    _frac,
     build_intersection_graph,
-    is_bipartite,
+    certify,
+    is_bipartite,  # unused here, but perfbench/tracing.py patches ptas.is_bipartite
     validate_instance,
 )
 
@@ -54,7 +56,7 @@ def _check_weights(instance, weights):
         return [Fraction(1)] * instance.n
     if len(weights) != instance.n:
         raise ValidationError("one weight per object required")
-    out = [Fraction(w) for w in weights]
+    out = [_frac(w) for w in weights]
     if any(w < 0 for w in out):
         raise ValidationError("weights must be nonnegative")
     return out
@@ -79,7 +81,6 @@ class SlabDag:
     """
 
     vertices: list
-    weights: list
     step_edges: dict
 
     def check_acyclic(self) -> bool:
@@ -147,7 +148,7 @@ def build_slab_dag(
     d = 2 * h
     centers = _centers(instance)
     bottom = (min(cy for _, cy in centers) - h if slab_bottom is None
-              else Fraction(slab_bottom))
+              else _frac(slab_bottom))
     top = bottom + k * d
     for i, (_, cy) in enumerate(centers):
         if cy - h < bottom or cy + h > top:
@@ -161,7 +162,6 @@ def build_slab_dag(
         boxes.setdefault(int((cx - a) // d), []).append(i)
 
     vertices = []
-    weights = []
     by_box = {}
     order = sorted(boxes)
     for pos, b in enumerate(order):
@@ -185,7 +185,6 @@ def build_slab_dag(
                 for coloring in _proper_colorings(graph, subset, boundary):
                     ids.append(len(vertices))
                     vertices.append(ColoredFeasibleSet(b, subset, coloring))
-                    weights.append(None)
         by_box[b] = ids
 
     step_edges = {}
@@ -210,7 +209,7 @@ def build_slab_dag(
                 if ok:
                     outs.append(v)
             step_edges[u] = outs
-    return SlabDag(vertices, weights, step_edges)
+    return SlabDag(vertices, step_edges)
 
 
 def _best_path(dag: SlabDag, weight_of):
@@ -276,7 +275,6 @@ def solve_slab(
     wts = _check_weights(instance, weights)
     graph = build_intersection_graph(instance)
     dag = build_slab_dag(instance, k, slab_bottom, box_cap, graph=graph)
-    assert dag.check_acyclic()
     _, path = _best_path(
         dag, lambda idxs: sum((wts[i] for i in idxs), Fraction(0))
     )
@@ -286,7 +284,7 @@ def solve_slab(
         cfs = dag.vertices[v]
         selected.extend(cfs.indices)
         coloring.update(cfs.coloring)
-    return Solution(tuple(selected), coloring)
+    return certify(graph, Solution(tuple(selected), coloring))
 
 
 def _grid_drop_offset(cy, h, d, y0, k):
@@ -316,7 +314,7 @@ def solve_ptas_weighted(
     box_cap: int = DEFAULT_BOX_CAP,
 ) -> Solution:
     """(1 - 1/k)-approximate maximum-weight bipartite subset, k = ceil(1/eps)."""
-    epsilon = Fraction(epsilon)
+    epsilon = _frac(epsilon)
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
     validate_instance(instance)
@@ -364,6 +362,4 @@ def solve_ptas_weighted(
                 total += wts[v]
         if best is None or total > best[0]:
             best = (total, selected, coloring)
-    sol = Solution(tuple(best[1]), best[2])
-    assert is_bipartite(graph, sol.selected) is not None
-    return sol
+    return certify(graph, Solution(tuple(best[1]), best[2]))

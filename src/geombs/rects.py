@@ -29,6 +29,11 @@ def group_rects(instance: GeometricInstance) -> dict:
 
 
 def solve_unit_height(instance: GeometricInstance) -> Solution:
+    """Best parity class of per-group interval optima.
+
+    Uncertified: building the full graph for ``certify`` costs several
+    times the solve; each group's sweep is certified on its own graph.
+    """
     if instance.kind != UNIT_HEIGHT_RECTS:
         raise ValidationError(
             f"expected a unit_height_rects scene, got {instance.kind}"

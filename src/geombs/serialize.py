@@ -21,6 +21,7 @@ from .model import (
     Point,
     RectObj,
     Solution,
+    _frac,
 )
 
 FORMAT_VERSION = 1
@@ -31,15 +32,8 @@ def format_rational(value) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def parse_rational(text) -> Fraction:
-    # JSON true/false arrive as bool, which is an int subclass.
-    if isinstance(text, str) or (
-            isinstance(text, int) and not isinstance(text, bool)):
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad rational {text!r}: {exc}") from exc
-    raise ValidationError(f"rationals must be strings or integers, got {text!r}")
+# "p/q" text or an integer; JSON booleans and floats are a ValidationError
+parse_rational = _frac
 
 
 def _object_record(kind, obj) -> dict:
@@ -146,10 +140,12 @@ def solution_from_dict(doc: dict):
     if coloring is not None:
         if not isinstance(coloring, dict):
             raise ValidationError("'coloring' must map index -> 0/1")
-        try:
-            coloring = {int(v): c for v, c in coloring.items()}
-        except ValueError as exc:
-            raise ValidationError(f"bad coloring key: {exc}") from exc
+        # keys are the canonical decimal text of selected indices
+        chosen = {str(v): v for v in selected}
+        stray = [key for key in coloring if key not in chosen]
+        if stray:
+            raise ValidationError(f"coloring keys {stray} are not selected indices")
+        coloring = {chosen[key]: c for key, c in coloring.items()}
         if any(type(c) is not int or c not in (0, 1)
                for c in coloring.values()):
             raise ValidationError("coloring values must be 0 or 1")

@@ -6,35 +6,48 @@ scans all subsets, so keep n at about a dozen or less.
 from itertools import combinations
 
 from geombs import _kernels
-from geombs.model import (
-    IntersectionGraph,
-    is_bipartite,
-    is_independent,
-    is_triangle_free,
-)
 
 
 def _indices(mask):
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def _feasible(g, subset, mode):
+def two_colorable(masks, subset):
+    """True iff the subgraph induced by ``subset`` has a proper 2-coloring
+    (breadth-first layering over pairwise adjacency tests)."""
+    color = {}
+    for root in subset:
+        if root in color:
+            continue
+        color[root] = 0
+        queue = [root]
+        for u in queue:
+            for v in subset:
+                if masks[u] >> v & 1:
+                    if v not in color:
+                        color[v] = 1 - color[u]
+                        queue.append(v)
+                    elif color[v] == color[u]:
+                        return False
+    return True
+
+
+def _feasible(masks, subset, mode):
     if mode == _kernels.MODE_INDEPENDENT:
-        return is_independent(g, subset) is None
+        return not any(masks[u] >> v & 1 for u, v in combinations(subset, 2))
     if mode == _kernels.MODE_TRIANGLE_FREE:
-        return is_triangle_free(g, subset) is None
-    return is_bipartite(g, subset) is not None
+        return not any(_triangle(masks, *t) for t in combinations(subset, 3))
+    return two_colorable(masks, subset)
 
 
 def brute_max_subset(masks, mode):
     """(size, mask) of the largest feasible subset; ties go to the subset
     whose sorted index tuple is lexicographically smallest."""
-    g = IntersectionGraph(len(masks), tuple(masks))
     best = (0, ())
-    for mask in range(1, 1 << g.n):
+    for mask in range(1, 1 << len(masks)):
         subset = _indices(mask)
         if (-len(subset), subset) < (-best[0], best[1]) and \
-                _feasible(g, subset, mode):
+                _feasible(masks, subset, mode):
             best = (len(subset), subset)
     return best[0], sum(1 << v for v in best[1])
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from geombs import KINDS
+from geombs import KINDS, build_intersection_graph, load_instance
 from geombs.cli import run_cli
 
 
@@ -48,13 +48,23 @@ def test_tampered_coloring_fails(tmp_path, capsys):
     sol = tmp_path / "sol.json"
     assert cli("solve", inst, "--algo", "two_sided", "-o", sol) == 0
     doc = json.loads(sol.read_text())
-    if len(doc["selected"]) >= 2 and doc.get("coloring"):
-        key = str(doc["selected"][0])
-        doc["coloring"][key] = doc["coloring"][key] ^ 1
-        sol.write_text(json.dumps(doc))
-        rc = cli("verify", inst, sol)
-        out = capsys.readouterr().out
-        assert rc in (0, 1)  # flipping one color may or may not break an edge
+    graph = build_intersection_graph(load_instance(inst)[0])
+    selected = doc["selected"]
+    u, v = next((u, v) for u in selected for v in selected
+                if u < v and graph.adjacent(u, v))
+    doc["coloring"][str(u)] = doc["coloring"][str(v)]
+    sol.write_text(json.dumps(doc))
+    assert cli("verify", inst, sol) == 1
+    assert "monochromatic edge" in capsys.readouterr().out
+
+
+def test_solver_certificate_failure_exits_1(tmp_path, capsys, monkeypatch):
+    import geombs.oracle
+
+    inst = gen(tmp_path, "intervals", n=6, seed=4)
+    monkeypatch.setattr(geombs.oracle, "is_bipartite", lambda g, s: {})
+    assert cli("oracle", inst) == 1
+    assert "error:certificate: uncolored vertex" in capsys.readouterr().err
 
 
 def test_out_of_range_index_is_validation_error(tmp_path):

@@ -55,6 +55,11 @@ class TestOneSidedGolden:
         with pytest.raises(ValidationError):
             solve_one_sided(disks([(0, F(-1, 2))]))  # center below
 
+    @pytest.mark.parametrize("line_y", [0.0, True, "x"])
+    def test_line_must_be_exact(self, line_y):
+        with pytest.raises(ValidationError):
+            solve_one_sided(disks([(0, 1)]), line_y=line_y)
+
 
 class TestOneSidedProperties:
     def test_exact_and_equal_to_triangle_free_optimum(self):

@@ -9,6 +9,7 @@ from kernel_reference import (
     brute_max_subset,
     has_induced_cycle_at_least,
     is_chain,
+    two_colorable,
 )
 
 MODES = (_kernels.MODE_INDEPENDENT, _kernels.MODE_BIPARTITE,
@@ -26,6 +27,37 @@ def test_max_subset_matches_brute_force(rng, mode):
         masks = random_graph(rng, rng.randrange(1, 11)).masks
         assert _kernels.max_subset(masks, mode) == \
             brute_max_subset(masks, mode), (trial, masks)
+
+
+def test_two_color_matches_brute_force(rng):
+    for trial in range(500):
+        masks = random_graph(rng, rng.randrange(1, 11)).masks
+        mask = rng.randrange(1 << len(masks))
+        subset = _kernels.mask_to_indices(mask)
+        coloring, cycle = _kernels.two_color(masks, mask)
+        assert (coloring is not None) == two_colorable(masks, subset), trial
+        if coloring is None:
+            # the witness lies in the subset and is itself not 2-colorable
+            assert cycle & ~mask == 0
+            assert not two_colorable(masks, _kernels.mask_to_indices(cycle))
+            continue
+        assert cycle is None and sorted(coloring) == list(subset)
+        for u in subset:
+            for v in subset:
+                if masks[u] >> v & 1:
+                    assert coloring[u] != coloring[v], trial
+        # the smallest vertex of each component is colored 0
+        roots = set()
+        for v in subset:
+            comp = {v}
+            grow = [v]
+            for u in grow:
+                for w in subset:
+                    if masks[u] >> w & 1 and w not in comp:
+                        comp.add(w)
+                        grow.append(w)
+            roots.add(min(comp))
+        assert all(coloring[r] == 0 for r in roots), trial
 
 
 def test_lexicographic_tie_break():

@@ -12,6 +12,7 @@ from geombs import (
     UNIT_HEIGHT_RECTS,
     UNIT_SQUARES,
     ArcObj,
+    CertificateError,
     DiskObj,
     GeometricInstance,
     IntervalObj,
@@ -20,6 +21,7 @@ from geombs import (
     Solution,
     ValidationError,
     build_intersection_graph,
+    certify,
     generate_instance,
     is_bipartite,
     is_independent,
@@ -63,6 +65,11 @@ class TestObjects:
             Point(0.5, 0)
         with pytest.raises(ValidationError):
             IntervalObj(False, True)
+
+    @pytest.mark.parametrize("text", ["abc", "1/0", ""])
+    def test_malformed_string_is_validation_error(self, text):
+        with pytest.raises(ValidationError):
+            Point(text, 0)
 
 
 class TestValidation:
@@ -207,6 +214,72 @@ class TestVerifiers:
                     if u < v and g.adjacent(u, v):
                         assert col[u] != col[v]
             assert is_triangle_free(g, sub) is None
+
+
+class TestCertify:
+    # path 0-1-2 plus the triangle 2-3-4
+    EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)]
+
+    def graph(self):
+        return graph_from_edges(5, self.EDGES)
+
+    def test_returns_the_solution(self):
+        g = self.graph()
+        sol = Solution((0, 1, 2), {0: 0, 1: 1, 2: 0})
+        assert certify(g, sol) is sol
+        assert certify(g, Solution((0, 1, 2))) is not None
+        assert certify(g, Solution((0, 2)), "independent") is not None
+        assert certify(g, Solution((0, 1, 2, 3)), "triangle_free") is not None
+        assert certify(g, Solution(())) is not None
+
+    def test_uncolored_vertex(self):
+        with pytest.raises(CertificateError, match="uncolored vertex 2"):
+            certify(self.graph(), Solution((0, 1, 2), {0: 0, 1: 1}))
+
+    def test_color_outside_selection(self):
+        with pytest.raises(CertificateError, match=r"outside the selection \[3\]"):
+            certify(self.graph(), Solution((0, 1), {0: 0, 1: 1, 3: 0}))
+
+    def test_monochromatic_edge(self):
+        with pytest.raises(CertificateError,
+                           match=r"monochromatic edge \(1, 2\)"):
+            certify(self.graph(), Solution((0, 1, 2), {0: 0, 1: 1, 2: 1}))
+
+    def test_odd_cycle_without_coloring(self):
+        with pytest.raises(CertificateError,
+                           match=r"odd cycle witness \(2, 3, 4\)"):
+            certify(self.graph(), Solution((1, 2, 3, 4)))
+
+    def test_triangle(self):
+        with pytest.raises(CertificateError,
+                           match=r"triangle witness \(2, 3, 4\)"):
+            certify(self.graph(), Solution((0, 2, 3, 4)), "triangle_free")
+
+    def test_edge(self):
+        with pytest.raises(CertificateError, match=r"edge witness \(0, 1\)"):
+            certify(self.graph(), Solution((0, 1, 3)), "independent")
+
+    def test_out_of_range_index_is_validation_error(self):
+        with pytest.raises(ValidationError):
+            certify(self.graph(), Solution((0, 5), {0: 0, 5: 1}))
+        with pytest.raises(ValidationError):
+            certify(self.graph(), Solution((0,)), "maximal")
+
+    def test_matches_a_pairwise_check(self, rng):
+        from conftest import random_graph
+
+        for _ in range(200):
+            g = random_graph(rng, rng.randrange(1, 9))
+            sub = [v for v in range(g.n) if rng.random() < 0.6]
+            coloring = {v: rng.randrange(2) for v in sub}
+            proper = all(coloring[u] != coloring[v] for u in sub for v in sub
+                         if u < v and g.adjacent(u, v))
+            try:
+                certify(g, Solution(sub, coloring))
+                passed = True
+            except CertificateError:
+                passed = False
+            assert passed == proper, (g.masks, coloring)
 
 
 class TestSolution:

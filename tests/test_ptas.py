@@ -6,6 +6,7 @@ import pytest
 
 from geombs import (
     CapacityError,
+    CertificateError,
     UNIT_DISKS,
     UNIT_SQUARES,
     DiskObj,
@@ -57,6 +58,10 @@ class TestSlab:
         with pytest.raises(CapacityError):
             solve_slab(inst, 1, slab_bottom=0, box_cap=4)
 
+    def test_slab_bottom_must_be_exact(self):
+        with pytest.raises(ValidationError):
+            solve_slab(disks([(0, 1)]), 1, slab_bottom=0.0)
+
     def test_dag_edges_respect_box_order(self):
         for seed in range(30):
             inst = generate_instance(
@@ -96,6 +101,24 @@ class TestPtas:
         with pytest.raises(ValidationError):
             solve_ptas(disks([(0, 0)]), 0)
 
+    @pytest.mark.parametrize("epsilon", [True, 0.5])
+    def test_epsilon_must_be_exact(self, epsilon):
+        with pytest.raises(ValidationError):
+            solve_ptas(disks([(0, 0)]), epsilon)
+
+    def test_certifies_its_coloring(self, monkeypatch):
+        import geombs.ptas as ptas
+
+        real = ptas.solve_slab
+
+        def flipped(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            return type(sol)(sol.selected, {v: 0 for v in sol.selected})
+
+        monkeypatch.setattr(ptas, "solve_slab", flipped)
+        with pytest.raises(CertificateError, match="monochromatic edge"):
+            solve_ptas(disks([(0, 0), (1, 0)]), F(1, 2))
+
     @pytest.mark.parametrize("kind", [UNIT_DISKS, UNIT_SQUARES])
     def test_half_ratio_at_k2(self, kind):
         for seed in range(100):
@@ -130,6 +153,12 @@ class TestWeighted:
         inst = GeometricInstance(UNIT_DISKS, (), F(1))
         sol = solve_ptas_weighted(inst, [], F(1, 2))
         assert sol.selected == () and sol.coloring == {}
+
+    @pytest.mark.parametrize("weight", [0.5, True])
+    def test_inexact_weight_rejected(self, weight):
+        inst = disks([(0, 0), (3, 0)])
+        with pytest.raises(ValidationError):
+            solve_ptas_weighted(inst, [weight, 1], F(1, 2))
 
     def test_negative_weight_rejected(self):
         inst = disks([(0, 0)])

@@ -118,6 +118,18 @@ def test_solution_booleans_rejected(doc):
         solution_from_dict(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    {"selected": [10], "coloring": {"1_0": 1}},
+    {"selected": [5], "coloring": {" 5": 0}},
+    {"selected": [5], "coloring": {"05": 0}},
+    {"selected": [10], "coloring": {"10": 1, "-1": 0}},
+    {"selected": [10], "coloring": {"10": 1, "5": 0}},
+])
+def test_coloring_keys_are_selected_decimal_indices(doc):
+    with pytest.raises(ValidationError):
+        solution_from_dict(doc)
+
+
 def test_unreadable_file(tmp_path):
     with pytest.raises(ValidationError):
         load_instance(tmp_path / "missing.json")
