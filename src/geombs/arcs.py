@@ -9,11 +9,13 @@ scene, so one extra cut there makes that case exact.
 from fractions import Fraction
 
 from .errors import ValidationError
-from .intervals import solve_intervals
+from .intervals import (
+    _sweep,
+    solve_intervals,  # unused here, but perfbench/tracing.py patches arcs.solve_intervals
+)
 from .model import (
     ARCS,
     GeometricInstance,
-    IntervalObj,
     Solution,
     build_intersection_graph,
     certify,
@@ -48,13 +50,16 @@ def _cut_candidates(instance):
 
 
 def _linearize(instance, cut):
-    """Interval sub-scene of the arcs not wrapping across the cut point.
+    """Perturbed interval endpoint keys, by arc index, of the arcs not
+    wrapping across the cut point.
 
     An arc whose boundary endpoint coincides with the cut still unrolls to
     a valid interval; only arcs with the cut strictly inside are dropped.
+    The keys are those of ``solve_intervals(perturb=True)`` on the
+    surviving arcs in index order: the arc at position p unrolls to
+    ``(lo, -(p+1))`` and ``(hi, p+1)``.
     """
-    survivors = []
-    intervals = []
+    lefts, rights = {}, {}
     for i, arc in enumerate(instance.objects):
         touches = cut in (arc.start, arc.end)
         if arc.contains(cut) and not touches:
@@ -63,13 +68,15 @@ def _linearize(instance, cut):
         hi = (arc.end - cut) % 1
         if hi == 0:
             hi = Fraction(1)
-        survivors.append(i)
-        intervals.append(IntervalObj(lo, hi))
-    return survivors, intervals
+        p = len(lefts) + 1
+        lefts[i] = (lo, -p)
+        rights[i] = (hi, p)
+    return lefts, rights
 
 
 def solve_arcs(instance: GeometricInstance) -> Solution:
-    """Bipartite subset of size at least OPT - 1, in O(n^2)."""
+    """Bipartite subset of size at least OPT - 1, in O(n^2 log n + n*m) for
+    m edges: O(n) cuts, each an O(n log n) sweep and an O(n + m) check."""
     if instance.kind != ARCS:
         raise ValidationError(f"expected an arcs scene, got {instance.kind}")
     validate_instance(instance, require_nonempty=True)
@@ -77,12 +84,11 @@ def solve_arcs(instance: GeometricInstance) -> Solution:
     graph = build_intersection_graph(instance)
     best: tuple = ()
     for cut in _cut_candidates(instance):
-        survivors, intervals = _linearize(instance, cut)
-        if not survivors:
+        lefts, rights = _linearize(instance, cut)
+        if not lefts:
             continue
-        sub = GeometricInstance("intervals", tuple(intervals))
-        picked = solve_intervals(sub, perturb=True).selected
-        candidate = tuple(sorted(survivors[i] for i in picked))
+        order = sorted(rights, key=rights.__getitem__)
+        candidate = tuple(sorted(_sweep(lefts, rights, order)))
         # Arcs meeting exactly at the cut point lose that adjacency when
         # unrolled, so re-check feasibility against the circular graph.
         if is_bipartite(graph, candidate) is None:

@@ -12,14 +12,17 @@ middle band is stabbed by the median vertical line and handled by the
 two-sided 2-approximation, giving a max(1, 2 log2 n) factor overall.
 """
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .diskline import _require_disks, solve_one_sided, solve_two_sided
+from .diskline import (
+    _chain,
+    _require_disks,
+    _two_sided,
+    _x_order,
+    solve_one_sided,  # unused here, but perfbench/tracing.py patches diskgeneral.solve_one_sided
+    solve_two_sided,  # unused here, but perfbench/tracing.py patches diskgeneral.solve_two_sided
+)
 from .model import (
-    UNIT_DISKS,
-    DiskObj,
     GeometricInstance,
-    Point,
     Solution,
     build_intersection_graph,
     certify,
@@ -54,51 +57,29 @@ def assign_slabs(instance: GeometricInstance) -> SlabAssignment:
     return SlabAssignment(lines, tuple(group))
 
 
-def _subinstance(instance, indices):
-    objs = tuple(instance.objects[i] for i in indices)
-    return GeometricInstance(UNIT_DISKS, objs, instance.disk_radius)
-
-
 def solve_3approx(instance: GeometricInstance) -> Solution:
     """Bipartite subset of size at least OPT / 3."""
     assignment = assign_slabs(instance)
-    per_group = {}
-    for t, indices in assignment.groups().items():
-        sub = _subinstance(instance, indices)
-        sol = solve_one_sided(sub, line_y=assignment.lines[t])
-        per_group[t] = (
-            [indices[j] for j in sol.selected],
-            {indices[j]: c for j, c in sol.coloring.items()},
-        )
+    graph = build_intersection_graph(instance)
+    per_group = {
+        t: _chain(graph, _x_order(instance, indices))
+        for t, indices in assignment.groups().items()
+    }
 
-    candidates = []
-    for residue in range(3):
-        selected = []
-        coloring = {}
-        for t, (sel, col) in per_group.items():
-            if t % 3 != residue:
-                continue
-            selected.extend(sel)
-            coloring.update(col)
-        candidates.append((selected, coloring))
+    # groups of one residue are pairwise non-adjacent, so each union is
+    # bipartite and colouring it colours every group as on its own
+    candidates = [
+        sorted(v for t, sel in per_group.items() if t % 3 == residue for v in sel)
+        for residue in range(3)
+    ]
     # the union over every group is a free upgrade whenever it happens to
     # stay bipartite (e.g. sparse scenes); it never weakens the guarantee
-    everything = sorted(i for sel, _ in per_group.values() for i in sel)
-    graph = build_intersection_graph(instance)
-    full_coloring = is_bipartite(graph, everything)
-    if full_coloring is not None:
-        candidates.append((everything, full_coloring))
+    everything = sorted(v for sel in per_group.values() for v in sel)
+    if is_bipartite(graph, everything) is not None:
+        candidates.append(everything)
 
-    best = max(candidates, key=lambda c: len(c[0]))
-    return certify(graph, Solution(tuple(best[0]), best[1]))
-
-
-def _swap_xy(instance, indices):
-    objs = tuple(
-        DiskObj(Point(instance.objects[i].center.y, instance.objects[i].center.x))
-        for i in indices
-    )
-    return GeometricInstance(UNIT_DISKS, objs, instance.disk_radius)
+    best = max(candidates, key=len)
+    return certify(graph, Solution(tuple(best), is_bipartite(graph, best)))
 
 
 def solve_logn(instance: GeometricInstance) -> Solution:
@@ -110,7 +91,7 @@ def solve_logn(instance: GeometricInstance) -> Solution:
     def rec(indices):
         if len(indices) <= 2:
             return list(indices), {v: c for c, v in enumerate(indices)}
-        order = sorted(indices, key=lambda i: (instance.objects[i].center.x, i))
+        order = _x_order(instance, indices)
         med = order[(len(order) - 1) // 2]
         x_med = instance.objects[med].center.x
         left, mid, right = [], [], []
@@ -122,10 +103,14 @@ def solve_logn(instance: GeometricInstance) -> Solution:
                 right.append(i)
             else:
                 mid.append(i)
-        sub = _swap_xy(instance, mid)
-        sol = solve_two_sided(sub, line_y=x_med)
-        b_med = ([mid[j] for j in sol.selected],
-                 {mid[j]: c for j, c in sol.coloring.items()})
+        # the median vertical line stabs the band: its sides are the disks
+        # right and left of it, each in y order (ties keep mid's order)
+        by_y = sorted(mid, key=lambda i: instance.objects[i].center.y)
+        b_med = _two_sided(
+            graph,
+            [i for i in by_y if instance.objects[i].center.x >= x_med],
+            [i for i in by_y if instance.objects[i].center.x < x_med],
+        )
         sel_l, col_l = rec(left)
         sel_r, col_r = rec(right)
         # taking all three parts together is a free upgrade whenever the

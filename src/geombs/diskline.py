@@ -12,9 +12,7 @@ from . import _kernels
 from .errors import ValidationError
 from .model import (
     UNIT_DISKS,
-    DiskObj,
     GeometricInstance,
-    Point,
     Solution,
     _frac,
     build_intersection_graph,
@@ -40,40 +38,25 @@ def _check_stabbed(instance, line_y, one_sided):
             raise ValidationError(f"disk {i} has its center below the line")
 
 
-def _x_order(instance):
-    return sorted(range(instance.n),
-                  key=lambda i: (instance.objects[i].center.x, i))
+def _x_order(instance, indices):
+    return sorted(indices, key=lambda i: (instance.objects[i].center.x, i))
 
 
-def solve_one_sided(instance: GeometricInstance, line_y=0) -> Solution:
-    """Exact maximum bipartite subset; centers on or above the line."""
-    _require_disks(instance)
-    line_y = _frac(line_y)
-    _check_stabbed(instance, line_y, one_sided=True)
-
-    graph = build_intersection_graph(instance)
-    n = instance.n
-    if n <= 2:
-        selected = tuple(range(n))
-    else:
-        order = _x_order(instance)
-        size, chain = _kernels.chain_mbs(graph.induced_masks(order))
-        if size >= 3:
-            selected = tuple(sorted(order[i] for i in chain))
-        else:
-            # Every x-ordered triple is a triangle; a best pair remains.
-            selected = (0, 1) if n >= 2 else (0,)
-    return certify(graph, Solution(selected, is_bipartite(graph, selected)))
+def _chain(graph, order):
+    """Exact maximum bipartite subset of one-sided disks ``order``, listed
+    in (x, index) order; returns ascending indices."""
+    if len(order) <= 2:
+        return sorted(order)
+    size, chain = _kernels.chain_mbs(graph.induced_masks(order))
+    if size >= 3:
+        return sorted(order[i] for i in chain)
+    # Every x-ordered triple is a triangle; a best pair remains.
+    return sorted(order)[:2]
 
 
-def one_sided_mis(instance: GeometricInstance, line_y=0) -> tuple:
-    """Exact maximum independent set via the longest disjointness chain."""
-    _require_disks(instance)
-    line_y = _frac(line_y)
-    _check_stabbed(instance, line_y, one_sided=True)
-
-    graph = build_intersection_graph(instance)
-    order = _x_order(instance)
+def _mis_chain(graph, order):
+    """Longest chain of pairwise-disjoint disks along ``order``; returns
+    ascending indices."""
     n = len(order)
     # longest[i]: longest chain of pairwise-disjoint disks starting at i.
     longest = [1] * n
@@ -81,9 +64,8 @@ def one_sided_mis(instance: GeometricInstance, line_y=0) -> tuple:
         for j in range(i + 1, n):
             if not graph.adjacent(order[i], order[j]):
                 longest[i] = max(longest[i], 1 + longest[j])
-    target = max(longest)
     chain = []
-    need = target
+    need = max(longest, default=0)
     start = 0
     while need:
         for i in range(start, n):
@@ -95,42 +77,51 @@ def one_sided_mis(instance: GeometricInstance, line_y=0) -> tuple:
             start = i + 1
             need -= 1
             break
-    return tuple(sorted(order[i] for i in chain))
+    return sorted(order[i] for i in chain)
 
 
-def _side_subinstance(instance, indices, line_y, below):
-    """One-sided sub-scene; centers below the line are reflected onto it."""
-    objs = []
-    for i in indices:
-        c = instance.objects[i].center
-        y = 2 * line_y - c.y if below else c.y
-        objs.append(DiskObj(Point(c.x, y)))
-    return GeometricInstance(UNIT_DISKS, tuple(objs), instance.disk_radius)
+def _two_sided(graph, above, below):
+    """Union of the per-side disjointness chains as (selected, coloring),
+    ``above`` coloured 0 and ``below`` 1; each side is listed in its chain
+    order."""
+    coloring = {}
+    for side, order in enumerate((above, below)):
+        for v in _mis_chain(graph, order):
+            coloring[v] = side
+    return sorted(coloring), coloring
+
+
+def solve_one_sided(instance: GeometricInstance, line_y=0) -> Solution:
+    """Exact maximum bipartite subset; centers on or above the line."""
+    _require_disks(instance)
+    line_y = _frac(line_y)
+    _check_stabbed(instance, line_y, one_sided=True)
+
+    graph = build_intersection_graph(instance)
+    selected = _chain(graph, _x_order(instance, range(instance.n)))
+    return certify(graph, Solution(tuple(selected), is_bipartite(graph, selected)))
+
+
+def one_sided_mis(instance: GeometricInstance, line_y=0) -> tuple:
+    """Exact maximum independent set via the longest disjointness chain."""
+    _require_disks(instance)
+    line_y = _frac(line_y)
+    _check_stabbed(instance, line_y, one_sided=True)
+
+    graph = build_intersection_graph(instance)
+    return tuple(_mis_chain(graph, _x_order(instance, range(instance.n))))
 
 
 def solve_two_sided(instance: GeometricInstance, line_y=0) -> Solution:
-    """2-approximation: a maximum independent set per side, unioned.
-
-    Uncertified: building the full graph for ``certify`` costs more than
-    the solve, and the side labels are proper by construction.
-    """
+    """2-approximation: a maximum independent set per side, unioned."""
     _require_disks(instance)
     line_y = _frac(line_y)
     _check_stabbed(instance, line_y, one_sided=False)
 
-    above = [i for i, d in enumerate(instance.objects)
-             if d.center.y >= line_y]
-    below = [i for i, d in enumerate(instance.objects)
-             if d.center.y < line_y]
-
-    selected = []
-    coloring = {}
-    for side, indices, refl in ((0, above, False), (1, below, True)):
-        if not indices:
-            continue
-        sub = _side_subinstance(instance, indices, line_y, refl)
-        for j in one_sided_mis(sub, line_y if not refl else line_y):
-            v = indices[j]
-            selected.append(v)
-            coloring[v] = side
-    return Solution(tuple(selected), coloring)
+    graph = build_intersection_graph(instance)
+    above = [i for i, d in enumerate(instance.objects) if d.center.y >= line_y]
+    below = [i for i, d in enumerate(instance.objects) if d.center.y < line_y]
+    selected, coloring = _two_sided(
+        graph, _x_order(instance, above), _x_order(instance, below)
+    )
+    return certify(graph, Solution(tuple(selected), coloring))

@@ -43,26 +43,9 @@ def _endpoint_keys(instance, perturb):
     return lefts, rights
 
 
-def solve_intervals(
-    instance: GeometricInstance,
-    presorted: bool = False,
-    perturb: bool = False,
-) -> Solution:
-    """Optimal maximum bipartite subset of an interval scene."""
-    if instance.kind != INTERVALS:
-        raise ValidationError(f"expected an intervals scene, got {instance.kind}")
-    validate_instance(instance, require_nonempty=True)
-    lefts, rights = _endpoint_keys(instance, perturb)
-
-    order = list(range(instance.n))
-    if presorted:
-        for a, b in zip(order, order[1:]):
-            if rights[a] > rights[b]:
-                raise ValidationError("presorted flag set but intervals not "
-                                      "sorted by right endpoint")
-    else:
-        order.sort(key=lambda i: rights[i])
-
+def _sweep(lefts, rights, order):
+    """Indices the sweep selects, visiting ``order`` by increasing right key;
+    ``lefts``/``rights`` map each index to its distinct endpoint key."""
     selected = []
     x = y = None
     for i in order:
@@ -74,6 +57,16 @@ def solve_intervals(
             selected.append(i)
             x = y
             y = rights[i]
+    return selected
+
+
+def solve_intervals(instance: GeometricInstance, perturb: bool = False) -> Solution:
+    """Optimal maximum bipartite subset of an interval scene."""
+    if instance.kind != INTERVALS:
+        raise ValidationError(f"expected an intervals scene, got {instance.kind}")
+    validate_instance(instance, require_nonempty=True)
+    lefts, rights = _endpoint_keys(instance, perturb)
+    selected = _sweep(lefts, rights, sorted(range(instance.n), key=rights.__getitem__))
 
     graph = build_intersection_graph(instance)
     # the greedy selection induces a forest, so the coloring always exists

@@ -267,6 +267,8 @@ def build_intersection_graph(instance: GeometricInstance) -> IntersectionGraph:
 def _subset_mask(g: IntersectionGraph, subset: Iterable[int]) -> int:
     mask = 0
     for v in subset:
+        if type(v) is not int:
+            raise ValidationError(f"subset index {v!r} is not an int")
         if not 0 <= v < g.n:
             raise ValidationError(f"subset index {v} out of range 0..{g.n - 1}")
         mask |= 1 << v
@@ -299,7 +301,10 @@ class Solution:
     coloring: Optional[dict] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "selected", tuple(sorted(self.selected)))
+        selected = tuple(sorted(self.selected))
+        if len(set(selected)) != len(selected):
+            raise ValidationError(f"repeated indices in selection {selected}")
+        object.__setattr__(self, "selected", selected)
 
     @property
     def size(self) -> int:

@@ -23,6 +23,7 @@ from .model import (
     UNIT_DISKS,
     UNIT_SQUARES,
     GeometricInstance,
+    IntersectionGraph,
     Solution,
     _frac,
     build_intersection_graph,
@@ -264,16 +265,9 @@ def _best_path(dag: SlabDag, weight_of):
     return best[end], path
 
 
-def solve_slab(
-    instance: GeometricInstance,
-    k: int,
-    slab_bottom=None,
-    weights=None,
-    box_cap: int = DEFAULT_BOX_CAP,
-) -> Solution:
-    """Exact maximum(-weight) bipartite subset of a slab-confined scene."""
-    wts = _check_weights(instance, weights)
-    graph = build_intersection_graph(instance)
+def _slab(instance, graph, k, slab_bottom, wts, box_cap):
+    """Best DAG path of a slab-confined scene with intersection graph
+    ``graph``, as (selected, coloring)."""
     dag = build_slab_dag(instance, k, slab_bottom, box_cap, graph=graph)
     _, path = _best_path(
         dag, lambda idxs: sum((wts[i] for i in idxs), Fraction(0))
@@ -284,6 +278,20 @@ def solve_slab(
         cfs = dag.vertices[v]
         selected.extend(cfs.indices)
         coloring.update(cfs.coloring)
+    return selected, coloring
+
+
+def solve_slab(
+    instance: GeometricInstance,
+    k: int,
+    slab_bottom=None,
+    weights=None,
+    box_cap: int = DEFAULT_BOX_CAP,
+) -> Solution:
+    """Exact maximum(-weight) bipartite subset of a slab-confined scene."""
+    wts = _check_weights(instance, weights)
+    graph = build_intersection_graph(instance)
+    selected, coloring = _slab(instance, graph, k, slab_bottom, wts, box_cap)
     return certify(graph, Solution(tuple(selected), coloring))
 
 
@@ -348,17 +356,18 @@ def solve_ptas_weighted(
                 tuple(instance.objects[i] for i in indices),
                 instance.disk_radius,
             )
-            sol = solve_slab(
+            sel, col = _slab(
                 sub,
+                IntersectionGraph(len(indices), tuple(graph.induced_masks(indices))),
                 k,
-                slab_bottom=y0 + (s + t * k) * d,
-                weights=[wts[i] for i in indices],
-                box_cap=box_cap,
+                y0 + (s + t * k) * d,
+                [wts[i] for i in indices],
+                box_cap,
             )
-            for j in sol.selected:
+            for j in sel:
                 v = indices[j]
                 selected.append(v)
-                coloring[v] = sol.coloring[j]
+                coloring[v] = col[j]
                 total += wts[v]
         if best is None or total > best[0]:
             best = (total, selected, coloring)

@@ -134,8 +134,6 @@ def solution_from_dict(doc: dict):
         type(v) is int and v >= 0 for v in selected
     ):
         raise ValidationError("'selected' must list nonnegative indices")
-    if len(set(selected)) != len(selected):
-        raise ValidationError("'selected' has repeated indices")
     coloring = doc.get("coloring")
     if coloring is not None:
         if not isinstance(coloring, dict):

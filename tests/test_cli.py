@@ -3,7 +3,15 @@ import json
 
 import pytest
 
-from geombs import KINDS, build_intersection_graph, load_instance
+from geombs import (
+    INTERVALS,
+    KINDS,
+    GeometricInstance,
+    IntervalObj,
+    build_intersection_graph,
+    load_instance,
+    save_instance,
+)
 from geombs.cli import run_cli
 
 
@@ -95,7 +103,11 @@ def test_usage_error_exit_code():
 
 
 def test_capacity_error_exit_code(tmp_path, capsys):
-    inst = gen(tmp_path, "intervals", n=25, seed=0)
+    # pairwise disjoint, so the search above the cap ends at its first subset
+    inst = tmp_path / "disjoint.json"
+    save_instance(GeometricInstance(
+        INTERVALS, tuple(IntervalObj(2 * i, 2 * i + 1) for i in range(25))
+    ), inst)
     assert cli("oracle", inst) == 4
     assert "error:capacity:" in capsys.readouterr().err
     assert cli("oracle", inst, "--cap", "25") == 0

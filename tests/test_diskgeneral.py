@@ -105,6 +105,12 @@ class TestLogN:
         inst = disks([(0, 0), (5, 0), (10, 0), (15, 0), (20, 0)])
         assert solve_logn(inst).size == 5
 
+    def test_band_sides_break_y_ties_in_band_order(self):
+        # disks 1 and 2 tie in y and intersect; the band lists them in
+        # (x, index) order, 2 before 1, so the right side keeps disk 2
+        inst = disks([(0, 0), (F(1, 2), 5), (F(1, 4), 5)])
+        assert solve_logn(inst).selected == (0, 2)
+
     def test_ratio_and_feasibility(self):
         for seed in range(200):
             n = 1 + seed % 12

@@ -6,6 +6,7 @@ import pytest
 
 from geombs import (
     UNIT_DISKS,
+    CertificateError,
     DiskObj,
     GeometricInstance,
     Point,
@@ -207,6 +208,15 @@ class TestTwoSided:
             g = build_intersection_graph(inst)
             assert 2 * sol.size >= exact_mbs(g).size, seed
             assert is_bipartite(g, sol.selected) is not None
+
+    def test_certifies_its_coloring(self, monkeypatch):
+        import geombs.diskline as diskline
+
+        # both disks lie above the line and intersect; a side that keeps
+        # both colours them alike
+        monkeypatch.setattr(diskline, "_mis_chain", lambda graph, order: sorted(order))
+        with pytest.raises(CertificateError, match="monochromatic edge"):
+            solve_two_sided(disks([(0, F(1, 2)), (1, F(1, 2))]))
 
     def test_side_labels_are_proper(self):
         for seed in range(50):

@@ -57,12 +57,6 @@ class TestDegeneracy:
         assert sol.size == exact_mbs(g).size
         assert is_bipartite(g, sol.selected) is not None
 
-    def test_presorted_flag_rejects_unsorted(self):
-        inst = intervals((2, 3), (0, 1))
-        with pytest.raises(ValidationError):
-            solve_intervals(inst, presorted=True)
-        assert solve_intervals(inst).size == 2
-
 
 class TestProperties:
     def test_oracle_equality(self):

@@ -200,6 +200,15 @@ class TestVerifiers:
         with pytest.raises(ValidationError):
             is_independent(g, [-1])
 
+    @pytest.mark.parametrize("index", [True, False, 1.0])
+    def test_non_int_index_rejected(self, index):
+        g = graph_from_edges(3, [(0, 1)])
+        for check in (is_bipartite, is_triangle_free, is_independent):
+            with pytest.raises(ValidationError, match="not an int"):
+                check(g, [index, 2])
+        with pytest.raises(ValidationError, match="not an int"):
+            certify(g, Solution((index, 2)))
+
     def test_coloring_proper_and_implies_triangle_free(self, rng):
         from conftest import random_graph
 
@@ -286,3 +295,7 @@ class TestSolution:
     def test_selected_sorted_deduplicated_order(self):
         s = Solution((3, 1, 2))
         assert s.selected == (1, 2, 3) and s.size == 3
+
+    def test_repeated_indices_rejected(self):
+        with pytest.raises(ValidationError, match="repeated"):
+            Solution((1, 1), {1: 0})

@@ -109,13 +109,13 @@ class TestPtas:
     def test_certifies_its_coloring(self, monkeypatch):
         import geombs.ptas as ptas
 
-        real = ptas.solve_slab
+        real = ptas._slab
 
-        def flipped(*args, **kwargs):
-            sol = real(*args, **kwargs)
-            return type(sol)(sol.selected, {v: 0 for v in sol.selected})
+        def flipped(*args):
+            selected, _ = real(*args)
+            return selected, {v: 0 for v in selected}
 
-        monkeypatch.setattr(ptas, "solve_slab", flipped)
+        monkeypatch.setattr(ptas, "_slab", flipped)
         with pytest.raises(CertificateError, match="monochromatic edge"):
             solve_ptas(disks([(0, 0), (1, 0)]), F(1, 2))
 
