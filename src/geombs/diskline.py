@@ -109,7 +109,8 @@ def one_sided_mis(instance: GeometricInstance, line_y=0) -> tuple:
     _check_stabbed(instance, line_y, one_sided=True)
 
     graph = build_intersection_graph(instance)
-    return tuple(_mis_chain(graph, _x_order(instance, range(instance.n))))
+    selected = _mis_chain(graph, _x_order(instance, range(instance.n)))
+    return certify(graph, Solution(tuple(selected)), "independent").selected
 
 
 def solve_two_sided(instance: GeometricInstance, line_y=0) -> Solution:

@@ -53,6 +53,10 @@ def generate_instance(
     """
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    spread = n if spread is None else spread
+    for name, value in (("n", n), ("spread", spread), ("slab_k", slab_k)):
+        if type(value) is not int:
+            raise ValidationError(f"{name} must be an int, got {value!r}")
     if n < 1:
         raise ValidationError("need n >= 1 objects")
     if disk_mode not in DISK_MODES:
@@ -62,7 +66,6 @@ def generate_instance(
         raise ValidationError("radius must be positive")
     if slab_k < 1:
         raise ValidationError("slab_k must be >= 1")
-    spread = n if spread is None else int(spread)
     if spread < 1:
         raise ValidationError("spread must be >= 1")
     rng = random.Random(seed)

@@ -196,17 +196,6 @@ def rects_intersect(a: RectObj, b: RectObj) -> bool:
     )
 
 
-def objects_intersect(instance: GeometricInstance, i: int, j: int) -> bool:
-    a, b = instance.objects[i], instance.objects[j]
-    if instance.kind == INTERVALS:
-        return intervals_intersect(a, b)
-    if instance.kind == ARCS:
-        return arcs_intersect(a, b)
-    if instance.kind == UNIT_DISKS:
-        return disks_intersect(a, b, instance.disk_radius)
-    return rects_intersect(a, b)
-
-
 @dataclass(frozen=True)
 class IntersectionGraph:
     """Vertex-indexed adjacency; ``masks[i]`` is the neighbor bitmask of i."""
@@ -252,13 +241,38 @@ class IntersectionGraph:
         return out
 
 
+def _predicate_and_extents(instance: GeometricInstance):
+    """The kind's exact predicate and each object's closed x-extent; objects
+    whose extents are disjoint never intersect.  Arcs span the whole turn,
+    so every pair of arcs is tested."""
+    objs = instance.objects
+    if instance.kind == INTERVALS:
+        return intervals_intersect, [(o.left, o.right) for o in objs]
+    if instance.kind == ARCS:
+        return arcs_intersect, [(0, 1)] * len(objs)
+    if instance.kind == UNIT_DISKS:
+        r = instance.disk_radius
+        return (lambda a, b: disks_intersect(a, b, r),
+                [(o.center.x - r, o.center.x + r) for o in objs])
+    return rects_intersect, [(o.x_min, o.x_max) for o in objs]
+
+
 def build_intersection_graph(instance: GeometricInstance) -> IntersectionGraph:
+    """Sort-and-sweep over x-extents: O(n log n) plus one exact predicate
+    per pair whose extents overlap."""
     validate_instance(instance)
     n = instance.n
+    objs = instance.objects
+    meets, extents = _predicate_and_extents(instance)
+    order = sorted(range(n), key=lambda i: extents[i][0])
     masks = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if objects_intersect(instance, i, j):
+    for p, i in enumerate(order):
+        a, right = objs[i], extents[i][1]
+        for q in range(p + 1, n):
+            j = order[q]
+            if extents[j][0] > right:
+                break
+            if meets(a, objs[j]):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return IntersectionGraph(n, tuple(masks))

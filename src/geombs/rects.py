@@ -5,16 +5,22 @@ minimum; every group is stabbed by one horizontal line, so within a group
 the intersection graph is the interval graph of the x-projections and the
 interval sweep solves it exactly.  Groups of equal parity are vertically
 disjoint, so each parity class unions its per-group optima into one
-bipartite set; the larger class has at least half the optimum.
+bipartite set; the larger class has at least half the optimum.  The
+groups are index lists over the scene's one intersection graph, which
+colours and certifies the union.
 """
 from .errors import ValidationError
-from .intervals import solve_intervals
+from .intervals import (
+    _sweep,
+    solve_intervals,  # unused here, but perfbench/tracing.py patches rects.solve_intervals
+)
 from .model import (
-    INTERVALS,
     UNIT_HEIGHT_RECTS,
     GeometricInstance,
-    IntervalObj,
     Solution,
+    build_intersection_graph,
+    certify,
+    is_bipartite,
     validate_instance,
 )
 
@@ -29,39 +35,21 @@ def group_rects(instance: GeometricInstance) -> dict:
 
 
 def solve_unit_height(instance: GeometricInstance) -> Solution:
-    """Best parity class of per-group interval optima.
-
-    Uncertified: building the full graph for ``certify`` costs several
-    times the solve; each group's sweep is certified on its own graph.
-    """
+    """Best parity class of per-group interval optima (parity 0 on a tie)."""
     if instance.kind != UNIT_HEIGHT_RECTS:
         raise ValidationError(
             f"expected a unit_height_rects scene, got {instance.kind}"
         )
     validate_instance(instance, require_nonempty=True)
+    graph = build_intersection_graph(instance)
 
-    per_group = {}
+    # x-projection keys perturbed by index, as in solve_intervals(perturb=True)
+    lefts = [(o.x_min, -(i + 1)) for i, o in enumerate(instance.objects)]
+    rights = [(o.x_max, i + 1) for i, o in enumerate(instance.objects)]
+    unions = [[], []]
     for g, indices in group_rects(instance).items():
-        sub = GeometricInstance(
-            INTERVALS,
-            tuple(IntervalObj(instance.objects[i].x_min,
-                              instance.objects[i].x_max) for i in indices),
-        )
-        sol = solve_intervals(sub, perturb=True)
-        per_group[g] = (
-            [indices[j] for j in sol.selected],
-            {indices[j]: c for j, c in sol.coloring.items()},
-        )
+        order = sorted(indices, key=rights.__getitem__)
+        unions[g % 2] += _sweep(lefts, rights, order)
 
-    best = None
-    for parity in (0, 1):
-        selected = []
-        coloring = {}
-        for g, (sel, col) in per_group.items():
-            if g % 2 != parity:
-                continue
-            selected.extend(sel)
-            coloring.update(col)
-        if best is None or len(selected) > len(best[0]):
-            best = (selected, coloring)
-    return Solution(tuple(best[0]), best[1])
+    best = max(unions, key=len)
+    return certify(graph, Solution(tuple(best), is_bipartite(graph, best)))

@@ -85,10 +85,20 @@ def instance_to_dict(instance: GeometricInstance, weights=None) -> dict:
     return doc
 
 
+def _check_format(doc):
+    """An absent ``format`` is read as the current version."""
+    fmt = doc.get("format", FORMAT_VERSION)
+    if type(fmt) is not int or fmt != FORMAT_VERSION:
+        raise ValidationError(
+            f"unsupported format {fmt!r}; expected {FORMAT_VERSION}"
+        )
+
+
 def instance_from_dict(doc: dict):
     """Parse a document; returns (instance, weights-or-None)."""
     if not isinstance(doc, dict):
         raise ValidationError("instance document must be a mapping")
+    _check_format(doc)
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}")
@@ -126,6 +136,7 @@ def solution_from_dict(doc: dict):
     """Parse a document; returns (solution, mode)."""
     if not isinstance(doc, dict):
         raise ValidationError("solution document must be a mapping")
+    _check_format(doc)
     mode = doc.get("mode", "bipartite")
     if mode not in ("bipartite", "triangle_free", "independent"):
         raise ValidationError(f"unknown solution mode {mode!r}")

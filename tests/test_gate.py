@@ -1,12 +1,18 @@
-"""The certificate gate holds without ``assert``: no module uses one, and a
-wrong solver result is still refused under ``python -O``."""
+"""The certificate gate holds without ``assert``: no module uses one, a
+wrong solver result is still refused under ``python -O``, and every public
+solver returns through exactly one ``certify`` call."""
 import ast
+import importlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import geombs
+from geombs import model
 
 PACKAGE = Path(geombs.__file__).parent
 
@@ -40,3 +46,60 @@ def test_wrong_result_refused_under_optimize():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("refused: odd cycle witness (0, 1, 2)"), out.stdout
+
+
+def _scene(kind, n, seed, **kw):
+    return geombs.generate_instance(kind, n, seed, spread=2, **kw)
+
+
+def _graph(kind):
+    return geombs.build_intersection_graph(_scene(kind, 6, 5))
+
+
+# solver name -> call on a small nonempty scene
+SOLVER_CALLS = {
+    "solve_intervals": lambda: geombs.solve_intervals(
+        _scene("intervals", 7, 1)),
+    "solve_arcs": lambda: geombs.solve_arcs(_scene("arcs", 6, 2)),
+    "solve_one_sided": lambda: geombs.solve_one_sided(
+        _scene("unit_disks", 7, 3, disk_mode="one_sided")),
+    "one_sided_mis": lambda: geombs.one_sided_mis(
+        _scene("unit_disks", 7, 3, disk_mode="one_sided")),
+    "solve_two_sided": lambda: geombs.solve_two_sided(
+        _scene("unit_disks", 7, 4, disk_mode="two_sided")),
+    "solve_3approx": lambda: geombs.solve_3approx(_scene("unit_disks", 8, 5)),
+    "solve_logn": lambda: geombs.solve_logn(_scene("unit_disks", 8, 6)),
+    "solve_slab": lambda: geombs.solve_slab(
+        _scene("unit_disks", 6, 7, disk_mode="slab", slab_k=1), 1,
+        slab_bottom=0),
+    "solve_ptas": lambda: geombs.solve_ptas(
+        _scene("unit_squares", 7, 8), Fraction(1, 2)),
+    "solve_ptas_weighted": lambda: geombs.solve_ptas_weighted(
+        _scene("unit_disks", 7, 9), geombs.generate_weights(7, 9),
+        Fraction(1, 2)),
+    "solve_unit_height": lambda: geombs.solve_unit_height(
+        _scene("unit_height_rects", 9, 10)),
+    "exact_mbs": lambda: geombs.exact_mbs(_graph("rects")),
+    "exact_mtfs": lambda: geombs.exact_mtfs(_graph("unit_disks")),
+    "exact_mis": lambda: geombs.exact_mis(_graph("intervals")),
+}
+
+SOLVER_MODULES = ("intervals", "arcs", "diskline", "diskgeneral", "ptas",
+                  "rects", "oracle")
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVER_CALLS))
+def test_every_solver_returns_through_certify(solver, monkeypatch):
+    calls = []
+
+    def spy(graph, solution, mode="bipartite"):
+        calls.append(solution)
+        return model.certify(graph, solution, mode)
+
+    for name in SOLVER_MODULES:
+        monkeypatch.setattr(importlib.import_module(f"geombs.{name}"),
+                            "certify", spy, raising=False)
+    out = SOLVER_CALLS[solver]()
+    selected = out if isinstance(out, tuple) else out.selected
+    assert selected, "the scene should give a nonempty selection"
+    assert [s.selected for s in calls] == [selected]

@@ -80,6 +80,17 @@ def test_parameter_validation():
         generate_instance(UNIT_DISKS, 3, 0, spread=0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n", True), ("n", 2.5), ("n", "3"),
+    ("spread", 2.7), ("spread", True), ("spread", F(2)),
+    ("slab_k", 2.0), ("slab_k", True),
+])
+def test_counts_must_be_ints(name, value):
+    args = dict({"n": 3, "spread": 2, "slab_k": 2}, **{name: value})
+    with pytest.raises(ValidationError, match=f"{name} must be an int"):
+        generate_instance(UNIT_DISKS, args.pop("n"), 0, disk_mode="slab", **args)
+
+
 def test_weights_deterministic_and_positive():
     a = generate_weights(6, 5)
     assert a == generate_weights(6, 5)

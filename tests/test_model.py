@@ -29,6 +29,12 @@ from geombs import (
     translate_instance,
     validate_instance,
 )
+from geombs.model import (
+    arcs_intersect,
+    disks_intersect,
+    intervals_intersect,
+    rects_intersect,
+)
 from conftest import graph_from_edges
 
 
@@ -156,6 +162,63 @@ class TestPredicates:
             moved = translate_instance(inst, dx, dy)
             assert (build_intersection_graph(inst).masks
                     == build_intersection_graph(moved).masks)
+
+
+def _all_pairs_masks(inst):
+    """Reference adjacency: the kind's public predicate on every pair."""
+    def meets(a, b):
+        if inst.kind == INTERVALS:
+            return intervals_intersect(a, b)
+        if inst.kind == ARCS:
+            return arcs_intersect(a, b)
+        if inst.kind == UNIT_DISKS:
+            return disks_intersect(a, b, inst.disk_radius)
+        return rects_intersect(a, b)
+
+    objs = inst.objects
+    return tuple(
+        sum(1 << j for j in range(len(objs)) if j != i and meets(objs[i], objs[j]))
+        for i in range(len(objs))
+    )
+
+
+def intervals(*pairs):
+    return GeometricInstance(INTERVALS, tuple(IntervalObj(a, b) for a, b in pairs))
+
+
+def rects(*quads):
+    return GeometricInstance(RECTS, tuple(RectObj(*q) for q in quads))
+
+
+# closed-semantics corner cases for the x-extent sweep
+SWEEP_CASES = {
+    "disks 2r apart on x": disks([(4, 0), (0, 0), (2, 0), (6, 1), (8, 0)]),
+    "disks 2r apart on x, on and off a line": disks(
+        [(0, 0), (3, 0), (3, 1), (6, 1)], r=F(3, 2)),
+    "rect x_max meets x_min": rects((2, 3, 0, 1), (0, 1, 0, 1), (1, 2, 0, 1),
+                                    (3, 4, 5, 6)),
+    "shared interval endpoints": intervals((1, 2), (0, 1), (2, 3), (3, 5)),
+    "equal left ends": intervals((0, 1), (0, 3), (0, 2), (2, 4), (3, 4)),
+    "long interval covers later starts": intervals(
+        (0, 20), (1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (19, 21), (20, 22),
+        (21, 23)),
+}
+
+
+class TestBuilder:
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_corner_cases_match_all_pairs(self, case):
+        inst = SWEEP_CASES[case]
+        assert build_intersection_graph(inst).masks == _all_pairs_masks(inst)
+
+    @pytest.mark.parametrize("kind", [INTERVALS, ARCS, UNIT_DISKS, UNIT_SQUARES,
+                                      UNIT_HEIGHT_RECTS, RECTS])
+    def test_seeded_scenes_match_all_pairs(self, kind):
+        for seed in range(60):
+            inst = generate_instance(kind, 1 + seed % 30, seed,
+                                     spread=1 + seed % 5)
+            assert (build_intersection_graph(inst).masks
+                    == _all_pairs_masks(inst)), seed
 
 
 class TestVerifiers:

@@ -6,6 +6,7 @@ import pytest
 
 from geombs import (
     UNIT_HEIGHT_RECTS,
+    CertificateError,
     GeometricInstance,
     RectObj,
     ValidationError,
@@ -15,6 +16,7 @@ from geombs import (
     is_bipartite,
     solve_unit_height,
 )
+from geombs import rects as rects_module
 from geombs.rects import group_rects
 
 
@@ -34,9 +36,22 @@ class TestGolden:
         inst = rects((0, 1, 0), (0, 1, 2))  # groups 0 and 2
         assert solve_unit_height(inst).selected == (0, 1)
 
+    def test_parity_tie_keeps_even_groups(self):
+        inst = rects((5, 6, 1), (0, 1, 0), (2, 3, 3), (8, 9, 2))  # groups 1 0 3 2
+        sol = solve_unit_height(inst)
+        assert sol.selected == (1, 3) and sol.coloring == {1: 0, 3: 0}
+
     def test_disjoint_rects_across_adjacent_groups(self):
         inst = rects((0, 1, 0), (2, 3, F(1, 2)), (4, 5, 0), (6, 7, F(3, 2)))
         assert solve_unit_height(inst).size >= 2
+
+    def test_certifies_its_coloring(self, monkeypatch):
+        # a sweep that keeps the whole triangle group must be refused
+        monkeypatch.setattr(rects_module, "_sweep",
+                            lambda lefts, rights, order: list(order))
+        inst = rects((0, 2, 0), (1, 3, F(1, 4)), (F(3, 2), 4, F(1, 2)))
+        with pytest.raises(CertificateError):
+            solve_unit_height(inst)
 
     def test_wrong_kind_rejected(self):
         bad = GeometricInstance(UNIT_HEIGHT_RECTS, (RectObj(0, 1, 0, 2),))

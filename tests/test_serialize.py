@@ -137,3 +137,26 @@ def test_unreadable_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ValidationError):
         load_instance(bad)
+
+
+BAD_FORMATS = [99, "x", "1", True, 1.0, None]
+
+
+@pytest.mark.parametrize("fmt", BAD_FORMATS)
+def test_instance_format_must_be_1(fmt):
+    doc = instance_to_dict(generate_instance("intervals", 3, 1))
+    doc["format"] = fmt
+    with pytest.raises(ValidationError, match="format"):
+        instance_from_dict(doc)
+    del doc["format"]
+    assert instance_from_dict(doc)[0] == generate_instance("intervals", 3, 1)
+
+
+@pytest.mark.parametrize("fmt", BAD_FORMATS)
+def test_solution_format_must_be_1(fmt):
+    doc = solution_to_dict(Solution((0, 2), {0: 0, 2: 1}))
+    doc["format"] = fmt
+    with pytest.raises(ValidationError, match="format"):
+        solution_from_dict(doc)
+    del doc["format"]
+    assert solution_from_dict(doc)[0] == Solution((0, 2), {0: 0, 2: 1})
