@@ -4,8 +4,8 @@ Exact algorithms for intervals, near-optimal for circular arcs, an exact
 DP for unit disks stabbed one-sided by a line, constant/log-factor
 approximations for line-stabbed and general unit disks, a shifting PTAS
 for unit disks and unit squares (weighted too), a 2-approximation for
-unit-height rectangles, an exhaustive oracle for small scenes, and a
-doubling reduction tying bipartite subgraphs to independent sets.
+unit-height rectangles, an exact branch-and-bound oracle for small scenes,
+and a doubling reduction tying bipartite subgraphs to independent sets.
 """
 from .arcs import solve_arcs
 from .bench import BenchReport, BenchRow, bench_instance, run_bench

@@ -1,10 +1,9 @@
-"""Bitmask kernels: feasibility witnesses, subset search and the chain DP.
+"""Bitmask kernels: feasibility witnesses, branch-and-bound subset search and
+the chain DP.
 
 Adjacency is passed as a list of neighbor bitmasks (``masks[v] >> u & 1``
 iff u and v are adjacent).
 """
-from itertools import combinations
-
 MODE_INDEPENDENT = 0
 MODE_BIPARTITE = 1
 MODE_TRIANGLE_FREE = 2
@@ -96,39 +95,87 @@ def two_color(masks, mask):
     return color, None
 
 
-_WITNESS = {
-    MODE_INDEPENDENT: edge_witness,
-    MODE_BIPARTITE: two_color,
-    MODE_TRIANGLE_FREE: triangle_witness,
-}
-
-
 def max_subset(masks, mode):
     """Largest feasible subset; ties resolved to the lexicographically
-    smallest index set.  Enumerates subsets in decreasing size with
-    supersets of known infeasibility witnesses pruned.
+    smallest index set.
+
+    Depth-first branch and bound that decides the vertices in index order and
+    tries "include" before "exclude".  A node holds the selection S and its
+    candidates: the later vertices that can still join S.  Its bound is |S|
+    plus a greedy clique cover of the candidates, each clique counting at most
+    1 (independent) or 2 (bipartite, triangle-free); the node is pruned when
+    the bound does not beat the best size found.  A bipartite S is held as its
+    connected components, each a pair of side bitmasks, so the search never
+    branches on colourings and visits every set once.  Sets of one size are
+    therefore visited in lex order, and the first maximum found is the
+    lex-min one.
 
     Returns (size, subset_bitmask).
     """
-    n = len(masks)
-    witness = _WITNESS[mode]
-    pair = mode == MODE_BIPARTITE  # two_color returns (colouring, cycle)
-    bad = []
-    for k in range(n, 0, -1):
-        for combo in combinations(range(n), k):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if any(mask & w == w for w in bad):
-                continue
-            w = witness(masks, mask)
-            if pair:
-                w = w[1]
-            if w is None:
-                return k, mask
-            if w not in bad:
-                bad.append(w)
-    return 0, 0
+    per_clique = {MODE_INDEPENDENT: 1, MODE_BIPARTITE: 2, MODE_TRIANGLE_FREE: 2}[mode]
+    best = [0, 0]
+
+    def cover_exceeds(cand, need):
+        # True iff a greedy clique cover of cand counts more than need
+        total = 0
+        while cand:
+            v = cand & -cand
+            cand ^= v
+            p = cand & masks[v.bit_length() - 1]
+            k = 1
+            while p:
+                w = p & -p
+                cand ^= w
+                p &= masks[w.bit_length() - 1]
+                k += 1
+            total += min(k, per_clique)
+            if total > need:
+                return True
+        return False
+
+    def join(sel, comps, v):
+        # (components of S + v, vertices that can no longer join S + v)
+        mv = masks[v.bit_length() - 1]
+        if mode == MODE_INDEPENDENT:
+            return None, mv
+        if mode == MODE_TRIANGLE_FREE:
+            # a vertex adjacent to both ends of a new edge (v, w) closes a triangle
+            reach = 0
+            m = mv & sel
+            while m:
+                w = m & -m
+                m ^= w
+                reach |= masks[w.bit_length() - 1]
+            return None, mv & reach
+        # merge the components v touches, v on side a; each component is
+        # (side a, side b, neighbours of a, neighbours of b)
+        a, b, na, nb = v, 0, mv, 0
+        rest = []
+        for comp in comps:
+            ca, cb, cna, cnb = comp
+            if mv & ca:
+                a, b, na, nb = a | cb, b | ca, na | cnb, nb | cna
+            elif mv & cb:
+                a, b, na, nb = a | ca, b | cb, na | cna, nb | cnb
+            else:
+                rest.append(comp)
+        rest.append((a, b, na, nb))
+        # a vertex with neighbours on both sides of a component cannot join
+        return rest, na & nb
+
+    def search(sel, size, cand, comps):
+        while cand:
+            if not cover_exceeds(cand, best[0] - size):
+                return
+            v = cand & -cand
+            cand ^= v
+            joined, blocked = join(sel, comps, v)
+            search(sel | v, size + 1, cand & ~blocked, joined)
+        if size > best[0]:
+            best[:] = size, sel
+
+    search(0, 0, (1 << len(masks)) - 1, [])
+    return tuple(best)
 
 
 def chain_mbs(masks):

@@ -1,10 +1,10 @@
 """Ratio benchmark: run solver suites over generated corpora.
 
 Each row records one (instance, algorithm) run with the solution size, the
-exhaustive optimum when requested, the ratio optimum/size, the wall time,
-and whether the algorithm's proven guarantee held.  Instances are solved
-one after another, so each row's time is that solve alone; rows are sorted
-by instance id and algorithm.
+exact optimum from the branch-and-bound oracle when requested, the ratio
+optimum/size, the wall time, and whether the algorithm's proven guarantee
+held.  Instances are solved one after another, so each row's time is that
+solve alone; rows are sorted by instance id and algorithm.
 """
 import math
 import time

@@ -160,7 +160,8 @@ def _build_parser():
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("oracle", help="exhaustive optimum of a small instance")
+    p = sub.add_parser("oracle",
+                       help="exact optimum of a small instance (branch and bound)")
     p.add_argument("instance")
     p.add_argument("--mode", default="bipartite",
                    choices=("bipartite", "triangle_free", "independent"))

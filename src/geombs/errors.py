@@ -11,7 +11,8 @@ class ValidationError(GeombsError):
 
 
 class CapacityError(GeombsError):
-    """Input exceeds a configured exhaustive-search cap."""
+    """Input exceeds a configured cap: the oracle's vertex cap or the PTAS
+    box cap."""
 
     category = "capacity"
 

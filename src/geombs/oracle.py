@@ -1,8 +1,10 @@
-"""Exhaustive exact solvers for MBS, MTFS, and MIS on small graphs.
+"""Exact solvers for MBS, MTFS, and MIS on small graphs.
 
-These are the ground truth for every guarantee test in the suite.  Ties
-between optima break to the lexicographically smallest index set, so golden
-outputs are deterministic.
+These are the ground truth for every guarantee test in the suite.  Each runs
+``_kernels.max_subset``, a depth-first branch and bound over the vertices in
+index order whose bound is a greedy clique cover of the vertices that can
+still join the selection.  Ties between optima break to the lexicographically
+smallest index set, so golden outputs are deterministic.
 """
 from typing import Optional
 

@@ -325,9 +325,7 @@ def solve_ptas_weighted(
     epsilon = _frac(epsilon)
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    validate_instance(instance)
-    if instance.n == 0:
-        return Solution((), {})
+    validate_instance(instance, require_nonempty=True)
     wts = _check_weights(instance, weights)
     k = math.ceil(1 / epsilon)
     h = _half_extent(instance)

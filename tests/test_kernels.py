@@ -2,8 +2,8 @@
 import pytest
 
 import geombs
-from geombs import _kernels
-from conftest import random_graph
+from geombs import KINDS, _kernels
+from conftest import graph_from_edges, random_graph
 from kernel_reference import (
     brute_chain_size,
     brute_max_subset,
@@ -27,6 +27,19 @@ def test_max_subset_matches_brute_force(rng, mode):
         masks = random_graph(rng, rng.randrange(1, 11)).masks
         assert _kernels.max_subset(masks, mode) == \
             brute_max_subset(masks, mode), (trial, masks)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_max_subset_matches_brute_force_on_dense_scenes(kind):
+    # dense geometric graphs have many tied optima, where a search that does
+    # not visit sets in lex order returns a different maximum
+    for spread in (1, 2):
+        for seed in range(3):
+            inst = geombs.generate_instance(kind, 10 + seed, seed, spread=spread)
+            masks = geombs.build_intersection_graph(inst).masks
+            for mode in MODES:
+                assert _kernels.max_subset(masks, mode) == \
+                    brute_max_subset(masks, mode), (kind, spread, seed, mode)
 
 
 def test_two_color_matches_brute_force(rng):
@@ -65,6 +78,15 @@ def test_lexicographic_tie_break():
     masks = [2, 1, 8, 4]
     size, mask = _kernels.max_subset(masks, _kernels.MODE_INDEPENDENT)
     assert size == 2 and mask == 0b0101  # vertices {0, 2}
+
+
+def test_bipartite_tie_break_ignores_colorings():
+    # {0, 1, 2, 3} and {0, 1, 3, 4} are both maximum; a search that branches
+    # on side A / side B / neither meets {0, 1, 3, 4} first
+    edges = [(0, 3), (1, 2), (1, 4), (2, 3), (2, 4)]
+    g = graph_from_edges(5, edges)
+    assert _kernels.max_subset(g.masks, _kernels.MODE_BIPARTITE) == (4, 0b01111)
+    assert geombs.exact_mbs(g).selected == (0, 1, 2, 3)
 
 
 def test_edgeless_graph_keeps_every_vertex():

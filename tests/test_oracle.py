@@ -1,18 +1,21 @@
-"""Exhaustive oracle: golden small graphs, determinism, and capacity."""
+"""Branch-and-bound oracle: golden small graphs, determinism, and capacity."""
 import random
 
 import pytest
 
 from geombs import (
+    KINDS,
     CapacityError,
     INTERVALS,
     build_intersection_graph,
+    certify,
     exact_mbs,
     exact_mis,
     exact_mtfs,
     generate_instance,
     is_bipartite,
 )
+from geombs.oracle import DEFAULT_CAP
 from conftest import graph_from_edges, random_graph
 
 
@@ -80,6 +83,19 @@ class TestProperties:
             inst = generate_instance(INTERVALS, 2 + seed % 8, seed)
             g = build_intersection_graph(inst)
             assert exact_mbs(g).size == exact_mtfs(g).size
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sandwich_bounds_at_the_cap(self, kind):
+        for spread in (None, 2):
+            for seed in range(2):
+                inst = generate_instance(kind, DEFAULT_CAP, seed, spread=spread)
+                g = build_intersection_graph(inst)
+                mis, mbs, mtfs = exact_mis(g), exact_mbs(g), exact_mtfs(g)
+                certify(g, mis, "independent")
+                certify(g, mbs)
+                certify(g, mtfs, "triangle_free")
+                assert mis.size <= mbs.size <= 2 * mis.size, (spread, seed)
+                assert mbs.size <= mtfs.size, (spread, seed)
 
     def test_capacity_error(self):
         g = graph_from_edges(21, [])

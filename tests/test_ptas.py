@@ -150,9 +150,13 @@ class TestWeighted:
         assert 1 in sol.selected
 
     def test_empty_instance(self):
+        # the same error as every other solver, solve_slab included
         inst = GeometricInstance(UNIT_DISKS, (), F(1))
-        sol = solve_ptas_weighted(inst, [], F(1, 2))
-        assert sol.selected == () and sol.coloring == {}
+        for solve in (lambda: solve_ptas(inst, F(1, 2)),
+                      lambda: solve_ptas_weighted(inst, [], F(1, 2)),
+                      lambda: solve_slab(inst, 2, slab_bottom=0)):
+            with pytest.raises(ValidationError, match="instance has no objects"):
+                solve()
 
     @pytest.mark.parametrize("weight", [0.5, True])
     def test_inexact_weight_rejected(self, weight):
