@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from . import _kernels
@@ -241,41 +242,47 @@ class IntersectionGraph:
         return out
 
 
-def _predicate_and_extents(instance: GeometricInstance):
-    """The kind's exact predicate and each object's closed x-extent; objects
-    whose extents are disjoint never intersect.  Arcs span the whole turn,
-    so every pair of arcs is tested."""
-    objs = instance.objects
+def _predicate_and_extent(instance: GeometricInstance):
+    """The kind's exact predicate and a map from an object to its closed
+    x-extent; objects whose extents are disjoint never intersect.  Arcs span
+    the whole turn, so every pair of arcs is tested."""
     if instance.kind == INTERVALS:
-        return intervals_intersect, [(o.left, o.right) for o in objs]
+        return intervals_intersect, lambda o: (o.left, o.right)
     if instance.kind == ARCS:
-        return arcs_intersect, [(0, 1)] * len(objs)
+        return arcs_intersect, lambda o: (0, 1)
     if instance.kind == UNIT_DISKS:
         r = instance.disk_radius
         return (lambda a, b: disks_intersect(a, b, r),
-                [(o.center.x - r, o.center.x + r) for o in objs])
-    return rects_intersect, [(o.x_min, o.x_max) for o in objs]
+                lambda o: (o.center.x - r, o.center.x + r))
+    return rects_intersect, lambda o: (o.x_min, o.x_max)
+
+
+def _graph_over(instance: GeometricInstance, indices) -> IntersectionGraph:
+    """The graph induced by ``indices``, as masks over all n objects with 0
+    for every object not listed: a sort-and-sweep over the listed objects'
+    x-extents, O(k log k) for k indices plus one exact predicate per pair
+    whose extents overlap.  The instance must already be valid."""
+    objs = instance.objects
+    meets, extent = _predicate_and_extent(instance)
+    spans = sorted([(*extent(objs[i]), i) for i in indices], key=itemgetter(0))
+    masks = [0] * instance.n
+    for p, (_, right, i) in enumerate(spans):
+        a = objs[i]
+        for q in range(p + 1, len(spans)):
+            left, _, j = spans[q]
+            if left > right:
+                break
+            if meets(a, objs[j]):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return IntersectionGraph(instance.n, tuple(masks))
 
 
 def build_intersection_graph(instance: GeometricInstance) -> IntersectionGraph:
     """Sort-and-sweep over x-extents: O(n log n) plus one exact predicate
     per pair whose extents overlap."""
     validate_instance(instance)
-    n = instance.n
-    objs = instance.objects
-    meets, extents = _predicate_and_extents(instance)
-    order = sorted(range(n), key=lambda i: extents[i][0])
-    masks = [0] * n
-    for p, i in enumerate(order):
-        a, right = objs[i], extents[i][1]
-        for q in range(p + 1, n):
-            j = order[q]
-            if extents[j][0] > right:
-                break
-            if meets(a, objs[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return IntersectionGraph(n, tuple(masks))
+    return _graph_over(instance, range(instance.n))
 
 
 def _subset_mask(g: IntersectionGraph, subset: Iterable[int]) -> int:

@@ -18,7 +18,7 @@ from .model import (
     UNIT_HEIGHT_RECTS,
     GeometricInstance,
     Solution,
-    build_intersection_graph,
+    _graph_over,
     certify,
     is_bipartite,
     validate_instance,
@@ -41,7 +41,7 @@ def solve_unit_height(instance: GeometricInstance) -> Solution:
             f"expected a unit_height_rects scene, got {instance.kind}"
         )
     validate_instance(instance, require_nonempty=True)
-    graph = build_intersection_graph(instance)
+    graph = _graph_over(instance, range(instance.n))
 
     # x-projection keys perturbed by index, as in solve_intervals(perturb=True)
     lefts = [(o.x_min, -(i + 1)) for i, o in enumerate(instance.objects)]

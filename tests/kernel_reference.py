@@ -1,11 +1,14 @@
-"""Brute-force graph references for tests: small, slow and obviously right.
+"""Brute-force references for tests: small, slow and obviously right.
 
-Graphs are neighbor bitmasks as in ``geombs._kernels``.  Every function here
-scans all subsets, so keep n at about a dozen or less.
+Graphs are neighbor bitmasks as in ``geombs._kernels``.  Every subset
+function here scans all subsets, so keep n at about a dozen or less.  The
+arc reference at the end cuts the circle in exact ``Fraction`` angles.
 """
+from fractions import Fraction
 from itertools import combinations
 
-from geombs import _kernels
+from geombs import _kernels, build_intersection_graph, is_bipartite
+from geombs.intervals import _sweep
 
 
 def _indices(mask):
@@ -105,3 +108,57 @@ def has_induced_cycle_at_least(masks, min_len):
         if seen == mask:
             return True
     return False
+
+
+def _uncovered_point(instance):
+    """The midpoint of the first gap between consecutive endpoint angles
+    (the wrap-around gap last) that no arc covers, or None."""
+    points = sorted({a.start for a in instance.objects}
+                    | {a.end for a in instance.objects})
+    mids = [(p + q) / 2 for p, q in zip(points, points[1:])]
+    mids.append((points[-1] + points[0] + 1) / 2 % 1)
+    for m in mids:
+        if not any(a.contains(m) for a in instance.objects):
+            return m
+    return None
+
+
+def _cut_candidates(instance):
+    cuts = {a.start for a in instance.objects} | {a.end for a in instance.objects}
+    extra = _uncovered_point(instance)
+    if extra is not None:
+        cuts.add(extra)
+    return sorted(cuts)
+
+
+def _linearize(instance, cut):
+    """``solve_intervals(perturb=True)`` keys, by arc index, of the arcs
+    not wrapping across ``cut``: the surviving arc at position p unrolls to
+    ``(lo, -(p+1))`` and ``(hi, p+1)``."""
+    lefts, rights = {}, {}
+    for i, arc in enumerate(instance.objects):
+        if arc.contains(cut) and cut not in (arc.start, arc.end):
+            continue
+        lo = (arc.start - cut) % 1
+        hi = (arc.end - cut) % 1 or Fraction(1)
+        p = len(lefts) + 1
+        lefts[i] = (lo, -p)
+        rights[i] = (hi, p)
+    return lefts, rights
+
+
+def reference_arcs(instance):
+    """``(selected, coloring)`` of the cut-and-sweep arc solver, cut by cut
+    in exact angles: the largest candidate that is bipartite on the circular
+    graph, ties to the lexicographically smallest index tuple."""
+    graph = build_intersection_graph(instance)
+    best = ()
+    for cut in _cut_candidates(instance):
+        lefts, rights = _linearize(instance, cut)
+        order = sorted(rights, key=rights.__getitem__)
+        candidate = tuple(sorted(_sweep(lefts, rights, order)))
+        if is_bipartite(graph, candidate) is None:
+            continue
+        if (-len(candidate), candidate) < (-len(best), best):
+            best = candidate
+    return best, is_bipartite(graph, best)

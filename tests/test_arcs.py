@@ -1,4 +1,5 @@
 """Circular arcs: cut-and-linearize solver within one of the optimum."""
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from geombs import (
     ARCS,
     ArcObj,
+    CertificateError,
     GeometricInstance,
     build_intersection_graph,
     exact_mbs,
@@ -14,7 +16,9 @@ from geombs import (
     is_bipartite,
     solve_arcs,
 )
+from geombs import arcs as arcs_module
 from geombs.arcs import _uncovered_point
+import kernel_reference
 
 
 def arcs(*pairs):
@@ -48,6 +52,18 @@ class TestGolden:
 
     def test_single_arc(self):
         assert solve_arcs(arcs((0, F(1, 2)))).selected == (0,)
+
+    def test_certifies_its_coloring(self, monkeypatch):
+        # a sweep that keeps every surviving arc, and integer adjacency that
+        # sees no edge, pass the triangle through the per-cut re-check; the
+        # certificate, on exact predicates over the selection, refuses it
+        monkeypatch.setattr(arcs_module, "_sweep",
+                            lambda lefts, rights, order: list(order))
+        monkeypatch.setattr(arcs_module, "_adjacency",
+                            lambda starts, ends, *coverage: [0] * len(starts))
+        inst = arcs((0, F(1, 2)), (F(1, 8), F(5, 8)), (F(1, 4), F(3, 4)))
+        with pytest.raises(CertificateError):
+            solve_arcs(inst)
 
 
 class TestProperties:
@@ -90,6 +106,47 @@ class TestProperties:
                 assert m - sg.n + comps <= 1, (seed, keep)
                 checked += 1
         assert checked >= 10
+
+
+def tie_heavy_arcs(seed):
+    """Up to 14 arcs whose endpoints are multiples of 1/q, q in 4..64, so
+    shared endpoints and arcs meeting at one point are common."""
+    rng = random.Random(seed)
+    q = rng.randrange(4, 65)
+    pairs = []
+    while len(pairs) < 1 + seed % 14:
+        a, b = rng.randrange(q), rng.randrange(q)
+        if a != b:
+            pairs.append((F(a, q), F(b, q)))
+    return arcs(*pairs)
+
+
+TIE_HEAVY = [tie_heavy_arcs(seed) for seed in range(1200)]
+
+
+class TestReference:
+    def test_matches_fraction_cut_loop(self):
+        for seed, inst in enumerate(TIE_HEAVY):
+            sol = solve_arcs(inst)
+            assert ((sol.selected, sol.coloring)
+                    == kernel_reference.reference_arcs(inst)), seed
+
+    def test_position_masks_match_builder(self):
+        for seed, inst in enumerate(TIE_HEAVY):
+            starts, ends, size = arcs_module._positions(inst)
+            covering, began, _ = arcs_module._coverage(starts, ends, size)
+            assert (tuple(arcs_module._adjacency(starts, ends, covering, began))
+                    == build_intersection_graph(inst).masks), seed
+
+    def test_uncovered_gap_is_the_reference_midpoint(self):
+        for seed, inst in enumerate(TIE_HEAVY):
+            gap = _uncovered_point(inst)
+            mid = kernel_reference._uncovered_point(inst)
+            assert (gap is None) == (mid is None), seed
+            if mid is not None:
+                values = {a.start for a in inst.objects} | {a.end for a in inst.objects}
+                below = sum(v < mid for v in values)
+                assert gap == (2 * below - 1) % (2 * len(values)), seed
 
 
 def _component_count(g):

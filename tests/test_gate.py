@@ -103,3 +103,28 @@ def test_every_solver_returns_through_certify(solver, monkeypatch):
     selected = out if isinstance(out, tuple) else out.selected
     assert selected, "the scene should give a nonempty selection"
     assert [s.selected for s in calls] == [selected]
+
+
+# solver -> (scene kind, n, the predicate its certificate graph calls)
+SELECTION_GRAPHS = {
+    "solve_intervals": ("intervals", 2000, "intervals_intersect"),
+    "solve_arcs": ("arcs", 300, "arcs_intersect"),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(SELECTION_GRAPHS))
+def test_certificate_graph_reads_only_the_selection(solver, monkeypatch):
+    # the whole scene's graph would test every pair with overlapping
+    # extents; the selection's graph tests at most its own k(k-1)/2 pairs
+    kind, n, predicate = SELECTION_GRAPHS[solver]
+    scene = geombs.generate_instance(kind, n, 1)
+    calls = []
+    exact = getattr(model, predicate)
+
+    def spy(a, b):
+        calls.append(None)
+        return exact(a, b)
+
+    monkeypatch.setattr(model, predicate, spy)
+    k = getattr(geombs, solver)(scene).size
+    assert 0 < len(calls) <= k * (k - 1) // 2, (len(calls), k)

@@ -5,6 +5,7 @@ import pytest
 
 from geombs import (
     INTERVALS,
+    CertificateError,
     GeometricInstance,
     IntervalObj,
     ValidationError,
@@ -14,6 +15,7 @@ from geombs import (
     is_bipartite,
     solve_intervals,
 )
+from geombs import intervals as intervals_module
 
 
 def intervals(*pairs):
@@ -35,6 +37,14 @@ class TestGolden:
     def test_single_interval(self):
         sol = solve_intervals(intervals((0, 1)))
         assert sol.selected == (0,) and sol.coloring == {0: 0}
+
+    def test_certifies_its_coloring(self, monkeypatch):
+        # a sweep that keeps all three intervals through 3/2 must be refused
+        # by the certificate on the selection's own graph
+        monkeypatch.setattr(intervals_module, "_sweep",
+                            lambda lefts, rights, order: list(order))
+        with pytest.raises(CertificateError):
+            solve_intervals(intervals((0, 2), (1, 3), (F(3, 2), 4)))
 
     def test_disjoint_branch_keeps_earlier_state(self):
         # the long interval is selected first; the state never blocks

@@ -30,6 +30,7 @@ from geombs import (
     validate_instance,
 )
 from geombs.model import (
+    _graph_over,
     arcs_intersect,
     disks_intersect,
     intervals_intersect,
@@ -219,6 +220,28 @@ class TestBuilder:
                                      spread=1 + seed % 5)
             assert (build_intersection_graph(inst).masks
                     == _all_pairs_masks(inst)), seed
+
+    @staticmethod
+    def _check_graph_over(inst, rng):
+        full = _all_pairs_masks(inst)
+        for _ in range(4):
+            idx = rng.sample(range(inst.n), rng.randrange(inst.n + 1))
+            keep = sum(1 << i for i in idx)
+            want = tuple(full[i] & keep if keep >> i & 1 else 0
+                         for i in range(inst.n))
+            assert _graph_over(inst, idx).masks == want, idx
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_graph_over_corner_cases(self, case, rng):
+        self._check_graph_over(SWEEP_CASES[case], rng)
+
+    @pytest.mark.parametrize("kind", [INTERVALS, ARCS, UNIT_DISKS, UNIT_SQUARES,
+                                      UNIT_HEIGHT_RECTS, RECTS])
+    def test_graph_over_seeded_scenes(self, kind, rng):
+        for seed in range(60):
+            inst = generate_instance(kind, 1 + seed % 30, seed,
+                                     spread=1 + seed % 5)
+            self._check_graph_over(inst, rng)
 
 
 class TestVerifiers:
