@@ -184,6 +184,8 @@ def chain_mbs(masks):
     Implements the three-case B[i,j,k] recurrence (0 on triangles; 3 when no
     extension exists; else 1 + best extension) and returns
     (size, selected index list) where size is 0 if no K3-free triple exists.
+    The table holds one entry per triple i < j < k and each scans every
+    extension l > k: O(n^4) time and O(n^3) space.
     """
     n = len(masks)
     if n < 3:

@@ -105,19 +105,19 @@ def _linearize(starts, ends, size, cut):
     A cut at c unrolls an arc to ``lo = (s - c) mod size`` and
     ``hi = (e - c) mod size``, with ``hi = 0`` read as ``size``; the arc
     survives iff ``lo < hi``, so an arc whose endpoint is the cut survives
-    and only arcs with the cut strictly inside are dropped.  The keys are
-    those of ``solve_intervals(perturb=True)`` on the surviving arcs in
-    index order: the arc at position p unrolls to ``(lo, -(p+1))`` and
-    ``(hi, p+1)``.
+    and only arcs with the cut strictly inside are dropped.  Arc i unrolls
+    to ``(lo, -(i+1))`` and ``(hi, i+1)``, the keys that
+    ``solve_intervals(perturb=True)`` gives interval i.  The sweep compares
+    only a left key with a right key, where the second entry breaks a tie on
+    the value, always for the left key, so no order depends on it.
     """
     lefts, rights = {}, {}
     for i, (s, e) in enumerate(zip(starts, ends)):
         lo = (s - cut) % size
         hi = (e - cut) % size or size
         if lo < hi:
-            p = len(lefts) + 1
-            lefts[i] = (lo, -p)
-            rights[i] = (hi, p)
+            lefts[i] = (lo, -(i + 1))
+            rights[i] = (hi, i + 1)
     return lefts, rights
 
 

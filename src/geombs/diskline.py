@@ -2,11 +2,12 @@
 
 With all centers on one side of the line the graph has no induced cycle of
 length five or more, so maximum bipartite and maximum triangle-free subsets
-coincide and the B[i,j,k] chain DP solves the problem exactly.  With
-centers on both sides, a maximum independent set per side (longest
-disjointness chain in x-order, valid because disjointness is transitive
-along the x-order on one side) gives a 2-approximation whose side labels
-are the 2-coloring.
+coincide and the B[i,j,k] chain DP solves the problem exactly, in O(n^4)
+time and O(n^3) space after the graph build.  With centers on both sides,
+a maximum independent set per side (longest disjointness chain in x-order,
+valid because disjointness is transitive along the x-order on one side,
+O(n^2) adjacency tests) gives a 2-approximation whose side labels are the
+2-coloring.
 """
 from . import _kernels
 from .errors import ValidationError

@@ -5,25 +5,28 @@ partition the slab into diameter-wide boxes, enumerate per box every
 2-colorable subset together with its proper colorings, and connect
 color-compatible choices of consecutive boxes in a vertex-weighted DAG
 whose maximum-weight s-t path is an optimal bipartite set for the slab.
-Boxes two or more apart cannot interact, so those edges are implicit.
+Boxes two or more apart cannot interact, so those edges are implicit.  A
+box of b <= ``box_cap`` objects costs 2^b subsets, each colored on the
+graph's neighbor bitmasks.
 
-The full solver shifts a grid of slab boundaries over k offsets, drops the
-objects crossing a boundary, solves each slab, and keeps the best offset;
-each object is dropped for exactly one offset, which yields the
-(1 - 1/k) guarantee.  Weighted objects only change the vertex weights.
+The full solver builds the scene's intersection graph once, shifts a grid
+of slab boundaries over k offsets, drops the objects crossing a boundary,
+solves each slab as a list of scene indices over that one graph, and keeps
+the best offset; each object is dropped for exactly one offset, which
+yields the (1 - 1/k) guarantee.  Weighted objects only change the vertex
+weights.
 """
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
 
+from . import _kernels
 from .errors import CapacityError, ValidationError
 from .model import (
     UNIT_DISKS,
     UNIT_SQUARES,
     GeometricInstance,
-    IntersectionGraph,
     Solution,
     _frac,
     build_intersection_graph,
@@ -84,54 +87,118 @@ class SlabDag:
     vertices: list
     step_edges: dict
 
-    def check_acyclic(self) -> bool:
-        return all(
-            self.vertices[u].box < self.vertices[v].box
-            for u, vs in self.step_edges.items()
-            for v in vs
-        )
 
+def _color_classes(masks, subset, boundary):
+    """All proper 2-colorings of the subgraph induced by ``subset``, each as
+    its two color classes (bitmasks); [] when it is not 2-colorable.
 
-def _proper_colorings(graph, indices, boundary):
-    """All proper 2-colorings of the induced subgraph.
-
-    Components without any vertex in ``boundary`` (objects that can touch a
-    neighboring box) get a single canonical coloring: their colors never
-    influence edge compatibility, so enumerating both orientations would
-    only blow up the DAG.  Returns [] when the subset is not 2-colorable.
+    Every component starts with its smallest vertex colored 0.  Components
+    without a vertex in ``boundary`` (objects that can touch a neighboring
+    box) keep that one coloring: their colors never influence edge
+    compatibility, so enumerating both orientations would only blow up the
+    DAG.  The others, in smallest-vertex order, are flipped in turn, the
+    earliest varying slowest.
     """
-    indices = list(indices)
-    if not indices:
-        return [{}]
-    comps = []
-    seen = set()
-    for root in indices:
-        if root in seen:
+    mask = 0
+    for v in subset:
+        mask |= 1 << v
+    color, _ = _kernels.two_color(masks, mask)
+    if color is None:
+        return []
+    sides = [0, 0]
+    for v, c in color.items():
+        sides[c] |= 1 << v
+    out = [tuple(sides)]
+    rem = mask if mask & boundary else 0
+    while rem:
+        comp = frontier = rem & -rem
+        while frontier:
+            v = frontier & -frontier
+            frontier ^= v
+            new = masks[v.bit_length() - 1] & rem & ~comp
+            comp |= new
+            frontier |= new
+        rem &= ~comp
+        if comp & boundary:
+            out = [x for c0, c1 in out for x in ((c0, c1), (c0 ^ comp, c1 ^ comp))]
+    return out
+
+
+def _neighbors(masks, mask):
+    out = 0
+    while mask:
+        v = mask & -mask
+        mask ^= v
+        out |= masks[v.bit_length() - 1]
+    return out
+
+
+def _slab_dag(graph, centers, members, bottom, k, d, box_cap) -> SlabDag:
+    """The slab DAG of the objects ``members`` (ascending scene indices of
+    ``graph``), which must lie in the slab of height k*d starting at
+    ``bottom``; its feasible sets and colorings hold scene indices."""
+    h = d / 2
+    top = bottom + k * d
+    for i in members:
+        cy = centers[i][1]
+        if cy - h < bottom or cy + h > top:
+            raise ValidationError(f"object {i} crosses the slab boundary")
+
+    masks = graph.masks
+    a = min(centers[i][0] for i in members)
+    boxes = {}
+    for i in members:
+        boxes.setdefault(int((centers[i][0] - a) // d), []).append(i)
+
+    vertices, classes, by_box = [], [], {}
+    for b in sorted(boxes):
+        in_box = boxes[b]
+        if len(in_box) > box_cap:
+            raise CapacityError(
+                f"box with {len(in_box)} objects exceeds cap {box_cap}"
+            )
+        near = 0
+        for j in boxes.get(b - 1, []) + boxes.get(b + 1, []):
+            near |= 1 << j
+        boundary = 0
+        for i in in_box:
+            if masks[i] & near:
+                boundary |= 1 << i
+        ids = by_box[b] = []
+        for size in range(len(in_box) + 1):
+            for subset in combinations(in_box, size):
+                for c0, c1 in _color_classes(masks, subset, boundary):
+                    ids.append(len(vertices))
+                    classes.append((c0, c1))
+                    vertices.append(ColoredFeasibleSet(
+                        b, subset, {v: c1 >> v & 1 for v in subset}))
+
+    # u and v in consecutive boxes are compatible iff no edge joins
+    # same-colored objects: neither class of v meets the neighbors of u's
+    # class of the same color
+    step_edges = {}
+    for b, ids in by_box.items():
+        if b + 1 not in by_box:
             continue
-        comp = {root: 0}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in indices:
-                if v in comp or not graph.adjacent(u, v):
-                    continue
-                comp[v] = comp[u] ^ 1
-                stack.append(v)
-        for u, cu in comp.items():
-            for v, cv in comp.items():
-                if u != v and cu == cv and graph.adjacent(u, v):
-                    return []
-        seen |= comp.keys()
-        comps.append(comp)
-    colorings = [{}]
-    for comp in comps:
-        flips = (False, True) if comp.keys() & boundary else (False,)
-        colorings = [
-            {**base, **{v: c ^ flip for v, c in comp.items()}}
-            for base in colorings
-            for flip in flips
-        ]
-    return colorings
+        nxt = [(v, *classes[v]) for v in by_box[b + 1]]
+        for u in ids:
+            n0, n1 = (_neighbors(masks, c) for c in classes[u])
+            step_edges[u] = [v for v, c0, c1 in nxt if not (n0 & c0 or n1 & c1)]
+    return SlabDag(vertices, step_edges)
+
+
+def _scene_slab_dag(instance, k, slab_bottom, box_cap):
+    """(graph, slab DAG) of a scene that is one slab, validated once."""
+    validate_instance(instance, require_nonempty=True)
+    if k < 1:
+        raise ValidationError("slab height multiplier k must be >= 1")
+    h = _half_extent(instance)
+    centers = _centers(instance)
+    bottom = (min(cy for _, cy in centers) - h if slab_bottom is None
+              else _frac(slab_bottom))
+    graph = build_intersection_graph(instance)
+    return graph, _slab_dag(graph, centers, range(instance.n), bottom, k,
+                            2 * h, box_cap)
 
 
 def build_slab_dag(
@@ -139,78 +206,15 @@ def build_slab_dag(
     k: int,
     slab_bottom=None,
     box_cap: int = DEFAULT_BOX_CAP,
-    graph=None,
 ) -> SlabDag:
-    """Enumerate colored feasible sets per box and their step edges."""
-    validate_instance(instance, require_nonempty=True)
-    if k < 1:
-        raise ValidationError("slab height multiplier k must be >= 1")
-    h = _half_extent(instance)
-    d = 2 * h
-    centers = _centers(instance)
-    bottom = (min(cy for _, cy in centers) - h if slab_bottom is None
-              else _frac(slab_bottom))
-    top = bottom + k * d
-    for i, (_, cy) in enumerate(centers):
-        if cy - h < bottom or cy + h > top:
-            raise ValidationError(f"object {i} crosses the slab boundary")
+    """Enumerate colored feasible sets per box and their step edges.
 
-    if graph is None:
-        graph = build_intersection_graph(instance)
-    a = min(cx for cx, _ in centers)
-    boxes = {}
-    for i, (cx, _) in enumerate(centers):
-        boxes.setdefault(int((cx - a) // d), []).append(i)
-
-    vertices = []
-    by_box = {}
-    order = sorted(boxes)
-    for pos, b in enumerate(order):
-        members = boxes[b]
-        if len(members) > box_cap:
-            raise CapacityError(
-                f"box with {len(members)} objects exceeds cap {box_cap}"
-            )
-        neighbors = set()
-        for other in (order[pos - 1] if pos else None,
-                      order[pos + 1] if pos + 1 < len(order) else None):
-            if other is not None and abs(other - b) == 1:
-                neighbors.update(boxes[other])
-        boundary = {
-            i for i in members
-            if any(graph.adjacent(i, j) for j in neighbors)
-        }
-        ids = []
-        for size in range(len(members) + 1):
-            for subset in combinations(members, size):
-                for coloring in _proper_colorings(graph, subset, boundary):
-                    ids.append(len(vertices))
-                    vertices.append(ColoredFeasibleSet(b, subset, coloring))
-        by_box[b] = ids
-
-    step_edges = {}
-    for pos, b in enumerate(order[:-1]):
-        nb = order[pos + 1]
-        if nb - b != 1:
-            continue
-        for u in by_box[b]:
-            cu = vertices[u]
-            outs = []
-            for v in by_box[nb]:
-                cv = vertices[v]
-                ok = True
-                for i in cu.indices:
-                    for j in cv.indices:
-                        if graph.adjacent(i, j) and \
-                                cu.coloring[i] == cv.coloring[j]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    outs.append(v)
-            step_edges[u] = outs
-    return SlabDag(vertices, step_edges)
+    The whole scene is one slab of height k diameters starting at
+    ``slab_bottom`` (by default the lowest object's bottom); the slab is the
+    index list ``range(n)`` over the scene's intersection graph.  A box of
+    b <= ``box_cap`` objects costs 2^b subsets.
+    """
+    return _scene_slab_dag(instance, k, slab_bottom, box_cap)[1]
 
 
 def _best_path(dag: SlabDag, weight_of):
@@ -265,10 +269,8 @@ def _best_path(dag: SlabDag, weight_of):
     return best[end], path
 
 
-def _slab(instance, graph, k, slab_bottom, wts, box_cap):
-    """Best DAG path of a slab-confined scene with intersection graph
-    ``graph``, as (selected, coloring)."""
-    dag = build_slab_dag(instance, k, slab_bottom, box_cap, graph=graph)
+def _slab(dag, wts):
+    """Best path of a slab DAG, as (selected, coloring) in scene indices."""
     _, path = _best_path(
         dag, lambda idxs: sum((wts[i] for i in idxs), Fraction(0))
     )
@@ -290,8 +292,8 @@ def solve_slab(
 ) -> Solution:
     """Exact maximum(-weight) bipartite subset of a slab-confined scene."""
     wts = _check_weights(instance, weights)
-    graph = build_intersection_graph(instance)
-    selected, coloring = _slab(instance, graph, k, slab_bottom, wts, box_cap)
+    graph, dag = _scene_slab_dag(instance, k, slab_bottom, box_cap)
+    selected, coloring = _slab(dag, wts)
     return certify(graph, Solution(tuple(selected), coloring))
 
 
@@ -303,8 +305,7 @@ def _grid_drop_offset(cy, h, d, y0, k):
     (cy-h, cy+h] is the one whose offset drops the object.  Kept objects of
     different slabs are then strictly separated vertically.
     """
-    m = (cy + h - y0) // d
-    return m % k, m
+    return (cy + h - y0) // d % k
 
 
 def solve_ptas(
@@ -321,7 +322,12 @@ def solve_ptas_weighted(
     epsilon,
     box_cap: int = DEFAULT_BOX_CAP,
 ) -> Solution:
-    """(1 - 1/k)-approximate maximum-weight bipartite subset, k = ceil(1/eps)."""
+    """(1 - 1/k)-approximate maximum-weight bipartite subset, k = ceil(1/eps).
+
+    One intersection graph serves every offset: each slab is the list of
+    its objects' scene indices over that graph, and a box of
+    b <= ``box_cap`` objects costs 2^b subsets.
+    """
     epsilon = _frac(epsilon)
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
@@ -334,39 +340,25 @@ def solve_ptas_weighted(
     y0 = min(cy for _, cy in centers) - h
     graph = build_intersection_graph(instance)
 
-    cells = [_grid_drop_offset(cy, h, d, y0, k) for _, cy in centers]
+    # (grid cell, dropping offset) of every object
+    cells = [(int((cy - y0) // d), _grid_drop_offset(cy, h, d, y0, k))
+             for _, cy in centers]
 
     best = None
     for s in range(k):
         slabs = {}
-        for i, (drop_s, m) in enumerate(cells):
-            if drop_s == s:
-                continue
-            cell = int((centers[i][1] - y0) // d)
-            slab = (cell - s) // k
-            slabs.setdefault(slab, []).append(i)
+        for i, (cell, drop_s) in enumerate(cells):
+            if drop_s != s:
+                slabs.setdefault((cell - s) // k, []).append(i)
         selected = []
         coloring = {}
-        total = Fraction(0)
-        for t, indices in sorted(slabs.items()):
-            sub = GeometricInstance(
-                instance.kind,
-                tuple(instance.objects[i] for i in indices),
-                instance.disk_radius,
-            )
-            sel, col = _slab(
-                sub,
-                IntersectionGraph(len(indices), tuple(graph.induced_masks(indices))),
-                k,
-                y0 + (s + t * k) * d,
-                [wts[i] for i in indices],
-                box_cap,
-            )
-            for j in sel:
-                v = indices[j]
-                selected.append(v)
-                coloring[v] = col[j]
-                total += wts[v]
+        for t, members in sorted(slabs.items()):
+            dag = _slab_dag(graph, centers, members, y0 + (s + t * k) * d, k,
+                            d, box_cap)
+            sel, col = _slab(dag, wts)
+            selected += sel
+            coloring.update(col)
+        total = sum((wts[v] for v in selected), Fraction(0))
         if best is None or total > best[0]:
             best = (total, selected, coloring)
     return certify(graph, Solution(tuple(best[1]), best[2]))

@@ -2,12 +2,14 @@
 
 Graphs are neighbor bitmasks as in ``geombs._kernels``.  Every subset
 function here scans all subsets, so keep n at about a dozen or less.  The
-arc reference at the end cuts the circle in exact ``Fraction`` angles.
+arc reference cuts the circle in exact ``Fraction`` angles, and the slab DAG
+reference colours every box subset by pairwise adjacency tests on a
+slab's own scene.
 """
 from fractions import Fraction
 from itertools import combinations
 
-from geombs import _kernels, build_intersection_graph, is_bipartite
+from geombs import UNIT_DISKS, _kernels, build_intersection_graph, is_bipartite
 from geombs.intervals import _sweep
 
 
@@ -134,7 +136,8 @@ def _cut_candidates(instance):
 def _linearize(instance, cut):
     """``solve_intervals(perturb=True)`` keys, by arc index, of the arcs
     not wrapping across ``cut``: the surviving arc at position p unrolls to
-    ``(lo, -(p+1))`` and ``(hi, p+1)``."""
+    ``(lo, -(p+1))`` and ``(hi, p+1)``.  ``solve_arcs`` numbers arcs by
+    index instead, so a match shows that the numbering decides nothing."""
     lefts, rights = {}, {}
     for i, arc in enumerate(instance.objects):
         if arc.contains(cut) and cut not in (arc.start, arc.end):
@@ -162,3 +165,80 @@ def reference_arcs(instance):
         if (-len(candidate), candidate) < (-len(best), best):
             best = candidate
     return best, is_bipartite(graph, best)
+
+
+def _proper_colorings(graph, indices, boundary):
+    """All proper 2-colorings of the subgraph induced by ``indices``, one
+    per component unless the component meets ``boundary``, then both
+    orientations; [] when it is not 2-colorable."""
+    indices = list(indices)
+    if not indices:
+        return [{}]
+    comps = []
+    seen = set()
+    for root in indices:
+        if root in seen:
+            continue
+        comp = {root: 0}
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in indices:
+                if v in comp or not graph.adjacent(u, v):
+                    continue
+                comp[v] = comp[u] ^ 1
+                stack.append(v)
+        for u, cu in comp.items():
+            for v, cv in comp.items():
+                if u != v and cu == cv and graph.adjacent(u, v):
+                    return []
+        seen |= comp.keys()
+        comps.append(comp)
+    colorings = [{}]
+    for comp in comps:
+        flips = (False, True) if comp.keys() & boundary else (False,)
+        colorings = [
+            {**base, **{v: c ^ flip for v, c in comp.items()}}
+            for base in colorings
+            for flip in flips
+        ]
+    return colorings
+
+
+def reference_slab_dag(instance):
+    """``(vertices, step_edges)`` of the slab DAG of a scene that is one
+    slab, built on its own graph: vertices are ``(box, indices, coloring)``
+    in the order ``geombs.ptas`` numbers them, and an edge joins boxes b and
+    b + 1 iff no adjacent pair across them shares a colour."""
+    graph = build_intersection_graph(instance)
+    if instance.kind == UNIT_DISKS:
+        d = 2 * instance.disk_radius
+        xs = [o.center.x for o in instance.objects]
+    else:
+        d = 1
+        xs = [(o.x_min + o.x_max) / 2 for o in instance.objects]
+    boxes = {}
+    for i, x in enumerate(xs):
+        boxes.setdefault(int((x - min(xs)) // d), []).append(i)
+    vertices, by_box = [], {}
+    for b in sorted(boxes):
+        near = boxes.get(b - 1, []) + boxes.get(b + 1, [])
+        boundary = {i for i in boxes[b]
+                    if any(graph.adjacent(i, j) for j in near)}
+        by_box[b] = []
+        for size in range(len(boxes[b]) + 1):
+            for subset in combinations(boxes[b], size):
+                for coloring in _proper_colorings(graph, subset, boundary):
+                    by_box[b].append(len(vertices))
+                    vertices.append((b, subset, coloring))
+    step_edges = {}
+    for b in sorted(boxes):
+        if b + 1 not in boxes:
+            continue
+        for u in by_box[b]:
+            _, iu, cu = vertices[u]
+            step_edges[u] = [
+                v for v in by_box[b + 1]
+                if not any(graph.adjacent(i, j) and cu[i] == vertices[v][2][j]
+                           for i in iu for j in vertices[v][1])]
+    return vertices, step_edges

@@ -1,6 +1,7 @@
 """The certificate gate holds without ``assert``: no module uses one, a
 wrong solver result is still refused under ``python -O``, and every public
-solver returns through exactly one ``certify`` call."""
+solver returns through exactly one ``certify`` call.  One graph per solve:
+no solver module builds a scene or a graph object of its own."""
 import ast
 import importlib
 import os
@@ -86,6 +87,20 @@ SOLVER_CALLS = {
 
 SOLVER_MODULES = ("intervals", "arcs", "diskline", "diskgeneral", "ptas",
                   "rects", "oracle")
+
+
+def test_solvers_build_no_sub_scene_or_graph():
+    # sub-problems are index lists over the caller's graph, which only the
+    # model's builders construct
+    found = []
+    for name in SOLVER_MODULES:
+        path = PACKAGE / f"{name}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  in ("GeometricInstance", "IntersectionGraph")]
+    assert not found, found
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVER_CALLS))

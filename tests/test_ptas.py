@@ -1,9 +1,12 @@
 """Shifting PTAS: exact slab solver via the colored-feasible-set DAG, the
 shifted-grid wrapper, and the weighted variant."""
+import random
 from fractions import Fraction as F
 
 import pytest
 
+import geombs.ptas as ptas
+import kernel_reference
 from geombs import (
     CapacityError,
     CertificateError,
@@ -68,7 +71,8 @@ class TestSlab:
                 UNIT_DISKS, 2 + seed % 9, seed, disk_mode="slab", slab_k=2
             )
             dag = build_slab_dag(inst, 2, slab_bottom=0)
-            assert dag.check_acyclic()
+            assert all(dag.vertices[u].box < dag.vertices[v].box
+                       for u, vs in dag.step_edges.items() for v in vs), seed
 
     def test_matches_oracle_at_k2(self):
         for seed in range(150):
@@ -107,8 +111,6 @@ class TestPtas:
             solve_ptas(disks([(0, 0)]), epsilon)
 
     def test_certifies_its_coloring(self, monkeypatch):
-        import geombs.ptas as ptas
-
         real = ptas._slab
 
         def flipped(*args):
@@ -128,12 +130,56 @@ class TestPtas:
             assert 2 * sol.size >= exact_mbs(g).size, (kind, seed)
             assert is_bipartite(g, sol.selected) is not None
 
-    def test_finer_epsilon_ratio(self):
+    @pytest.mark.parametrize("kind", [UNIT_DISKS, UNIT_SQUARES])
+    def test_finer_epsilon_ratio(self, kind):
         for seed in range(40):
-            inst = generate_instance(UNIT_DISKS, 1 + seed % 10, seed)
+            inst = generate_instance(kind, 1 + seed % 10, seed)
             sol = solve_ptas(inst, F(1, 3))  # k = 3
             opt = exact_mbs(build_intersection_graph(inst)).size
-            assert 3 * sol.size >= 2 * opt, seed
+            assert 3 * sol.size >= 2 * opt, (kind, seed)
+
+
+def tie_heavy(kind, seed):
+    """A dense scene with coordinates on a 1/2 or 1/4 grid."""
+    rng = random.Random(seed)
+    den, spread = rng.choice((2, 4)), rng.randint(2, 6)
+    corners = [(F(rng.randint(0, den * spread), den),
+                F(rng.randint(0, den * spread), den))
+               for _ in range(rng.randint(1, 10))]
+    return disks(corners) if kind == UNIT_DISKS else squares(corners)
+
+
+class TestReference:
+    @pytest.mark.parametrize("kind", [UNIT_DISKS, UNIT_SQUARES])
+    @pytest.mark.parametrize("epsilon", [F(1, 2), F(1, 3)])
+    def test_slab_dags_match_sub_scene_reference(self, kind, epsilon,
+                                                 monkeypatch):
+        # every slab of every offset: the DAG over the scene's graph equals
+        # the one built on the slab's own sub-scene, indices mapped back
+        built = []
+        real = ptas._slab_dag
+
+        def spy(graph, centers, members, *rest):
+            dag = real(graph, centers, members, *rest)
+            built.append((list(members), dag))
+            return dag
+
+        monkeypatch.setattr(ptas, "_slab_dag", spy)
+        for seed in range(150):
+            inst = tie_heavy(kind, seed)
+            built.clear()
+            solve_ptas(inst, epsilon)
+            assert built, seed
+            for members, dag in built:
+                sub = GeometricInstance(
+                    kind, tuple(inst.objects[i] for i in members),
+                    inst.disk_radius)
+                vertices, step_edges = kernel_reference.reference_slab_dag(sub)
+                assert [(v.box, v.indices, v.coloring) for v in dag.vertices] == [
+                    (box, tuple(members[j] for j in subset),
+                     {members[j]: c for j, c in coloring.items()})
+                    for box, subset, coloring in vertices], seed
+                assert list(dag.step_edges.items()) == list(step_edges.items()), seed
 
 
 class TestWeighted:
