@@ -181,51 +181,128 @@ def max_subset(masks, mode):
 def chain_mbs(masks):
     """Max triangle-free chain DP over x-ordered adjacency masks.
 
-    Implements the three-case B[i,j,k] recurrence (0 on triangles; 3 when no
-    extension exists; else 1 + best extension) and returns
-    (size, selected index list) where size is 0 if no K3-free triple exists.
-    The table holds one entry per triple i < j < k and each scans every
-    extension l > k: O(n^4) time and O(n^3) space.
+    B[i,j,k], for i < j < k, is the length of the longest chain starting
+    i, j, k: 0 on a triangle, 3 when no extension exists, else 1 + the best
+    B[j,k,l] over the l > k that form no triangle with two of i, j, k.
+    Returns (size, selected index list) for the largest B, ties going to the
+    first maximal l and to the lex-first start triple; (0, []) if every
+    triple is a triangle.
+
+    Let hi(i) be the last neighbour of i.  Each triangle condition on an
+    extension of (i, j, k) needs an edge from i to k or to some l > k, so for
+    k > hi(i) the state forgets i: B[i,j,k] = C[j,k], a pair state.  For the
+    same reason C[j,k] = T[k] when k > hi(j).  Only the triples and pairs
+    inside the forward window w = max(hi(i) - i) are stored, and extensions
+    beyond it are read from suffix maxima: O(n + n*w^3) time and
+    O(n + n*w^2) space.
     """
     n = len(masks)
     if n < 3:
         return 0, []
+    # A state is coded value * base + n - next (next = n: no extension), so
+    # the larger code has the larger value, then the smaller next.
+    base = n + 1
+    hi = [m.bit_length() - 1 for m in masks]
+    triple = {}  # B[i,j,k] for k <= hi(i), triangles left out
+    pair = {}  # C[j,k] for k <= hi(j)
+    tail = [0] * n  # T[k] = C[j,k] for every j with hi(j) < k
+    # best l >= L, coded value * base + n - l, of C[k,l] (pair_best[k, L],
+    # for L <= hi(k)) and of T[l] (tail_best[L]); tail_best[n] codes value 2
+    # and no l, so 1 + it is the leaf value 3
+    pair_best = {}
+    tail_best = [0] * n + [2 * base]
 
-    def tri(a, b, c):
-        return (
-            masks[a] >> b & 1 and masks[a] >> c & 1 and masks[b] >> c & 1
-        )
+    def reach(k, L):
+        # max over l >= L of C[k,l], coded by l: the best extension at or
+        # beyond L of a state ending in k whose other elements have no
+        # neighbour at L or beyond
+        return tail_best[L] if L > hi[k] else pair_best[k, L]
 
-    B = {}
-    nxt = {}
+    def state(i, j, k):
+        # B[i,j,k] of a triple that is not a triangle
+        if k <= hi[i]:
+            return triple[i, j, k]
+        return pair[j, k] if k <= hi[j] else tail[k]
+
+    best, start = 3, None  # B >= 3 on every triple that is not a triangle
     for i in range(n - 1, -1, -1):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if tri(i, j, k):
-                    B[i, j, k] = 0
-                    continue
-                best, best_l = 3, None
-                for l in range(k + 1, n):
-                    if tri(i, j, l) or tri(i, k, l) or tri(j, k, l):
-                        continue
-                    v = 1 + B[j, k, l]
-                    if v > best:
-                        best, best_l = v, l
-                B[i, j, k] = best
-                nxt[i, j, k] = best_l
+        mi = masks[i]
+        h = hi[i]
+        # triples i < j < k <= h, and the lex-first best start (j, k) for i
+        best_i = 2  # below every start
+        for j in range(i + 1, h + 1):
+            mj = masks[j]
+            hj = hi[j]
+            top = h if h > hj else hj
+            ij = mi >> j & 1
+            ks = (1 << (h + 1)) - (2 << j)
+            if ij:
+                ks &= ~(mi & mj)
+            while ks:
+                low = ks & -ks
+                ks ^= low
+                k = low.bit_length() - 1
+                mk = masks[k]
+                # no triangle condition holds beyond top
+                b = reach(k, top + 1) + base
+                cand = (1 << (top + 1)) - (2 << k)
+                if ij:
+                    cand &= ~(mi & mj)
+                if mi >> k & 1:
+                    cand &= ~(mi & mk)
+                if mj >> k & 1:
+                    cand &= ~(mj & mk)
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    l = low.bit_length() - 1
+                    e = (state(j, k, l) // base + 1) * base + n - l
+                    if e > b:
+                        b = e
+                triple[i, j, k] = b
+                if b // base > best_i:
+                    best_i, start_i = b // base, (j, k)
+            e = reach(j, h + 1)
+            if e // base > best_i:
+                best_i, start_i = e // base, (j, n - e % base)
+        for k in range(i + 1, h + 1):
+            b = reach(k, h + 1) + base
+            cand = (1 << (h + 1)) - (2 << k)
+            if mi >> k & 1:
+                cand &= ~(mi & masks[k])
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                l = low.bit_length() - 1
+                e = (triple[i, k, l] // base + 1) * base + n - l
+                if e > b:
+                    b = e
+            pair[i, k] = b
+        e = tail_best[h + 1]
+        for L in range(h, i, -1):
+            c = pair[i, L] // base * base + n - L
+            if c > e:
+                e = c
+            pair_best[i, L] = e
+        tail[i] = reach(i, i + 1) + base
+        c = tail[i] // base * base + n - i
+        e = tail_best[i + 1]
+        tail_best[i] = c if c > e else e
+        # starts (j, k) with j beyond hi(i): the best T[j], less one
+        J = (h if h > i else i) + 1
+        if tail_best[J] // base - 1 > best_i:
+            j = n - tail_best[J] % base
+            best_i, start_i = tail_best[J] // base - 1, (j, n - tail[j] % base)
+        if best_i >= best:
+            best, start = best_i, (i,) + start_i
 
-    best, start = 0, None
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if B[i, j, k] > best:
-                    best, start = B[i, j, k], (i, j, k)
     if start is None:
         return 0, []
     i, j, k = start
     chain = [i, j, k]
-    while nxt.get((i, j, k)) is not None:
-        l = nxt[i, j, k]
+    while True:
+        l = n - state(i, j, k) % base
+        if l == n:
+            return best, chain
         chain.append(l)
         i, j, k = j, k, l
-    return best, chain

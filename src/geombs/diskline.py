@@ -2,12 +2,13 @@
 
 With all centers on one side of the line the graph has no induced cycle of
 length five or more, so maximum bipartite and maximum triangle-free subsets
-coincide and the B[i,j,k] chain DP solves the problem exactly, in O(n^4)
-time and O(n^3) space after the graph build.  With centers on both sides,
-a maximum independent set per side (longest disjointness chain in x-order,
-valid because disjointness is transitive along the x-order on one side,
-O(n^2) adjacency tests) gives a 2-approximation whose side labels are the
-2-coloring.
+coincide and the B[i,j,k] chain DP solves the problem exactly, in
+O(n + n*w^3) time and O(n + n*w^2) space after the graph build, where the
+forward window w is the largest index gap from a disk to its last neighbour
+in x-order.  With centers on both sides, a maximum independent set per side
+(longest disjointness chain in x-order, valid because disjointness is
+transitive along the x-order on one side, O(n^2) adjacency tests) gives a
+2-approximation whose side labels are the 2-coloring.
 """
 from . import _kernels
 from .errors import ValidationError

@@ -88,10 +88,14 @@ class ArcObj:
             raise ValidationError("arc needs start != end")
 
     def contains(self, angle: Fraction) -> bool:
-        a = angle % 1
-        if self.start < self.end:
-            return self.start <= a <= self.end
-        return a >= self.start or a <= self.end
+        return _on_arc(self, angle % 1)
+
+
+def _on_arc(arc: ArcObj, a: Fraction) -> bool:
+    """``arc.contains(a)`` for an angle ``a`` already in [0, 1)."""
+    if arc.start < arc.end:
+        return arc.start <= a <= arc.end
+    return a >= arc.start or a <= arc.end
 
 
 @dataclass(frozen=True)
@@ -173,12 +177,13 @@ def intervals_intersect(a: IntervalObj, b: IntervalObj) -> bool:
 
 
 def arcs_intersect(a: ArcObj, b: ArcObj) -> bool:
-    # Two closed arcs overlap iff one contains an endpoint of the other.
+    # Two closed arcs overlap iff one contains an endpoint of the other;
+    # endpoints are in [0, 1) already, so none is reduced mod 1.
     return (
-        a.contains(b.start)
-        or a.contains(b.end)
-        or b.contains(a.start)
-        or b.contains(a.end)
+        _on_arc(a, b.start)
+        or _on_arc(a, b.end)
+        or _on_arc(b, a.start)
+        or _on_arc(b, a.end)
     )
 
 
@@ -232,12 +237,17 @@ class IntersectionGraph:
         """Adjacency masks of the induced subgraph, relabelled 0..len-1."""
         order = list(subset)
         pos = {v: i for i, v in enumerate(order)}
+        keep = 0
+        for v in order:
+            keep |= 1 << v
         out = []
         for v in order:
             m = 0
-            for w in order:
-                if w != v and self.adjacent(v, w):
-                    m |= 1 << pos[w]
+            nb = self.masks[v] & keep & ~(1 << v)
+            while nb:
+                low = nb & -nb
+                nb ^= low
+                m |= 1 << pos[low.bit_length() - 1]
             out.append(m)
         return out
 

@@ -190,8 +190,9 @@ def _slab_dag(graph, centers, members, bottom, k, d, box_cap) -> SlabDag:
 def _scene_slab_dag(instance, k, slab_bottom, box_cap):
     """(graph, slab DAG) of a scene that is one slab, validated once."""
     validate_instance(instance, require_nonempty=True)
-    if k < 1:
-        raise ValidationError("slab height multiplier k must be >= 1")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValidationError(
+            f"slab height multiplier k must be an int >= 1, got {k!r}")
     h = _half_extent(instance)
     centers = _centers(instance)
     bottom = (min(cy for _, cy in centers) - h if slab_bottom is None

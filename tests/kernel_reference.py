@@ -2,9 +2,10 @@
 
 Graphs are neighbor bitmasks as in ``geombs._kernels``.  Every subset
 function here scans all subsets, so keep n at about a dozen or less.  The
-arc reference cuts the circle in exact ``Fraction`` angles, and the slab DAG
+arc reference cuts the circle in exact ``Fraction`` angles, the slab DAG
 reference colours every box subset by pairwise adjacency tests on a
-slab's own scene.
+slab's own scene, and the chain reference is the triple-table DP that
+``_kernels.chain_mbs`` replaced, O(n^4), exact output included.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -75,6 +76,59 @@ def brute_chain_size(masks):
     """Length of the longest chain (see ``is_chain``), or 0 if none exists."""
     return max((len(c) for c in map(_indices, range(1 << len(masks)))
                 if is_chain(masks, c)), default=0)
+
+
+def reference_chain_mbs(masks):
+    """Max triangle-free chain DP over x-ordered adjacency masks.
+
+    Implements the three-case B[i,j,k] recurrence (0 on triangles; 3 when no
+    extension exists; else 1 + best extension) and returns
+    (size, selected index list) where size is 0 if no K3-free triple exists.
+    The table holds one entry per triple i < j < k and each scans every
+    extension l > k: O(n^4) time and O(n^3) space.
+    """
+    n = len(masks)
+    if n < 3:
+        return 0, []
+
+    def tri(a, b, c):
+        return (
+            masks[a] >> b & 1 and masks[a] >> c & 1 and masks[b] >> c & 1
+        )
+
+    B = {}
+    nxt = {}
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if tri(i, j, k):
+                    B[i, j, k] = 0
+                    continue
+                best, best_l = 3, None
+                for l in range(k + 1, n):
+                    if tri(i, j, l) or tri(i, k, l) or tri(j, k, l):
+                        continue
+                    v = 1 + B[j, k, l]
+                    if v > best:
+                        best, best_l = v, l
+                B[i, j, k] = best
+                nxt[i, j, k] = best_l
+
+    best, start = 0, None
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if B[i, j, k] > best:
+                    best, start = B[i, j, k], (i, j, k)
+    if start is None:
+        return 0, []
+    i, j, k = start
+    chain = [i, j, k]
+    while nxt.get((i, j, k)) is not None:
+        l = nxt[i, j, k]
+        chain.append(l)
+        i, j, k = j, k, l
+    return best, chain
 
 
 def has_induced_cycle_at_least(masks, min_len):

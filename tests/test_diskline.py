@@ -1,5 +1,6 @@
 """Line-stabbed unit disks: exact one-sided DP, MIS chain, 2-approximation,
 and the structural facts they rely on."""
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -229,6 +230,17 @@ class TestTwoSided:
                 for v in sol.selected:
                     if u < v and g.adjacent(u, v):
                         assert sol.coloring[u] != sol.coloring[v]
+
+
+def test_one_sided_scales_to_250_disks():
+    # the chain DP stores only the states inside the forward window; the
+    # triple-table DP it replaced takes about 2 minutes on this scene on a
+    # 2-vCPU VM (Python 3.11), and also selects 150 disks
+    inst = generate_instance(UNIT_DISKS, 250, 1, disk_mode="one_sided")
+    start = time.perf_counter()
+    sol = solve_one_sided(inst)
+    assert time.perf_counter() - start < 10
+    assert sol.size == 150
 
 
 def test_radius_scales_the_construction():

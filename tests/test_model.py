@@ -61,6 +61,25 @@ class TestObjects:
         assert a.contains(0) and a.contains(F(7, 8))
         assert not a.contains(F(1, 2))
 
+    def test_arc_contains_reduces_any_angle(self):
+        a = ArcObj(F(3, 4), F(1, 4))
+        assert a.contains(1) and a.contains(F(15, 8)) and a.contains(-F(1, 8))
+        assert not a.contains(F(3, 2)) and not a.contains(-F(1, 2))
+        b = ArcObj(F(1, 4), F(1, 2))
+        assert b.contains(F(5, 4)) and b.contains(-F(1, 2))
+        assert not b.contains(-F(1, 4)) and not b.contains(2)
+
+    def test_arcs_intersect_is_endpoint_containment(self):
+        # the predicate skips the reduction mod 1 but keeps contains' answer
+        rng = random.Random(7)
+        for _ in range(2000):
+            s, e = rng.sample(range(8), 2)
+            t, f = rng.sample(range(8), 2)
+            a, b = ArcObj(F(s, 8), F(e, 8)), ArcObj(F(t, 8), F(f, 8))
+            assert arcs_intersect(a, b) == (
+                a.contains(b.start) or a.contains(b.end)
+                or b.contains(a.start) or b.contains(a.end)), (a, b)
+
     def test_rect_degenerate(self):
         with pytest.raises(ValidationError):
             RectObj(0, 0, 0, 1)
@@ -242,6 +261,15 @@ class TestBuilder:
             inst = generate_instance(kind, 1 + seed % 30, seed,
                                      spread=1 + seed % 5)
             self._check_graph_over(inst, rng)
+
+    def test_induced_masks_relabel_by_position(self, rng):
+        from conftest import random_graph
+        for trial in range(300):
+            g = random_graph(rng, rng.randrange(1, 12), rng.random())
+            order = rng.sample(range(g.n), rng.randrange(g.n + 1))
+            want = [sum(1 << q for q, w in enumerate(order) if g.adjacent(v, w))
+                    for v in order]
+            assert g.induced_masks(order) == want, (trial, order)
 
 
 class TestVerifiers:

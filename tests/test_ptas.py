@@ -65,6 +65,14 @@ class TestSlab:
         with pytest.raises(ValidationError):
             solve_slab(disks([(0, 1)]), 1, slab_bottom=0.0)
 
+    @pytest.mark.parametrize("k", (F(3, 2), 1.5, True, 0, "1"))
+    def test_multiplier_must_be_a_positive_int(self, k):
+        inst = disks([(0, 1), (3, 1)])
+        with pytest.raises(ValidationError):
+            solve_slab(inst, k, slab_bottom=0)
+        with pytest.raises(ValidationError):
+            build_slab_dag(inst, k, slab_bottom=0)
+
     def test_dag_edges_respect_box_order(self):
         for seed in range(30):
             inst = generate_instance(
