@@ -98,29 +98,6 @@ def _adjacency(starts, ends, covering, began):
     return masks
 
 
-def _linearize(starts, ends, size, cut):
-    """Perturbed interval endpoint keys, by arc index, of the arcs not
-    wrapping across the cut position.
-
-    A cut at c unrolls an arc to ``lo = (s - c) mod size`` and
-    ``hi = (e - c) mod size``, with ``hi = 0`` read as ``size``; the arc
-    survives iff ``lo < hi``, so an arc whose endpoint is the cut survives
-    and only arcs with the cut strictly inside are dropped.  Arc i unrolls
-    to ``(lo, -(i+1))`` and ``(hi, i+1)``, the keys that
-    ``solve_intervals(perturb=True)`` gives interval i.  The sweep compares
-    only a left key with a right key, where the second entry breaks a tie on
-    the value, always for the left key, so no order depends on it.
-    """
-    lefts, rights = {}, {}
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        lo = (s - cut) % size
-        hi = (e - cut) % size or size
-        if lo < hi:
-            lefts[i] = (lo, -(i + 1))
-            rights[i] = (hi, i + 1)
-    return lefts, rights
-
-
 def solve_arcs(instance: GeometricInstance) -> Solution:
     """Bipartite subset of size at least OPT - 1, in O(n^2): O(n) cuts, each
     an O(n) sweep and an O(n + m) check on n-bit masks; plus a certificate
@@ -133,7 +110,7 @@ def solve_arcs(instance: GeometricInstance) -> Solution:
     covering, began, gap = _coverage(starts, ends, size)
     masks = _adjacency(starts, ends, covering, began)
     # every arc by (end position, index); a cut at c rotates it to the
-    # sweep's order by right key: ends after c, then ends up to c
+    # sweep's order by right endpoint: ends after c, then ends up to c
     by_end = sorted(range(len(ends)), key=ends.__getitem__)
     end_keys = [ends[i] for i in by_end]
     cuts = list(range(0, size, 2))
@@ -142,10 +119,14 @@ def solve_arcs(instance: GeometricInstance) -> Solution:
 
     best, best_size = 0, 0
     for cut in cuts:
-        lefts, rights = _linearize(starts, ends, size, cut)
+        # unrolled at the cut, an arc runs from lo to hi, hi = 0 read as
+        # size; it survives iff lo < hi, so only arcs with the cut strictly
+        # inside are dropped
+        lo = [(s - cut) % size for s in starts]
+        hi = [(e - cut) % size or size for e in ends]
         k = bisect_right(end_keys, cut)
-        order = [i for i in by_end[k:] + by_end[:k] if i in lefts]
-        candidate = sum(1 << i for i in _sweep(lefts, rights, order))
+        order = [i for i in by_end[k:] + by_end[:k] if lo[i] < hi[i]]
+        candidate = sum(1 << i for i in _sweep(lo, hi, order))
         # Arcs meeting exactly at the cut point lose that adjacency when
         # unrolled, so re-check feasibility against the circular graph.
         if _kernels.two_color(masks, candidate)[1] is not None:

@@ -27,6 +27,7 @@ from .model import (
     build_intersection_graph,
     certify,
     is_bipartite,
+    validate_instance,
 )
 
 
@@ -46,21 +47,24 @@ class SlabAssignment:
 
 def assign_slabs(instance: GeometricInstance) -> SlabAssignment:
     _require_disks(instance)
+    validate_instance(instance)
+    return _assign_slabs(instance)
+
+
+def _assign_slabs(instance):
+    """``assign_slabs`` of a scene already validated."""
     r = instance.disk_radius
     base = min(d.center.y for d in instance.objects)
-    group = []
-    for d in instance.objects:
-        t = (d.center.y - base) // r
-        group.append(int(t))
-    top = max(group)
-    lines = tuple(base + t * r for t in range(top + 1))
-    return SlabAssignment(lines, tuple(group))
+    group = tuple(int((d.center.y - base) // r) for d in instance.objects)
+    return SlabAssignment(tuple(base + t * r for t in range(max(group) + 1)),
+                          group)
 
 
 def solve_3approx(instance: GeometricInstance) -> Solution:
     """Bipartite subset of size at least OPT / 3."""
-    assignment = assign_slabs(instance)
+    _require_disks(instance)
     graph = build_intersection_graph(instance)
+    assignment = _assign_slabs(instance)
     per_group = {
         t: _chain(graph, _x_order(instance, indices))
         for t, indices in assignment.groups().items()

@@ -20,14 +20,17 @@ from .model import (
     build_intersection_graph,
     certify,
     is_bipartite,
-    validate_instance,
 )
 
 
 def _require_disks(instance):
+    """Reject all but a nonempty unit-disk scene without reading its
+    objects: a solver's one graph build validates them, before any other
+    access."""
     if instance.kind != UNIT_DISKS:
         raise ValidationError(f"expected a unit_disks scene, got {instance.kind}")
-    validate_instance(instance, require_nonempty=True)
+    if not instance.objects:
+        raise ValidationError("instance has no objects")
 
 
 def _check_stabbed(instance, line_y, one_sided):
@@ -60,26 +63,19 @@ def _mis_chain(graph, order):
     """Longest chain of pairwise-disjoint disks along ``order``; returns
     ascending indices."""
     n = len(order)
-    # longest[i]: longest chain of pairwise-disjoint disks starting at i.
-    longest = [1] * n
+    # longest[i]: longest chain of pairwise-disjoint disks starting at i;
+    # nxt[i]: the first disk after i that continues such a chain
+    longest, nxt = [1] * n, [None] * n
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
-            if not graph.adjacent(order[i], order[j]):
-                longest[i] = max(longest[i], 1 + longest[j])
+            if longest[j] >= longest[i] and not graph.adjacent(order[i], order[j]):
+                longest[i], nxt[i] = longest[j] + 1, j
     chain = []
-    need = max(longest, default=0)
-    start = 0
-    while need:
-        for i in range(start, n):
-            if longest[i] != need:
-                continue
-            if chain and graph.adjacent(order[chain[-1]], order[i]):
-                continue
-            chain.append(i)
-            start = i + 1
-            need -= 1
-            break
-    return sorted(order[i] for i in chain)
+    i = max(range(n), key=longest.__getitem__, default=None)
+    while i is not None:
+        chain.append(order[i])
+        i = nxt[i]
+    return sorted(chain)
 
 
 def _two_sided(graph, above, below):
@@ -97,9 +93,8 @@ def solve_one_sided(instance: GeometricInstance, line_y=0) -> Solution:
     """Exact maximum bipartite subset; centers on or above the line."""
     _require_disks(instance)
     line_y = _frac(line_y)
-    _check_stabbed(instance, line_y, one_sided=True)
-
     graph = build_intersection_graph(instance)
+    _check_stabbed(instance, line_y, one_sided=True)
     selected = _chain(graph, _x_order(instance, range(instance.n)))
     return certify(graph, Solution(tuple(selected), is_bipartite(graph, selected)))
 
@@ -108,9 +103,8 @@ def one_sided_mis(instance: GeometricInstance, line_y=0) -> tuple:
     """Exact maximum independent set via the longest disjointness chain."""
     _require_disks(instance)
     line_y = _frac(line_y)
-    _check_stabbed(instance, line_y, one_sided=True)
-
     graph = build_intersection_graph(instance)
+    _check_stabbed(instance, line_y, one_sided=True)
     selected = _mis_chain(graph, _x_order(instance, range(instance.n)))
     return certify(graph, Solution(tuple(selected)), "independent").selected
 
@@ -119,9 +113,8 @@ def solve_two_sided(instance: GeometricInstance, line_y=0) -> Solution:
     """2-approximation: a maximum independent set per side, unioned."""
     _require_disks(instance)
     line_y = _frac(line_y)
-    _check_stabbed(instance, line_y, one_sided=False)
-
     graph = build_intersection_graph(instance)
+    _check_stabbed(instance, line_y, one_sided=False)
     above = [i for i, d in enumerate(instance.objects) if d.center.y >= line_y]
     below = [i for i, d in enumerate(instance.objects) if d.center.y < line_y]
     selected, coloring = _two_sided(

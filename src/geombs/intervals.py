@@ -3,20 +3,19 @@
 The sweep keeps two markers: ``x``, the rightmost point covered twice by the
 current selection, and ``y``, the rightmost point it covers at all.
 Scanning by increasing right endpoint, an interval is taken when it starts
-beyond ``y`` (disjoint from the frontier) or strictly between ``x`` and
-``y`` (it may stack once, never twice).  No point is then covered three
-times, so the selection induces a forest.  The certificate is checked on the
-graph of the selection alone, built by the same x-extent sweep as
-``build_intersection_graph``: O(n log n + k log k) in all for k selected
-intervals, with no all-pairs graph of the scene.
+beyond ``y`` (disjoint from the frontier) or beyond ``x`` (it may stack
+once, never twice).  No point is then covered three times, so the selection
+induces a forest.  The certificate is checked on the graph of the selection
+alone, built by the same x-extent sweep as ``build_intersection_graph``:
+O(n log n + k log k) in all for k selected intervals, with no all-pairs
+graph of the scene.
 
-Without ``perturb`` the endpoints must be pairwise distinct, and duplicates
-raise ``ValidationError``.  With ``perturb=True`` duplicates are broken by a
-symbolic enlargement (left endpoints nudged down, right endpoints up, by
-index-ordered infinitesimals).  Enlargement can only add overlap, and any
-two intervals sharing an endpoint value already intersect under closed
-semantics, so the perturbation preserves the intersection graph exactly and
-the optimality guarantee still refers to the input scene.
+Intersection is closed, so shared endpoints need no tie-breaking: a left
+endpoint equal to a marker touches the interval that set it, and the sweep
+compares the exact endpoint values.  Right endpoints of equal value are
+visited by increasing index.  Without ``perturb`` the endpoints must still be
+pairwise distinct, and duplicates raise ``ValidationError``; ``perturb=True``
+only lifts that check.
 """
 from .errors import ValidationError
 from .model import (
@@ -31,27 +30,14 @@ from .model import (
 )
 
 
-def _endpoint_keys(instance, perturb):
-    lefts, rights = [], []
-    for i, obj in enumerate(instance.objects):
-        if perturb:
-            lefts.append((obj.left, -(i + 1)))
-            rights.append((obj.right, i + 1))
-        else:
-            lefts.append((obj.left, 0))
-            rights.append((obj.right, 0))
-    if not perturb:
-        values = [k[0] for k in lefts] + [k[0] for k in rights]
-        if len(set(values)) != len(values):
-            raise ValidationError(
-                "duplicate interval endpoints; rerun with perturbation enabled"
-            )
-    return lefts, rights
-
-
 def _sweep(lefts, rights, order):
-    """Indices the sweep selects, visiting ``order`` by increasing right key;
-    ``lefts``/``rights`` map each index to its distinct endpoint key."""
+    """Indices the sweep selects, visiting ``order`` by increasing right
+    endpoint; ``lefts``/``rights`` map each index to its exact endpoints.
+
+    This is the one place that decides endpoint ties, by closed semantics:
+    an interval is disjoint from the frontier only if it starts strictly
+    beyond ``y``, and may stack only if it starts strictly beyond ``x``.
+    """
     selected = []
     x = y = None
     for i in order:
@@ -59,7 +45,7 @@ def _sweep(lefts, rights, order):
         if y is None or left > y:
             selected.append(i)
             y = rights[i]
-        elif (x is None or x < left) and left < y:
+        elif x is None or x < left:  # here left <= y: it overlaps the frontier
             selected.append(i)
             x = y
             y = rights[i]
@@ -69,11 +55,19 @@ def _sweep(lefts, rights, order):
 def solve_intervals(instance: GeometricInstance, perturb: bool = False) -> Solution:
     """Optimal maximum bipartite subset of an interval scene, in
     O(n log n + k log k) for k selected intervals: a sort and a linear
-    sweep, then a certificate on the graph of the selection alone."""
+    sweep, then a certificate on the graph of the selection alone.
+
+    Shared endpoint values are valid input only with ``perturb=True``; the
+    sweep treats them the same either way."""
     if instance.kind != INTERVALS:
         raise ValidationError(f"expected an intervals scene, got {instance.kind}")
     validate_instance(instance, require_nonempty=True)
-    lefts, rights = _endpoint_keys(instance, perturb)
+    lefts = [o.left for o in instance.objects]
+    rights = [o.right for o in instance.objects]
+    if not perturb and len(set(lefts + rights)) != 2 * instance.n:
+        raise ValidationError(
+            "duplicate interval endpoints; rerun with perturbation enabled"
+        )
     selected = _sweep(lefts, rights, sorted(range(instance.n), key=rights.__getitem__))
 
     # the greedy selection induces a forest, so its graph has O(k) edges

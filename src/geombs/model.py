@@ -222,9 +222,6 @@ class IntersectionGraph:
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.masks[i] >> j & 1)
 
-    def degree(self, i: int) -> int:
-        return bin(self.masks[i]).count("1")
-
     def edges(self):
         for u in range(self.n):
             m = self.masks[u] >> (u + 1) << (u + 1)

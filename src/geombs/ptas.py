@@ -32,13 +32,16 @@ from .model import (
     build_intersection_graph,
     certify,
     is_bipartite,  # unused here, but perfbench/tracing.py patches ptas.is_bipartite
-    validate_instance,
 )
 
 DEFAULT_BOX_CAP = 16
 
 
 def _half_extent(instance) -> Fraction:
+    """Half the object diameter of a nonempty disk or square scene, read
+    without touching the objects: the solver's graph build validates them."""
+    if not instance.objects:
+        raise ValidationError("instance has no objects")
     if instance.kind == UNIT_DISKS:
         return instance.disk_radius
     if instance.kind == UNIT_SQUARES:
@@ -189,15 +192,14 @@ def _slab_dag(graph, centers, members, bottom, k, d, box_cap) -> SlabDag:
 
 def _scene_slab_dag(instance, k, slab_bottom, box_cap):
     """(graph, slab DAG) of a scene that is one slab, validated once."""
-    validate_instance(instance, require_nonempty=True)
+    h = _half_extent(instance)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValidationError(
             f"slab height multiplier k must be an int >= 1, got {k!r}")
-    h = _half_extent(instance)
+    graph = build_intersection_graph(instance)
     centers = _centers(instance)
     bottom = (min(cy for _, cy in centers) - h if slab_bottom is None
               else _frac(slab_bottom))
-    graph = build_intersection_graph(instance)
     return graph, _slab_dag(graph, centers, range(instance.n), bottom, k,
                             2 * h, box_cap)
 
@@ -332,14 +334,13 @@ def solve_ptas_weighted(
     epsilon = _frac(epsilon)
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    validate_instance(instance, require_nonempty=True)
+    h = _half_extent(instance)
+    graph = build_intersection_graph(instance)
     wts = _check_weights(instance, weights)
     k = math.ceil(1 / epsilon)
-    h = _half_extent(instance)
     d = 2 * h
     centers = _centers(instance)
     y0 = min(cy for _, cy in centers) - h
-    graph = build_intersection_graph(instance)
 
     # (grid cell, dropping offset) of every object
     cells = [(int((cy - y0) // d), _grid_drop_offset(cy, h, d, y0, k))

@@ -43,9 +43,8 @@ def solve_unit_height(instance: GeometricInstance) -> Solution:
     validate_instance(instance, require_nonempty=True)
     graph = _graph_over(instance, range(instance.n))
 
-    # x-projection keys perturbed by index, as in solve_intervals(perturb=True)
-    lefts = [(o.x_min, -(i + 1)) for i, o in enumerate(instance.objects)]
-    rights = [(o.x_max, i + 1) for i, o in enumerate(instance.objects)]
+    lefts = [o.x_min for o in instance.objects]
+    rights = [o.x_max for o in instance.objects]
     unions = [[], []]
     for g, indices in group_rects(instance).items():
         order = sorted(indices, key=rights.__getitem__)

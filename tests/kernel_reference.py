@@ -2,16 +2,18 @@
 
 Graphs are neighbor bitmasks as in ``geombs._kernels``.  Every subset
 function here scans all subsets, so keep n at about a dozen or less.  The
-arc reference cuts the circle in exact ``Fraction`` angles, the slab DAG
-reference colours every box subset by pairwise adjacency tests on a
-slab's own scene, and the chain reference is the triple-table DP that
-``_kernels.chain_mbs`` replaced, O(n^4), exact output included.
+interval, unit-height and arc references sweep symbolically perturbed
+endpoint keys, on which no comparison ties; the arc reference cuts the
+circle in exact ``Fraction`` angles.  The slab DAG reference colours every
+box subset by pairwise adjacency tests on a slab's own scene, and the chain
+reference is the triple-table DP that ``_kernels.chain_mbs`` replaced,
+O(n^4), exact output included.
 """
+import math
 from fractions import Fraction
 from itertools import combinations
 
 from geombs import UNIT_DISKS, _kernels, build_intersection_graph, is_bipartite
-from geombs.intervals import _sweep
 
 
 def _indices(mask):
@@ -164,6 +166,59 @@ def has_induced_cycle_at_least(masks, min_len):
         if seen == mask:
             return True
     return False
+
+
+def _sweep(lefts, rights, order):
+    """The interval sweep on symbolically perturbed endpoint keys: interval
+    i runs from ``(left, -(i+1))`` to ``(right, i+1)``, so every key is
+    distinct and no comparison ties.  ``order`` lists indices by increasing
+    right key."""
+    selected = []
+    x = y = None
+    for i in order:
+        left = lefts[i]
+        if y is None or left > y:
+            selected.append(i)
+            y = rights[i]
+        elif (x is None or x < left) and left < y:
+            selected.append(i)
+            x = y
+            y = rights[i]
+    return selected
+
+
+def _perturbed(spans):
+    """Perturbed ``(lefts, rights)`` keys of ``(left, right)`` pairs."""
+    return ([(lo, -(i + 1)) for i, (lo, _) in enumerate(spans)],
+            [(hi, i + 1) for i, (_, hi) in enumerate(spans)])
+
+
+def reference_intervals(instance):
+    """``(selected, coloring)`` of ``solve_intervals(perturb=True)``: the
+    sweep over perturbed keys, coloured on the scene's whole graph."""
+    lefts, rights = _perturbed([(o.left, o.right) for o in instance.objects])
+    order = sorted(range(instance.n), key=rights.__getitem__)
+    selected = tuple(sorted(_sweep(lefts, rights, order)))
+    return selected, is_bipartite(build_intersection_graph(instance), selected)
+
+
+def reference_unit_height(instance):
+    """``(selected, coloring)`` of ``solve_unit_height``: the rectangles are
+    banded by ``floor(y_min - min y_min)``, each band is swept on perturbed
+    x-projection keys, and the larger union of one band parity wins, the
+    even one on a tie."""
+    lefts, rights = _perturbed([(o.x_min, o.x_max) for o in instance.objects])
+    low = min(o.y_min for o in instance.objects)
+    bands = {}
+    for i, o in enumerate(instance.objects):
+        bands.setdefault(math.floor(o.y_min - low), []).append(i)
+    unions = [[], []]
+    for band, members in bands.items():
+        order = sorted(members, key=rights.__getitem__)
+        unions[band % 2] += _sweep(lefts, rights, order)
+    best = tuple(sorted(unions[1] if len(unions[1]) > len(unions[0])
+                        else unions[0]))
+    return best, is_bipartite(build_intersection_graph(instance), best)
 
 
 def _uncovered_point(instance):

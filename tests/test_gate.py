@@ -1,7 +1,8 @@
 """The certificate gate holds without ``assert``: no module uses one, a
 wrong solver result is still refused under ``python -O``, and every public
-solver returns through exactly one ``certify`` call.  One graph per solve:
-no solver module builds a scene or a graph object of its own."""
+solver returns through exactly one ``certify`` call.  Every scene solver
+validates its scene exactly once, before reading an object.  One graph per
+solve: no solver module builds a scene or a graph object of its own."""
 import ast
 import importlib
 import os
@@ -118,6 +119,42 @@ def test_every_solver_returns_through_certify(solver, monkeypatch):
     selected = out if isinstance(out, tuple) else out.selected
     assert selected, "the scene should give a nonempty selection"
     assert [s.selected for s in calls] == [selected]
+
+
+@pytest.mark.parametrize(
+    "solver", sorted(s for s in SOLVER_CALLS if not s.startswith("exact_")))
+def test_every_scene_solver_validates_once(solver, monkeypatch):
+    # the solver's own check or its graph build validates the scene, never
+    # both; the oracle solvers take a graph and are left out
+    calls = []
+    validate = model.validate_instance
+
+    def spy(instance, require_nonempty=False):
+        calls.append(instance)
+        return validate(instance, require_nonempty)
+
+    for name in ("model",) + SOLVER_MODULES:
+        monkeypatch.setattr(importlib.import_module(f"geombs.{name}"),
+                            "validate_instance", spy, raising=False)
+    SOLVER_CALLS[solver]()
+    assert len(calls) == 1, len(calls)
+
+
+# a unit-disk scene holding an interval, which has no centre to read
+MALFORMED = geombs.GeometricInstance("unit_disks", (geombs.IntervalObj(0, 1),), 1)
+
+
+@pytest.mark.parametrize("call", [
+    geombs.solve_one_sided, geombs.one_sided_mis, geombs.solve_two_sided,
+    geombs.solve_3approx, geombs.solve_logn, geombs.assign_slabs,
+    lambda inst: geombs.solve_slab(inst, 1, slab_bottom=0),
+    lambda inst: geombs.build_slab_dag(inst, 1),
+    lambda inst: geombs.solve_ptas(inst, Fraction(1, 2)),
+    lambda inst: geombs.solve_ptas_weighted(inst, [1], Fraction(1, 2)),
+])
+def test_malformed_scene_rejected_before_its_objects_are_read(call):
+    with pytest.raises(geombs.ValidationError, match="holds a IntervalObj"):
+        call(MALFORMED)
 
 
 # solver -> (scene kind, n, the predicate its certificate graph calls)

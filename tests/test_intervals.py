@@ -1,4 +1,5 @@
 """Exact interval sweep: golden cases, degeneracy policy, oracle equality."""
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from geombs import (
     solve_intervals,
 )
 from geombs import intervals as intervals_module
+import kernel_reference
 
 
 def intervals(*pairs):
@@ -90,3 +92,26 @@ class TestProperties:
                         lo = max(objs[i].left for i in (a, b, c))
                         hi = min(objs[i].right for i in (a, b, c))
                         assert lo > hi, "three selected intervals share a point"
+
+
+def tie_heavy_intervals(seed):
+    """Up to 14 intervals on a grid of step 1, 1/2 or 1/4 inside [0, 6], so
+    shared endpoints and intervals meeting at one point are common."""
+    rng = random.Random(seed)
+    q = rng.choice((1, 2, 4))
+    pairs = []
+    while len(pairs) < 1 + seed % 14:
+        a, b = sorted(rng.sample(range(6 * q + 1), 2))
+        pairs.append((F(a, q), F(b, q)))
+    return intervals(*pairs)
+
+
+class TestReference:
+    def test_matches_perturbed_key_sweep(self):
+        # the sweep on exact endpoints equals the one on symbolically
+        # perturbed keys, colouring included
+        for seed in range(1200):
+            inst = tie_heavy_intervals(seed)
+            sol = solve_intervals(inst, perturb=True)
+            assert ((sol.selected, sol.coloring)
+                    == kernel_reference.reference_intervals(inst)), seed

@@ -1,5 +1,6 @@
 """Unit-height rectangles: stabbing-line grouping and the parity-union
 2-approximation."""
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,7 @@ from geombs import (
 )
 from geombs import rects as rects_module
 from geombs.rects import group_rects
+import kernel_reference
 
 
 def rects(*quads):
@@ -97,3 +99,25 @@ class TestProperties:
             g = build_intersection_graph(inst)
             assert 2 * sol.size >= exact_mbs(g).size, seed
             assert is_bipartite(g, sol.selected) is not None
+
+
+def tie_heavy_rects(seed):
+    """Up to 14 unit-height rectangles with corners on a grid of step 1,
+    1/2 or 1/4 inside [0, 6] x [0, 4], so shared x-endpoints, touching
+    sides and band boundaries are common."""
+    rng = random.Random(seed)
+    q = rng.choice((1, 2, 4))
+    quads = []
+    while len(quads) < 1 + seed % 14:
+        a, b = sorted(rng.sample(range(6 * q + 1), 2))
+        quads.append((F(a, q), F(b, q), F(rng.randrange(3 * q + 1), q)))
+    return rects(*quads)
+
+
+class TestReference:
+    def test_matches_perturbed_key_sweep(self):
+        for seed in range(1200):
+            inst = tie_heavy_rects(seed)
+            sol = solve_unit_height(inst)
+            assert ((sol.selected, sol.coloring)
+                    == kernel_reference.reference_unit_height(inst)), seed

@@ -38,7 +38,8 @@ def test_copy_degree_identity():
         dg = build_intersection_graph(double_instance(inst))
         assert dg.n == 2 * inst.n
         for v in range(inst.n):
-            assert dg.degree(inst.n + v) == 2 * g.degree(v) + 1
+            assert (dg.masks[inst.n + v].bit_count()
+                    == 2 * g.masks[v].bit_count() + 1)
 
 
 def test_doubled_bipartite_optimum_is_twice_independent_optimum():
