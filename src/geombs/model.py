@@ -4,11 +4,20 @@ the subset verifiers (bipartite / triangle-free / independent) and ``certify``.
 All coordinates are exact rationals (``fractions.Fraction``); predicates
 compare squared distances, so there is no tolerance parameter anywhere.
 Intersection is closed: tangent objects are adjacent.
+
+The hot loops avoid ``Fraction`` arithmetic without giving up exactness.
+``_frac`` reads plain ``p/q`` and integer text with ``int`` and leaves
+every other string to ``Fraction(str)``.  The graph
+builder sorts and sweeps on ``(float(v), v)`` keys, whose correctly rounded
+float decides a comparison unless the floats tie, and then the exact value
+does.  Disks are compared on integer centers against an integer (2r)^2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from math import inf, lcm
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -32,9 +41,22 @@ RECT_KINDS = (UNIT_SQUARES, UNIT_HEIGHT_RECTS, RECTS)
 
 def _frac(value) -> Fraction:
     """Exact rational from a Fraction, an int or ``"p/q"`` text; bools,
-    floats and malformed text raise ``ValidationError``."""
-    if isinstance(value, str):  # first: parsing is the hot path
+    floats and malformed text raise ``ValidationError``.
+
+    ASCII text ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator is read
+    with ``int``; any other text goes to ``Fraction(str)``, so both accept
+    the same strings and fail with the same messages."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, str):  # parsing is the hot path
         try:
+            num, slash, den = value.partition("/")
+            digits = num[1:] if num[:1] == "-" else num
+            if value.isascii() and digits.isdigit():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isdigit() and (q := int(den)):
+                    return Fraction(int(num), q)
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational {value!r}: {exc}") from exc
@@ -145,6 +167,13 @@ _OBJECT_TYPES = {
 }
 
 
+def _unit_apart(lo: Fraction, hi: Fraction) -> bool:
+    """hi == lo + 1, read off the lowest terms: lo + 1 keeps lo's
+    denominator."""
+    d = lo.denominator
+    return hi.denominator == d and hi.numerator - lo.numerator == d
+
+
 def validate_instance(instance: GeometricInstance, require_nonempty: bool = False):
     """Check kind/payload consistency and per-kind invariants."""
     if instance.kind not in KINDS:
@@ -162,11 +191,12 @@ def validate_instance(instance: GeometricInstance, require_nonempty: bool = Fals
         raise ValidationError("disk_radius only applies to unit_disks scenes")
     if instance.kind == UNIT_SQUARES:
         for obj in instance.objects:
-            if obj.x_max - obj.x_min != 1 or obj.y_max - obj.y_min != 1:
+            if not (_unit_apart(obj.x_min, obj.x_max)
+                    and _unit_apart(obj.y_min, obj.y_max)):
                 raise ValidationError(f"non-unit square {obj}")
     if instance.kind == UNIT_HEIGHT_RECTS:
         for obj in instance.objects:
-            if obj.y_max - obj.y_min != 1:
+            if not _unit_apart(obj.y_min, obj.y_max):
                 raise ValidationError(f"non-unit-height rectangle {obj}")
     if require_nonempty and not instance.objects:
         raise ValidationError("instance has no objects")
@@ -188,9 +218,32 @@ def arcs_intersect(a: ArcObj, b: ArcObj) -> bool:
 
 
 def disks_intersect(a: DiskObj, b: DiskObj, radius: Fraction) -> bool:
-    dx = a.center.x - b.center.x
-    dy = a.center.y - b.center.y
-    return dx * dx + dy * dy <= (2 * radius) ** 2
+    return _disks_meet(_diameter_sq(radius), _disk_ints(a), _disk_ints(b))
+
+
+def _disk_ints(d: DiskObj):
+    """A disk's center as ``(X, Y, D)`` ints with x = X/D and y = Y/D."""
+    x, y = d.center.x, d.center.y
+    xd, yd = x.denominator, y.denominator
+    den = lcm(xd, yd)
+    return x.numerator * (den // xd), y.numerator * (den // yd), den
+
+
+def _diameter_sq(radius):
+    """(2r)^2 as ``(P, Q)`` ints with (2r)^2 = P/Q."""
+    return (2 * radius.numerator) ** 2, radius.denominator ** 2
+
+
+def _disks_meet(diameter_sq, a, b) -> bool:
+    """Whether the disks of ``_disk_ints`` centers a and b meet: the squared
+    center distance, cross-multiplied to ints, is at most (2r)^2."""
+    p, q = diameter_sq
+    ax, ay, ad = a
+    bx, by, bd = b
+    dx = ax * bd - bx * ad
+    dy = ay * bd - by * ad
+    dd = ad * bd
+    return q * (dx * dx + dy * dy) <= p * dd * dd
 
 
 def rects_intersect(a: RectObj, b: RectObj) -> bool:
@@ -209,26 +262,8 @@ class IntersectionGraph:
     n: int
     masks: tuple
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple]) -> "IntersectionGraph":
-        masks = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ValidationError(f"bad edge ({u}, {v})")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return cls(n, tuple(masks))
-
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.masks[i] >> j & 1)
-
-    def edges(self):
-        for u in range(self.n):
-            m = self.masks[u] >> (u + 1) << (u + 1)
-            while m:
-                v = (m & -m).bit_length() - 1
-                yield (u, v)
-                m &= m - 1
 
     def induced_masks(self, subset: Sequence[int]):
         """Adjacency masks of the induced subgraph, relabelled 0..len-1."""
@@ -249,37 +284,63 @@ class IntersectionGraph:
         return out
 
 
-def _predicate_and_extent(instance: GeometricInstance):
-    """The kind's exact predicate and a map from an object to its closed
-    x-extent; objects whose extents are disjoint never intersect.  Arcs span
-    the whole turn, so every pair of arcs is tested."""
+def _key(v: Fraction):
+    """Exact sort key of a rational: ``(float(v), v)``.  The float is the
+    correctly rounded int quotient, so it is monotone in v and decides most
+    comparisons; equal floats fall back to the exact values.  Values beyond
+    float range map to an infinity of their sign."""
+    try:
+        return v.numerator / v.denominator, v
+    except OverflowError:
+        return (inf if v > 0 else -inf), v
+
+
+def _y_overlap(a, b) -> bool:
+    return a[0] <= b[1] and b[0] <= a[1]
+
+
+def _sweep_items(instance: GeometricInstance, indices):
+    """The kind's pair test and, per listed object, its closed x-extent as
+    ``_key``s, its index and what the pair test reads of it.  Objects whose
+    extents are disjoint never intersect.  Arcs span the whole turn, so
+    every pair of arcs is tested."""
+    objs = instance.objects
     if instance.kind == INTERVALS:
-        return intervals_intersect, lambda o: (o.left, o.right)
+        return intervals_intersect, [
+            (_key(objs[i].left), _key(objs[i].right), i, objs[i])
+            for i in indices]
     if instance.kind == ARCS:
-        return arcs_intersect, lambda o: (0, 1)
+        return arcs_intersect, [(0, 1, i, objs[i]) for i in indices]
     if instance.kind == UNIT_DISKS:
         r = instance.disk_radius
-        return (lambda a, b: disks_intersect(a, b, r),
-                lambda o: (o.center.x - r, o.center.x + r))
-    return rects_intersect, lambda o: (o.x_min, o.x_max)
+        items = []
+        for i in indices:
+            x = objs[i].center.x
+            items.append((_key(x - r), _key(x + r), i, _disk_ints(objs[i])))
+        return partial(_disks_meet, _diameter_sq(r)), items
+    # the sweep already implies the x-overlap of rectangles
+    items = []
+    for i in indices:
+        o = objs[i]
+        items.append((_key(o.x_min), _key(o.x_max), i,
+                      (_key(o.y_min), _key(o.y_max))))
+    return _y_overlap, items
 
 
 def _graph_over(instance: GeometricInstance, indices) -> IntersectionGraph:
     """The graph induced by ``indices``, as masks over all n objects with 0
     for every object not listed: a sort-and-sweep over the listed objects'
-    x-extents, O(k log k) for k indices plus one exact predicate per pair
+    x-extents, O(k log k) for k indices plus one exact pair test per pair
     whose extents overlap.  The instance must already be valid."""
-    objs = instance.objects
-    meets, extent = _predicate_and_extent(instance)
-    spans = sorted([(*extent(objs[i]), i) for i in indices], key=itemgetter(0))
+    meets, items = _sweep_items(instance, indices)
+    items.sort(key=itemgetter(0))
     masks = [0] * instance.n
-    for p, (_, right, i) in enumerate(spans):
-        a = objs[i]
-        for q in range(p + 1, len(spans)):
-            left, _, j = spans[q]
+    for p, (_, right, i, a) in enumerate(items):
+        for q in range(p + 1, len(items)):
+            left, _, j, b = items[q]
             if left > right:
                 break
-            if meets(a, objs[j]):
+            if meets(a, b):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return IntersectionGraph(instance.n, tuple(masks))

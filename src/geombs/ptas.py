@@ -60,7 +60,7 @@ def _centers(instance):
 
 def _check_weights(instance, weights):
     if weights is None:
-        return [Fraction(1)] * instance.n
+        return [1] * instance.n
     if len(weights) != instance.n:
         raise ValidationError("one weight per object required")
     out = [_frac(w) for w in weights]
@@ -238,14 +238,14 @@ def _best_path(dag: SlabDag, weight_of):
 
     best = {}
     parent = {}
-    far_best, far_v = Fraction(0), None  # best over boxes <= current - 2
+    far_best, far_v = 0, None  # best over boxes <= current - 2
     box_best = []  # (box, best vertex, value) per processed box
     for b in boxes:
         while box_best and b - box_best[0][0] >= 2:
             _, cand_v, cand = box_best.pop(0)
             if cand > far_best:
                 far_best, far_v = cand, cand_v
-        cur_best_v, cur_best = None, Fraction(-1)
+        cur_best_v, cur_best = None, -1
         for v in by_box[b]:
             w = weight_of(dag.vertices[v].indices)
             best[v] = w + far_best
@@ -259,10 +259,10 @@ def _best_path(dag: SlabDag, weight_of):
         box_best.append((b, cur_best_v, cur_best))
 
     if not best:
-        return Fraction(0), []
+        return 0, []
     end = max(best, key=lambda v: (best[v], -v))
     if best[end] <= 0:
-        return Fraction(0), []
+        return 0, []
     path = []
     v = end
     while v is not None:
@@ -274,9 +274,7 @@ def _best_path(dag: SlabDag, weight_of):
 
 def _slab(dag, wts):
     """Best path of a slab DAG, as (selected, coloring) in scene indices."""
-    _, path = _best_path(
-        dag, lambda idxs: sum((wts[i] for i in idxs), Fraction(0))
-    )
+    _, path = _best_path(dag, lambda idxs: sum(wts[i] for i in idxs))
     selected = []
     coloring = {}
     for v in path:
@@ -360,7 +358,7 @@ def solve_ptas_weighted(
             sel, col = _slab(dag, wts)
             selected += sel
             coloring.update(col)
-        total = sum((wts[v] for v in selected), Fraction(0))
+        total = sum(wts[v] for v in selected)
         if best is None or total > best[0]:
             best = (total, selected, coloring)
     return certify(graph, Solution(tuple(best[1]), best[2]))

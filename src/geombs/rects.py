@@ -27,10 +27,14 @@ from .model import (
 
 def group_rects(instance: GeometricInstance) -> dict:
     """Group index -> rectangle indices, by unit bands above the lowest y_min."""
-    a = min(o.y_min for o in instance.objects)
+    ys = [o.y_min for o in instance.objects]
+    a = min(ys)
+    an, ad = a.numerator, a.denominator
     groups = {}
-    for i, o in enumerate(instance.objects):
-        groups.setdefault(int((o.y_min - a) // 1), []).append(i)
+    for i, y in enumerate(ys):
+        # floor(y - a) on the cross-multiplied numerator and denominator
+        yd = y.denominator
+        groups.setdefault((y.numerator * ad - an * yd) // (yd * ad), []).append(i)
     return groups
 
 

@@ -1,12 +1,15 @@
 """JSON instance and solution files with exact rational coordinates.
 
 Rationals are serialized as ``"p/q"`` strings (integer shorthand allowed on
-input) so the text format round-trips losslessly.  Solution files carry the
-2-coloring certificate, which keeps verification linear in the graph size
-and independent of whichever solver produced them.
+input) so the text format round-trips losslessly.  Plain ``p/q`` and
+integer text is read with ``int``; any other string goes to
+``Fraction(str)``, so the accepted strings and the error messages are
+``Fraction``'s.  Only exact rationals are read or written: a float or a
+bool is a ``ValidationError``, never coerced.  Solution files carry the 2-coloring certificate, which
+keeps verification linear in the graph size and independent of whichever
+solver produced them.
 """
 import json
-from fractions import Fraction
 
 from .errors import ValidationError
 from .model import (
@@ -28,8 +31,11 @@ FORMAT_VERSION = 1
 
 
 def format_rational(value) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """``"p/q"`` text, or ``"p"`` for an integer, of what ``_frac`` accepts;
+    bools and floats are a ``ValidationError``, never coerced."""
+    f = _frac(value)
+    num, den = f.numerator, f.denominator
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 # "p/q" text or an integer; JSON booleans and floats are a ValidationError

@@ -6,7 +6,23 @@ from geombs.model import IntersectionGraph
 
 
 def graph_from_edges(n, edges):
-    return IntersectionGraph.from_edges(n, edges)
+    masks = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise ValueError(f"bad edge ({u}, {v})")
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return IntersectionGraph(n, tuple(masks))
+
+
+def graph_edges(g):
+    """The edges (u, v), u < v, of ``g`` in lexicographic order."""
+    for u in range(g.n):
+        m = g.masks[u] >> (u + 1) << (u + 1)
+        while m:
+            v = (m & -m).bit_length() - 1
+            yield (u, v)
+            m &= m - 1
 
 
 def random_graph(rng, n, p=0.4):
@@ -16,7 +32,7 @@ def random_graph(rng, n, p=0.4):
         for j in range(i + 1, n)
         if rng.random() < p
     ]
-    return IntersectionGraph.from_edges(n, edges)
+    return graph_from_edges(n, edges)
 
 
 @pytest.fixture

@@ -36,6 +36,7 @@ from geombs import (
 )
 from geombs.cli import run_cli
 from kernel_reference import has_induced_cycle_at_least
+from conftest import graph_edges
 
 
 @pytest.fixture
@@ -213,7 +214,7 @@ def test_criterion_09_unit_height_rectangles(announce):
                         assert g.adjacent(a, b) == (
                             ra.x_min <= rb.x_max and rb.x_min <= ra.x_max
                         ), seed
-        for u, v in g.edges():
+        for u, v in graph_edges(g):
             if where[u] != where[v]:
                 assert where[u] % 2 != where[v] % 2, seed
     announce("09 unit-height rectangle 2-approximation",

@@ -20,6 +20,7 @@ from geombs import (
     solve_one_sided,
 )
 from geombs.diskline import one_sided_mis
+from conftest import graph_edges
 
 
 def disks(centers, r=1):
@@ -45,7 +46,7 @@ class TestSlabAssignment:
             inst = generate_instance(UNIT_DISKS, 2 + seed % 12, seed)
             a = assign_slabs(inst)
             g = build_intersection_graph(inst)
-            for u, v in g.edges():
+            for u, v in graph_edges(g):
                 assert abs(a.group[u] - a.group[v]) <= 2
 
     def test_group_sizes_sum_to_at_least_optimum(self):

@@ -30,6 +30,7 @@ from geombs import (
     validate_instance,
 )
 from geombs.model import (
+    _frac,
     _graph_over,
     arcs_intersect,
     disks_intersect,
@@ -97,6 +98,23 @@ class TestObjects:
         with pytest.raises(ValidationError):
             Point(text, 0)
 
+    @pytest.mark.parametrize("text", [
+        "3/4", "-3/4", " 3/4", "3/4 ", "3/ 4", "+3", "1_0", "٣", "²", "3/",
+        "/4", "3/0", "-0", "007/4", "1e3", "1.5", "--3", "-3/-4", "",
+        "7" * 4301])
+    def test_parser_agrees_with_fraction(self, text):
+        # the p/q fast path accepts exactly what Fraction(str) accepts and
+        # fails with the same message
+        try:
+            want = F(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(ValidationError) as got:
+                _frac(text)
+            assert str(got.value) == f"bad rational {text!r}: {exc}"
+        else:
+            got = _frac(text)
+            assert got == want and type(got) is F
+
 
 class TestValidation:
     def test_kind_payload_mismatch(self):
@@ -123,6 +141,23 @@ class TestValidation:
             )
         validate_instance(GeometricInstance(RECTS, (RectObj(0, 3, 0, 2),)))
 
+    def test_unit_spans_are_exact(self, rng):
+        # the checks read numerators and denominators; the reference
+        # subtracts Fractions
+        values = sorted({F(p, q) for q in (1, 2, 3, 6) for p in range(-7, 8)})
+        for _ in range(2000):
+            lo, hi = sorted(rng.sample(values, 2))
+            unit = hi - lo == 1
+            for kind, rect in [(UNIT_HEIGHT_RECTS, RectObj(0, 5, lo, hi)),
+                               (UNIT_SQUARES, RectObj(lo, hi, 0, 1)),
+                               (UNIT_SQUARES, RectObj(0, 1, lo, hi))]:
+                inst = GeometricInstance(kind, (rect,))
+                if unit:
+                    validate_instance(inst)
+                else:
+                    with pytest.raises(ValidationError):
+                        validate_instance(inst)
+
 
 class TestPredicates:
     def test_interval_overlap_edge(self):
@@ -143,7 +178,7 @@ class TestPredicates:
 
     def test_far_disks_edgeless(self):
         g = build_intersection_graph(disks([(0, 0), (5, 0), (10, 0)]))
-        assert list(g.edges()) == []
+        assert g.masks == (0, 0, 0)
 
     def test_arc_overlap(self):
         inst = GeometricInstance(
@@ -225,6 +260,31 @@ SWEEP_CASES = {
 }
 
 
+# values where float keys tie or leave float range: the builder must fall
+# back to the exact values there
+THIRD = F(1, 3)
+NEAR_THIRD = F(float(THIRD))  # the same float as 1/3, a different value
+TINY = F(1, 10**30)
+HUGE = F(10**400)
+EXTREME_POINTS = [0, 1, -1, 2 * TINY, -TINY, THIRD, NEAR_THIRD, THIRD + TINY,
+                  THIRD + 2 * TINY, NEAR_THIRD + 2 * TINY, 2 * THIRD,
+                  2 * NEAR_THIRD, HUGE, -HUGE, HUGE + THIRD, HUGE + NEAR_THIRD]
+EXTREME_WIDTHS = [TINY, 2 * TINY, THIRD - NEAR_THIRD, THIRD, 1, HUGE, 2 * HUGE]
+EXTREME_RADII = [TINY, THIRD, NEAR_THIRD, 1, HUGE]
+
+
+def _extreme_scene(kind, rng):
+    objs = []
+    for _ in range(rng.randrange(1, 9)):
+        x, y = rng.choice(EXTREME_POINTS), rng.choice(EXTREME_POINTS)
+        w, h = rng.choice(EXTREME_WIDTHS), rng.choice(EXTREME_WIDTHS)
+        objs.append(DiskObj(Point(x, y)) if kind == UNIT_DISKS
+                    else IntervalObj(x, x + w) if kind == INTERVALS
+                    else RectObj(x, x + w, y, y + h))
+    radius = rng.choice(EXTREME_RADII) if kind == UNIT_DISKS else None
+    return GeometricInstance(kind, tuple(objs), radius)
+
+
 class TestBuilder:
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_corner_cases_match_all_pairs(self, case):
@@ -261,6 +321,25 @@ class TestBuilder:
             inst = generate_instance(kind, 1 + seed % 30, seed,
                                      spread=1 + seed % 5)
             self._check_graph_over(inst, rng)
+
+    @pytest.mark.parametrize("kind", [INTERVALS, UNIT_DISKS, RECTS])
+    def test_exact_at_float_ties_and_beyond_float_range(self, kind, rng):
+        assert float(THIRD) == float(NEAR_THIRD) and THIRD != NEAR_THIRD
+        for trial in range(600):
+            inst = _extreme_scene(kind, rng)
+            full = _all_pairs_masks(inst)
+            assert build_intersection_graph(inst).masks == full, trial
+            self._check_graph_over(inst, rng)
+            if kind == UNIT_DISKS:
+                # the public disk predicate against squared distances in
+                # Fractions
+                r, objs = inst.disk_radius, inst.objects
+                for i, a in enumerate(objs):
+                    for j, b in enumerate(objs):
+                        dx = a.center.x - b.center.x
+                        dy = a.center.y - b.center.y
+                        near = dx * dx + dy * dy <= 4 * r * r
+                        assert (full[i] >> j & 1) == (near and i != j), trial
 
     def test_induced_masks_relabel_by_position(self, rng):
         from conftest import random_graph

@@ -20,6 +20,7 @@ from geombs import (
 from geombs import rects as rects_module
 from geombs.rects import group_rects
 import kernel_reference
+from conftest import graph_edges
 
 
 def rects(*quads):
@@ -85,7 +86,7 @@ class TestGrouping:
             for t, members in groups.items():
                 for i in members:
                     where[i] = t
-            for u, v in g.edges():
+            for u, v in graph_edges(g):
                 tu, tv = where[u], where[v]
                 if tu != tv:
                     assert tu % 2 != tv % 2, (u, v, tu, tv)

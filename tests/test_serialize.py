@@ -6,6 +6,7 @@ import pytest
 
 from geombs import (
     KINDS,
+    GeometricInstance,
     Solution,
     ValidationError,
     generate_instance,
@@ -36,6 +37,21 @@ def test_rational_formatting():
         parse_rational("abc")
     with pytest.raises(ValidationError):
         parse_rational(0.5)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 1.0, True, False])
+def test_floats_and_bools_are_not_coerced_on_output(value):
+    with pytest.raises(ValidationError):
+        format_rational(value)
+    # as a weight
+    inst = generate_instance("unit_disks", 2, 1)
+    with pytest.raises(ValidationError):
+        instance_to_dict(inst, [F(1, 2), value])
+    # as a coordinate, on an object whose checks were bypassed
+    rect = generate_instance("rects", 1, 1).objects[0]
+    object.__setattr__(rect, "y_max", value)
+    with pytest.raises(ValidationError):
+        instance_to_dict(GeometricInstance("rects", (rect,)))
 
 
 @pytest.mark.parametrize("kind", KINDS)
