@@ -1,8 +1,9 @@
-"""Bitmask kernels: feasibility witnesses, branch-and-bound subset search and
-the chain DP.
+"""Bitmask kernels: feasibility witnesses, the component join of a
+2-colourable set, branch-and-bound subset search and the chain DP.
 
 Adjacency is passed as a list of neighbor bitmasks (``masks[v] >> u & 1``
-iff u and v are adjacent).
+iff u and v are adjacent).  ``max_subset`` and ``bipartite_subsets`` (the
+PTAS boxes) grow 2-colourable sets through one ``bipartite_join``.
 """
 MODE_INDEPENDENT = 0
 MODE_BIPARTITE = 1
@@ -73,26 +74,67 @@ def two_color(masks, mask):
                     parent[v] = u
                     stack.append(v)
                 elif color[v] == color[u]:
-                    pu = set()
+                    # edge (u, v) and the tree paths up from u and v to the
+                    # vertex where they meet
+                    up = []
                     w = u
                     while w is not None:
-                        pu.add(w)
+                        up.append(w)
                         w = parent[w]
+                    cyc = 0
                     w = v
-                    path_v = []
-                    while w not in pu:
-                        path_v.append(w)
-                        w = parent[w]
-                    meet = w
-                    cyc = 1 << meet
-                    for x in path_v:
-                        cyc |= 1 << x
-                    w = u
-                    while w != meet:
+                    while w not in up:
                         cyc |= 1 << w
                         w = parent[w]
+                    for x in up[:up.index(w) + 1]:
+                        cyc |= 1 << x
                     return None, cyc
     return color, None
+
+
+def bipartite_join(masks, comps, v):
+    """Join the vertex bit ``v``, which it does not block, to a 2-colourable
+    set held as its components, each (side a, side b, neighbours of a,
+    neighbours of b).  Returns the components of the larger set, v on side a
+    of the last one, and the vertices that set blocks: those with neighbours
+    on both sides of that component."""
+    mv = masks[v.bit_length() - 1]
+    a, b, na, nb = v, 0, mv, 0
+    rest = []
+    for comp in comps:
+        ca, cb, cna, cnb = comp
+        if mv & ca:
+            a, b, na, nb = a | cb, b | ca, na | cnb, nb | cna
+        elif mv & cb:
+            a, b, na, nb = a | ca, b | cb, na | cna, nb | cnb
+        else:
+            rest.append(comp)
+    rest.append((a, b, na, nb))
+    return rest, na & nb
+
+
+def bipartite_subsets(masks, cand):
+    """Every 2-colourable subset of the vertex bitmask ``cand`` as (subset
+    bitmask, components), in ``itertools.combinations`` order.
+
+    Bipartiteness is hereditary, so a depth-first search over ascending
+    vertices that extends only with unblocked vertices visits exactly these
+    subsets, at one ``bipartite_join`` per nonempty subset.  Its preorder is
+    lexicographic; a stable sort by size gives the combinations order.
+    """
+    out = []
+
+    def grow(sel, cand, comps):
+        out.append((sel, comps))
+        while cand:
+            v = cand & -cand
+            cand ^= v
+            joined, blocked = bipartite_join(masks, comps, v)
+            grow(sel | v, cand & ~blocked, joined)
+
+    grow(0, cand, [])
+    out.sort(key=lambda entry: entry[0].bit_count())
+    return out
 
 
 def max_subset(masks, mode):
@@ -105,9 +147,9 @@ def max_subset(masks, mode):
     plus a greedy clique cover of the candidates, each clique counting at most
     1 (independent) or 2 (bipartite, triangle-free); the node is pruned when
     the bound does not beat the best size found.  A bipartite S is held as its
-    connected components, each a pair of side bitmasks, so the search never
-    branches on colourings and visits every set once.  Sets of one size are
-    therefore visited in lex order, and the first maximum found is the
+    connected components and extended by ``bipartite_join``, so the search
+    never branches on colourings and visits every set once.  Sets of one size
+    are therefore visited in lex order, and the first maximum found is the
     lex-min one.
 
     Returns (size, subset_bitmask).
@@ -133,48 +175,37 @@ def max_subset(masks, mode):
                 return True
         return False
 
-    def join(sel, comps, v):
-        # (components of S + v, vertices that can no longer join S + v)
-        mv = masks[v.bit_length() - 1]
-        if mode == MODE_INDEPENDENT:
-            return None, mv
-        if mode == MODE_TRIANGLE_FREE:
-            # a vertex adjacent to both ends of a new edge (v, w) closes a triangle
+    # join(masks, state, v) -> (state of S + v, vertices that can no longer
+    # join S + v); the state is S's components (bipartite) or S itself
+    if mode == MODE_BIPARTITE:
+        join, state = bipartite_join, []
+    else:
+        def join(masks, sel, v):
+            mv = masks[v.bit_length() - 1]
+            if mode == MODE_INDEPENDENT:
+                return sel | v, mv
+            # a vertex adjacent to both ends of an edge (v, w) closes a triangle
             reach = 0
             m = mv & sel
             while m:
                 w = m & -m
                 m ^= w
                 reach |= masks[w.bit_length() - 1]
-            return None, mv & reach
-        # merge the components v touches, v on side a; each component is
-        # (side a, side b, neighbours of a, neighbours of b)
-        a, b, na, nb = v, 0, mv, 0
-        rest = []
-        for comp in comps:
-            ca, cb, cna, cnb = comp
-            if mv & ca:
-                a, b, na, nb = a | cb, b | ca, na | cnb, nb | cna
-            elif mv & cb:
-                a, b, na, nb = a | ca, b | cb, na | cna, nb | cnb
-            else:
-                rest.append(comp)
-        rest.append((a, b, na, nb))
-        # a vertex with neighbours on both sides of a component cannot join
-        return rest, na & nb
+            return sel | v, mv & reach
+        state = 0
 
-    def search(sel, size, cand, comps):
+    def search(sel, size, cand, state):
         while cand:
             if not cover_exceeds(cand, best[0] - size):
                 return
             v = cand & -cand
             cand ^= v
-            joined, blocked = join(sel, comps, v)
+            joined, blocked = join(masks, state, v)
             search(sel | v, size + 1, cand & ~blocked, joined)
         if size > best[0]:
             best[:] = size, sel
 
-    search(0, 0, (1 << len(masks)) - 1, [])
+    search(0, 0, (1 << len(masks)) - 1, state)
     return tuple(best)
 
 

@@ -67,6 +67,11 @@ def _frac(value) -> Fraction:
     raise ValidationError(f"expected an exact rational, got {value!r}")
 
 
+def _less(a: Fraction, b: Fraction) -> bool:
+    """``a < b`` on cross-multiplied ints (denominators are positive)."""
+    return a.numerator * b.denominator < b.numerator * a.denominator
+
+
 @dataclass(frozen=True)
 class Point:
     x: Fraction
@@ -85,7 +90,7 @@ class IntervalObj:
     def __post_init__(self):
         object.__setattr__(self, "left", _frac(self.left))
         object.__setattr__(self, "right", _frac(self.right))
-        if not self.left < self.right:
+        if not _less(self.left, self.right):
             raise ValidationError(f"interval needs left < right, got {self}")
 
 
@@ -135,7 +140,7 @@ class RectObj:
     def __post_init__(self):
         for name in ("x_min", "x_max", "y_min", "y_max"):
             object.__setattr__(self, name, _frac(getattr(self, name)))
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+        if not (_less(self.x_min, self.x_max) and _less(self.y_min, self.y_max)):
             raise ValidationError(f"degenerate rectangle {self}")
 
 

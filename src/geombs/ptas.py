@@ -1,25 +1,26 @@
 """Shifting-technique PTAS for unit disks and unit squares.
 
 A height-k slab (k in units of one object diameter) is solved exactly:
-partition the slab into diameter-wide boxes, enumerate per box every
+partition the slab into diameter-wide boxes, list per box every
 2-colorable subset together with its proper colorings, and connect
 color-compatible choices of consecutive boxes in a vertex-weighted DAG
 whose maximum-weight s-t path is an optimal bipartite set for the slab.
 Boxes two or more apart cannot interact, so those edges are implicit.  A
-box of b <= ``box_cap`` objects costs 2^b subsets, each colored on the
-graph's neighbor bitmasks.
+box's subsets come from ``_kernels.bipartite_subsets`` at one component
+join each: a box holds O(k) cells of pairwise-intersecting objects, at most
+2 per cell in a bipartite set, so b objects give b^O(k) subsets, not 2^b
+(Hochbaum & Maass, JACM 1985).
 
 The full solver builds the scene's intersection graph once, shifts a grid
 of slab boundaries over k offsets, drops the objects crossing a boundary,
 solves each slab as a list of scene indices over that one graph, and keeps
 the best offset; each object is dropped for exactly one offset, which
 yields the (1 - 1/k) guarantee.  Weighted objects only change the vertex
-weights.
+weights.  Geometry and weight sums are exact int arithmetic.
 """
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from . import _kernels
 from .errors import CapacityError, ValidationError
@@ -51,22 +52,39 @@ def _half_extent(instance) -> Fraction:
     )
 
 
-def _centers(instance):
+def _units(instance, h):
+    """(xs, ys, lowest bottom): each object's position in diameters above
+    the lowest, per axis, as int pairs (numerator, positive denominator).
+
+    Positions are read at an anchor, the centre moved by one fixed vector (a
+    disk's centre, a square's lower-left corner): no Fraction arithmetic.
+    """
     if instance.kind == UNIT_DISKS:
-        return [(o.center.x, o.center.y) for o in instance.objects]
-    return [((o.x_min + o.x_max) / 2, (o.y_min + o.y_max) / 2)
-            for o in instance.objects]
+        anchors, lift = [(o.center.x, o.center.y) for o in instance.objects], h
+    else:
+        anchors, lift = [(o.x_min, o.y_min) for o in instance.objects], 0
+    dn, dd = (2 * h).numerator, (2 * h).denominator
+    axes = []
+    for values in zip(*anchors):
+        lo = min(values)
+        ln, ld = lo.numerator, lo.denominator
+        axes.append([((v.numerator * ld - ln * v.denominator) * dd,
+                      v.denominator * ld * dn) for v in values])
+    return axes[0], axes[1], lo - lift  # lo: the lowest anchor y
 
 
 def _check_weights(instance, weights):
+    """The weights as ints in their given ratios (scaled by the lcm of the
+    denominators)."""
     if weights is None:
         return [1] * instance.n
     if len(weights) != instance.n:
         raise ValidationError("one weight per object required")
     out = [_frac(w) for w in weights]
-    if any(w < 0 for w in out):
+    if any(w.numerator < 0 for w in out):
         raise ValidationError("weights must be nonnegative")
-    return out
+    scale = math.lcm(*(w.denominator for w in out))
+    return [w.numerator * (scale // w.denominator) for w in out]
 
 
 @dataclass(frozen=True)
@@ -91,90 +109,67 @@ class SlabDag:
     step_edges: dict
 
 
-def _color_classes(masks, subset, boundary):
-    """All proper 2-colorings of the subgraph induced by ``subset``, each as
-    its two color classes (bitmasks); [] when it is not 2-colorable.
+def _colorings(comps, boundary):
+    """The proper 2-colorings of a set from its ``_kernels.bipartite_join``
+    components, each as bitmasks (class 0, class 1, their neighborhoods).
 
-    Every component starts with its smallest vertex colored 0.  Components
-    without a vertex in ``boundary`` (objects that can touch a neighboring
-    box) keep that one coloring: their colors never influence edge
-    compatibility, so enumerating both orientations would only blow up the
-    DAG.  The others, in smallest-vertex order, are flipped in turn, the
-    earliest varying slowest.
+    Every component's smallest vertex is colored 0.  Components without a
+    vertex in ``boundary`` (objects that can touch a neighboring box) keep
+    that one coloring: their colors never influence edge compatibility, so
+    enumerating both orientations would only blow up the DAG.  The others,
+    in smallest-vertex order, are flipped in turn, the earliest varying
+    slowest.
     """
-    mask = 0
-    for v in subset:
-        mask |= 1 << v
-    color, _ = _kernels.two_color(masks, mask)
-    if color is None:
-        return []
-    sides = [0, 0]
-    for v, c in color.items():
-        sides[c] |= 1 << v
-    out = [tuple(sides)]
-    rem = mask if mask & boundary else 0
-    while rem:
-        comp = frontier = rem & -rem
-        while frontier:
-            v = frontier & -frontier
-            frontier ^= v
-            new = masks[v.bit_length() - 1] & rem & ~comp
-            comp |= new
-            frontier |= new
-        rem &= ~comp
-        if comp & boundary:
-            out = [x for c0, c1 in out for x in ((c0, c1), (c0 ^ comp, c1 ^ comp))]
+    c0 = c1 = n0 = n1 = 0
+    flips = []
+    for a, b, na, nb in comps:
+        if (a | b) & -(a | b) & b:  # the smallest vertex goes to class 0
+            a, b, na, nb = b, a, nb, na
+        if (a | b) & boundary:
+            flips.append((a & -a, a, b, na, nb))
+        else:
+            c0, c1, n0, n1 = c0 | a, c1 | b, n0 | na, n1 | nb
+    out = [(c0, c1, n0, n1)]
+    for _, a, b, na, nb in sorted(flips):
+        out = [x for c0, c1, n0, n1 in out
+               for x in ((c0 | a, c1 | b, n0 | na, n1 | nb),
+                         (c0 | b, c1 | a, n0 | nb, n1 | na))]
     return out
 
 
-def _neighbors(masks, mask):
-    out = 0
-    while mask:
-        v = mask & -mask
-        mask ^= v
-        out |= masks[v.bit_length() - 1]
-    return out
-
-
-def _slab_dag(graph, centers, members, bottom, k, d, box_cap) -> SlabDag:
+def _slab_dag(graph, xs, members, box_cap) -> SlabDag:
     """The slab DAG of the objects ``members`` (ascending scene indices of
-    ``graph``), which must lie in the slab of height k*d starting at
-    ``bottom``; its feasible sets and colorings hold scene indices."""
-    h = d / 2
-    top = bottom + k * d
+    ``graph``, all inside one slab), boxed by their x positions ``xs`` (as
+    ``_units`` gives them); its feasible sets and colorings hold scene
+    indices."""
+    an, am = xs[members[0]]
     for i in members:
-        cy = centers[i][1]
-        if cy - h < bottom or cy + h > top:
-            raise ValidationError(f"object {i} crosses the slab boundary")
-
-    masks = graph.masks
-    a = min(centers[i][0] for i in members)
+        n, m = xs[i]
+        if n * am < an * m:
+            an, am = n, m
     boxes = {}
     for i in members:
-        boxes.setdefault(int((centers[i][0] - a) // d), []).append(i)
+        n, m = xs[i]
+        boxes.setdefault((n * am - an * m) // (m * am), []).append(i)
 
+    masks = graph.masks
+    bits = {b: sum(1 << i for i in in_box) for b, in_box in boxes.items()}
     vertices, classes, by_box = [], [], {}
     for b in sorted(boxes):
         in_box = boxes[b]
         if len(in_box) > box_cap:
             raise CapacityError(
-                f"box with {len(in_box)} objects exceeds cap {box_cap}"
-            )
-        near = 0
-        for j in boxes.get(b - 1, []) + boxes.get(b + 1, []):
-            near |= 1 << j
-        boundary = 0
-        for i in in_box:
-            if masks[i] & near:
-                boundary |= 1 << i
+                f"box with {len(in_box)} objects exceeds cap {box_cap}")
+        near = bits.get(b - 1, 0) | bits.get(b + 1, 0)
+        boundary = sum(1 << i for i in in_box if masks[i] & near)
         ids = by_box[b] = []
-        for size in range(len(in_box) + 1):
-            for subset in combinations(in_box, size):
-                for c0, c1 in _color_classes(masks, subset, boundary):
-                    ids.append(len(vertices))
-                    classes.append((c0, c1))
-                    vertices.append(ColoredFeasibleSet(
-                        b, subset, {v: c1 >> v & 1 for v in subset}))
+        for sel, comps in _kernels.bipartite_subsets(masks, bits[b]):
+            subset = _kernels.mask_to_indices(sel)
+            for cls in _colorings(comps, boundary):
+                ids.append(len(vertices))
+                classes.append(cls)
+                vertices.append(ColoredFeasibleSet(
+                    b, subset, {v: cls[1] >> v & 1 for v in subset}))
 
     # u and v in consecutive boxes are compatible iff no edge joins
     # same-colored objects: neither class of v meets the neighbors of u's
@@ -183,9 +178,9 @@ def _slab_dag(graph, centers, members, bottom, k, d, box_cap) -> SlabDag:
     for b, ids in by_box.items():
         if b + 1 not in by_box:
             continue
-        nxt = [(v, *classes[v]) for v in by_box[b + 1]]
+        nxt = [(v, *classes[v][:2]) for v in by_box[b + 1]]
         for u in ids:
-            n0, n1 = (_neighbors(masks, c) for c in classes[u])
+            n0, n1 = classes[u][2:]
             step_edges[u] = [v for v, c0, c1 in nxt if not (n0 & c0 or n1 & c1)]
     return SlabDag(vertices, step_edges)
 
@@ -197,11 +192,14 @@ def _scene_slab_dag(instance, k, slab_bottom, box_cap):
         raise ValidationError(
             f"slab height multiplier k must be an int >= 1, got {k!r}")
     graph = build_intersection_graph(instance)
-    centers = _centers(instance)
-    bottom = (min(cy for _, cy in centers) - h if slab_bottom is None
-              else _frac(slab_bottom))
-    return graph, _slab_dag(graph, centers, range(instance.n), bottom, k,
-                            2 * h, box_cap)
+    xs, ys, lowest = _units(instance, h)
+    # every bottom must lie in [b, b + k - 1], in diameters above the lowest
+    b = Fraction(0) if slab_bottom is None else (_frac(slab_bottom) - lowest) / (2 * h)
+    bn, bd = b.numerator, b.denominator
+    for i, (n, m) in enumerate(ys):
+        if n * bd < bn * m or n * bd > (bn + (k - 1) * bd) * m:
+            raise ValidationError(f"object {i} crosses the slab boundary")
+    return graph, _slab_dag(graph, xs, range(instance.n), box_cap)
 
 
 def build_slab_dag(
@@ -215,13 +213,14 @@ def build_slab_dag(
     The whole scene is one slab of height k diameters starting at
     ``slab_bottom`` (by default the lowest object's bottom); the slab is the
     index list ``range(n)`` over the scene's intersection graph.  A box of
-    b <= ``box_cap`` objects costs 2^b subsets.
+    b <= ``box_cap`` objects costs one join per 2-colorable subset.
     """
     return _scene_slab_dag(instance, k, slab_bottom, box_cap)[1]
 
 
-def _best_path(dag: SlabDag, weight_of):
-    """Maximum-weight path respecting box order; returns (weight, vertices).
+def _slab(dag, wts):
+    """Maximum-weight path of a slab DAG respecting box order, as
+    (selected, coloring) in scene indices.
 
     Vertices two or more boxes back are always reachable (implicit edges),
     so a running best over all boxes <= current - 2 replaces them.
@@ -229,59 +228,39 @@ def _best_path(dag: SlabDag, weight_of):
     by_box = {}
     for v, cfs in enumerate(dag.vertices):
         by_box.setdefault(cfs.box, []).append(v)
-    boxes = sorted(by_box)
 
     in_step = {}
     for u, outs in dag.step_edges.items():
         for v in outs:
             in_step.setdefault(v, []).append(u)
 
-    best = {}
-    parent = {}
+    best, parent = {}, {}
     far_best, far_v = 0, None  # best over boxes <= current - 2
-    box_best = []  # (box, best vertex, value) per processed box
-    for b in boxes:
-        while box_best and b - box_best[0][0] >= 2:
-            _, cand_v, cand = box_best.pop(0)
-            if cand > far_best:
-                far_best, far_v = cand, cand_v
-        cur_best_v, cur_best = None, -1
+    tops = []  # (box, its first best vertex) per processed box
+    for b in sorted(by_box):
+        while tops and b - tops[0][0] >= 2:
+            top = tops.pop(0)[1]
+            if best[top] > far_best:
+                far_best, far_v = best[top], top
         for v in by_box[b]:
-            w = weight_of(dag.vertices[v].indices)
+            w = sum(wts[i] for i in dag.vertices[v].indices)
             best[v] = w + far_best
             parent[v] = far_v
             for u in in_step.get(v, ()):
                 if best[u] + w > best[v]:
                     best[v] = best[u] + w
                     parent[v] = u
-            if best[v] > cur_best:
-                cur_best_v, cur_best = v, best[v]
-        box_best.append((b, cur_best_v, cur_best))
+        tops.append((b, max(by_box[b], key=best.__getitem__)))
 
-    if not best:
-        return 0, []
-    end = max(best, key=lambda v: (best[v], -v))
-    if best[end] <= 0:
-        return 0, []
     path = []
-    v = end
+    end = max(best, key=lambda v: (best[v], -v))
+    v = end if best[end] > 0 else None
     while v is not None:
-        path.append(v)
+        path.append(dag.vertices[v])
         v = parent[v]
     path.reverse()
-    return best[end], path
-
-
-def _slab(dag, wts):
-    """Best path of a slab DAG, as (selected, coloring) in scene indices."""
-    _, path = _best_path(dag, lambda idxs: sum(wts[i] for i in idxs))
-    selected = []
-    coloring = {}
-    for v in path:
-        cfs = dag.vertices[v]
-        selected.extend(cfs.indices)
-        coloring.update(cfs.coloring)
-    return selected, coloring
+    return ([i for cfs in path for i in cfs.indices],
+            {i: c for cfs in path for i, c in cfs.coloring.items()})
 
 
 def solve_slab(
@@ -296,17 +275,6 @@ def solve_slab(
     graph, dag = _scene_slab_dag(instance, k, slab_bottom, box_cap)
     selected, coloring = _slab(dag, wts)
     return certify(graph, Solution(tuple(selected), coloring))
-
-
-def _grid_drop_offset(cy, h, d, y0, k):
-    """Offset index for which this object crosses a slab boundary.
-
-    A slab owns its bottom boundary line, so an object whose extent starts
-    exactly on a line still fits; the unique grid line y0 + m*d inside
-    (cy-h, cy+h] is the one whose offset drops the object.  Kept objects of
-    different slabs are then strictly separated vertically.
-    """
-    return (cy + h - y0) // d % k
 
 
 def solve_ptas(
@@ -327,7 +295,7 @@ def solve_ptas_weighted(
 
     One intersection graph serves every offset: each slab is the list of
     its objects' scene indices over that graph, and a box of
-    b <= ``box_cap`` objects costs 2^b subsets.
+    b <= ``box_cap`` objects costs one join per 2-colorable subset.
     """
     epsilon = _frac(epsilon)
     if epsilon <= 0:
@@ -336,13 +304,14 @@ def solve_ptas_weighted(
     graph = build_intersection_graph(instance)
     wts = _check_weights(instance, weights)
     k = math.ceil(1 / epsilon)
-    d = 2 * h
-    centers = _centers(instance)
-    y0 = min(cy for _, cy in centers) - h
+    xs, ys, _ = _units(instance, h)
 
-    # (grid cell, dropping offset) of every object
-    cells = [(int((cy - y0) // d), _grid_drop_offset(cy, h, d, y0, k))
-             for _, cy in centers]
+    # Grid line j lies j diameters above the lowest bottom, and an object
+    # spans [z, z + 1].  A slab owns its bottom line, so the offset of the
+    # line floor(z) + 1 in (z, z + 1] drops the object, and kept objects of
+    # different slabs are strictly separated.  Its centre's cell is
+    # floor(z + 1/2).
+    cells = [((2 * n + m) // (2 * m), (n // m + 1) % k) for n, m in ys]
 
     best = None
     for s in range(k):
@@ -350,11 +319,9 @@ def solve_ptas_weighted(
         for i, (cell, drop_s) in enumerate(cells):
             if drop_s != s:
                 slabs.setdefault((cell - s) // k, []).append(i)
-        selected = []
-        coloring = {}
+        selected, coloring = [], {}
         for t, members in sorted(slabs.items()):
-            dag = _slab_dag(graph, centers, members, y0 + (s + t * k) * d, k,
-                            d, box_cap)
+            dag = _slab_dag(graph, xs, members, box_cap)
             sel, col = _slab(dag, wts)
             selected += sel
             coloring.update(col)

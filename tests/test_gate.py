@@ -2,7 +2,8 @@
 wrong solver result is still refused under ``python -O``, and every public
 solver returns through exactly one ``certify`` call.  Every scene solver
 validates its scene exactly once, before reading an object.  One graph per
-solve: no solver module builds a scene or a graph object of its own."""
+solve: no solver module builds a scene or a graph object of its own.  The
+PTAS pays one component join per 2-colourable box subset."""
 import ast
 import importlib
 import os
@@ -180,3 +181,28 @@ def test_certificate_graph_reads_only_the_selection(solver, monkeypatch):
     monkeypatch.setattr(model, predicate, spy)
     k = getattr(geombs, solver)(scene).size
     assert 0 < len(calls) <= k * (k - 1) // 2, (len(calls), k)
+
+
+@pytest.mark.parametrize("kind", ["unit_disks", "unit_squares"])
+def test_ptas_boxes_join_once_per_feasible_subset(kind, monkeypatch):
+    # work, not wall clock: a box's subsets grow one join at a time from the
+    # empty set, and no infeasible subset is ever joined
+    joins = []
+    join = geombs._kernels.bipartite_join
+
+    def counted(*args):
+        joins.append(None)
+        return join(*args)
+
+    monkeypatch.setattr(geombs._kernels, "bipartite_join", counted)
+    for seed in range(4):
+        # one slab holding the whole scene, with 8 to 15 objects per box
+        scene = geombs.generate_instance(kind, 24, seed, spread=3)
+        joins.clear()
+        dag = geombs.build_slab_dag(scene, 40)
+        subsets = {(v.box, v.indices) for v in dag.vertices}
+        boxes = {v.box for v in dag.vertices}
+        assert len(joins) == len(subsets) - len(boxes), seed
+        per_box = [sum(len(i) == 1 for b, i in subsets if b == box)
+                   for box in boxes]
+        assert max(per_box) >= 8, seed

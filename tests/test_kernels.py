@@ -1,4 +1,5 @@
 """Bitmask kernels against brute-force references on small random graphs."""
+import itertools
 import random
 
 import pytest
@@ -75,6 +76,48 @@ def test_two_color_matches_brute_force(rng):
                         grow.append(w)
             roots.add(min(comp))
         assert all(coloring[r] == 0 for r in roots), trial
+
+
+def check_bipartite_subsets(rng, trials):
+    # the subsets, in order, are the 2-colourable combinations of the
+    # candidates; each carries its connected components, as the two sides
+    # of a proper colouring and their neighbourhoods
+    for trial in range(trials):
+        n = rng.randrange(13)
+        masks = random_graph(rng, n, rng.choice((0.2, 0.4, 0.6, 0.8))).masks
+        cand = rng.randrange(1 << n)
+        verts = _kernels.mask_to_indices(cand)
+        want = [sum(1 << v for v in sub)
+                for size in range(len(verts) + 1)
+                for sub in itertools.combinations(verts, size)
+                if _kernels.two_color(masks, sum(1 << v for v in sub))[0]
+                is not None]
+        got = _kernels.bipartite_subsets(masks, cand)
+        assert [sel for sel, _ in got] == want, (trial, masks, cand)
+        for sel, comps in got:
+            union = 0
+            for a, b, na, nb in comps:
+                assert a and not a & b and not union & (a | b), trial
+                union |= a | b
+                for side, nside in ((a, na), (b, nb)):
+                    neigh = 0
+                    for v in _kernels.mask_to_indices(side):
+                        neigh |= masks[v]
+                    assert neigh == nside and not neigh & side, trial
+                    assert neigh & sel & ~(a | b) == 0, trial
+                reach = frontier = a & -a
+                while frontier:
+                    v = frontier & -frontier
+                    frontier ^= v
+                    new = masks[v.bit_length() - 1] & (a | b) & ~reach
+                    reach |= new
+                    frontier |= new
+                assert reach == a | b, trial
+            assert union == sel, trial
+
+
+def test_bipartite_subsets_match_filtered_combinations():
+    check_bipartite_subsets(random.Random(12), 3000)
 
 
 def test_lexicographic_tie_break():

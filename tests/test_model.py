@@ -158,6 +158,27 @@ class TestValidation:
                     with pytest.raises(ValidationError):
                         validate_instance(inst)
 
+    def test_object_orders_are_exact(self, rng):
+        # the constructors compare cross-multiplied ints; the reference is
+        # Fraction <, on small grids, huge values and near-equal neighbours
+        big = 10 ** 40
+        values = sorted({F(p, q) for q in (1, 2, 3, 7) for p in range(-5, 6)}
+                        | {F(s * big + e, big + d) for s in (-1, 1)
+                           for e in (-1, 0, 1) for d in (0, 1)}
+                        | {F(1, big), F(-1, big), F(big), F(-big)})
+        for _ in range(3000):
+            a, b = rng.choice(values), rng.choice(values)
+            c, d = rng.choice(values), rng.choice(values)
+            for build, ok, message in [
+                    (lambda: IntervalObj(a, b), a < b, "left < right"),
+                    (lambda: RectObj(a, b, c, d), a < b and c < d,
+                     "degenerate rectangle")]:
+                if ok:
+                    build()
+                else:
+                    with pytest.raises(ValidationError, match=message):
+                        build()
+
 
 class TestPredicates:
     def test_interval_overlap_edge(self):

@@ -56,6 +56,13 @@ class TestSlab:
         with pytest.raises(ValidationError):
             solve_slab(inst, 1, slab_bottom=0)
 
+    def test_default_bottom_still_bounds_the_top(self):
+        # the slab starts at the lowest bottom; a disk 3/2 diameters higher
+        # sticks out of a slab one diameter high
+        with pytest.raises(ValidationError, match="object 1 crosses"):
+            build_slab_dag(disks([(0, 1), (0, 4)]), 1)
+        assert build_slab_dag(disks([(0, 1), (0, 4)]), 3).vertices
+
     def test_box_capacity(self):
         inst = disks([(F(i, 10), 1) for i in range(5)])
         with pytest.raises(CapacityError):
@@ -157,6 +164,49 @@ def tie_heavy(kind, seed):
     return disks(corners) if kind == UNIT_DISKS else squares(corners)
 
 
+def dense_boxes(kind, seed):
+    """Columns half a diameter apart, 6 to 8 objects each, with bottoms
+    within half a diameter: one slab holds them all, and each of its boxes
+    two columns, 12 to 16 objects (the last box of an odd count one)."""
+    rng = random.Random(seed)
+    d = 2 if kind == UNIT_DISKS else 1
+    corners = [(F(c * d, 2), F(rng.randint(0, 2 * d), 4))
+               for c in range(rng.randint(2, 4))
+               for _ in range(rng.randint(6, 8))]
+    return disks(corners) if kind == UNIT_DISKS else squares(corners)
+
+
+def reference_scenes(kind):
+    return ([(seed, tie_heavy(kind, seed)) for seed in range(150)]
+            + [(("dense", seed), dense_boxes(kind, seed)) for seed in range(6)])
+
+
+class TestGrid:
+    @pytest.mark.parametrize("kind", [UNIT_DISKS, UNIT_SQUARES])
+    @pytest.mark.parametrize("epsilon", [F(1, 2), F(1, 3)])
+    def test_slabs_hold_their_objects(self, kind, epsilon, monkeypatch):
+        # every slab fits in k diameters, and each object is dropped for
+        # exactly one of the k offsets
+        k, d = int(1 / epsilon), (2 if kind == UNIT_DISKS else 1)
+        built = []
+        real = ptas._slab_dag
+
+        def spy(graph, xs, members, *rest):
+            built.append(list(members))
+            return real(graph, xs, members, *rest)
+
+        monkeypatch.setattr(ptas, "_slab_dag", spy)
+        for seed, inst in reference_scenes(kind):
+            built.clear()
+            solve_ptas(inst, epsilon)
+            bottoms = [o.center.y - 1 if kind == UNIT_DISKS else o.y_min
+                       for o in inst.objects]
+            for members in built:
+                lows = [bottoms[i] for i in members]
+                assert max(lows) - min(lows) <= (k - 1) * d, seed
+            assert sum(map(len, built)) == (k - 1) * inst.n, seed
+
+
 class TestReference:
     @pytest.mark.parametrize("kind", [UNIT_DISKS, UNIT_SQUARES])
     @pytest.mark.parametrize("epsilon", [F(1, 2), F(1, 3)])
@@ -173,8 +223,7 @@ class TestReference:
             return dag
 
         monkeypatch.setattr(ptas, "_slab_dag", spy)
-        for seed in range(150):
-            inst = tie_heavy(kind, seed)
+        for seed, inst in reference_scenes(kind):
             built.clear()
             solve_ptas(inst, epsilon)
             assert built, seed
