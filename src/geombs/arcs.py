@@ -76,12 +76,6 @@ def _coverage(starts, ends, size):
     return covering, began, gap
 
 
-def _uncovered_point(instance):
-    """The first gap position that no arc covers, or None if the arcs
-    cover the whole circle."""
-    return _coverage(*_positions(instance))[2]
-
-
 def _adjacency(starts, ends, covering, began):
     """Neighbour bitmasks of the arcs, from their positions and the masks of
     ``_coverage``, in O(n) operations on n-bit masks.

@@ -6,7 +6,6 @@ input, 4 capacity exceeded.  Errors print one machine-readable line
 """
 import argparse
 import sys
-from fractions import Fraction
 
 from .bench import ALGORITHMS, default_suite, run_bench
 from .errors import CertificateError, GeombsError, ValidationError

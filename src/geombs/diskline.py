@@ -33,7 +33,12 @@ def _require_disks(instance):
         raise ValidationError("instance has no objects")
 
 
-def _check_stabbed(instance, line_y, one_sided):
+def _stabbed(instance, line_y, one_sided):
+    """``(graph, exact line_y)`` of a disk scene whose disks all meet the
+    line y = ``line_y``, with centers on or above it if ``one_sided``."""
+    _require_disks(instance)
+    line_y = _frac(line_y)
+    graph = build_intersection_graph(instance)
     r = instance.disk_radius
     for i, d in enumerate(instance.objects):
         dy = d.center.y - line_y
@@ -41,6 +46,7 @@ def _check_stabbed(instance, line_y, one_sided):
             raise ValidationError(f"disk {i} does not intersect the line")
         if one_sided and dy < 0:
             raise ValidationError(f"disk {i} has its center below the line")
+    return graph, line_y
 
 
 def _x_order(instance, indices):
@@ -91,30 +97,21 @@ def _two_sided(graph, above, below):
 
 def solve_one_sided(instance: GeometricInstance, line_y=0) -> Solution:
     """Exact maximum bipartite subset; centers on or above the line."""
-    _require_disks(instance)
-    line_y = _frac(line_y)
-    graph = build_intersection_graph(instance)
-    _check_stabbed(instance, line_y, one_sided=True)
+    graph, line_y = _stabbed(instance, line_y, one_sided=True)
     selected = _chain(graph, _x_order(instance, range(instance.n)))
     return certify(graph, Solution(tuple(selected), is_bipartite(graph, selected)))
 
 
 def one_sided_mis(instance: GeometricInstance, line_y=0) -> tuple:
     """Exact maximum independent set via the longest disjointness chain."""
-    _require_disks(instance)
-    line_y = _frac(line_y)
-    graph = build_intersection_graph(instance)
-    _check_stabbed(instance, line_y, one_sided=True)
+    graph, line_y = _stabbed(instance, line_y, one_sided=True)
     selected = _mis_chain(graph, _x_order(instance, range(instance.n)))
     return certify(graph, Solution(tuple(selected)), "independent").selected
 
 
 def solve_two_sided(instance: GeometricInstance, line_y=0) -> Solution:
     """2-approximation: a maximum independent set per side, unioned."""
-    _require_disks(instance)
-    line_y = _frac(line_y)
-    graph = build_intersection_graph(instance)
-    _check_stabbed(instance, line_y, one_sided=False)
+    graph, line_y = _stabbed(instance, line_y, one_sided=False)
     above = [i for i, d in enumerate(instance.objects) if d.center.y >= line_y]
     below = [i for i, d in enumerate(instance.objects) if d.center.y < line_y]
     selected, coloring = _two_sided(

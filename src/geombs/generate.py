@@ -13,7 +13,6 @@ from .model import (
     ARCS,
     INTERVALS,
     KINDS,
-    RECTS,
     UNIT_DISKS,
     UNIT_HEIGHT_RECTS,
     UNIT_SQUARES,

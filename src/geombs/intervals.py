@@ -11,11 +11,12 @@ O(n log n + k log k) in all for k selected intervals, with no all-pairs
 graph of the scene.
 
 Intersection is closed, so shared endpoints need no tie-breaking: a left
-endpoint equal to a marker touches the interval that set it, and the sweep
-compares the exact endpoint values.  Right endpoints of equal value are
-visited by increasing index.  Without ``perturb`` the endpoints must still be
-pairwise distinct, and duplicates raise ``ValidationError``; ``perturb=True``
-only lifts that check.
+endpoint equal to a marker touches the interval that set it.  The sort and
+the sweep compare the exact ``(float(v), v)`` endpoint keys, on which floats
+decide all but float ties.  Right endpoints of equal value are visited by
+increasing index.  Without ``perturb`` the endpoints must still be pairwise
+distinct, and duplicates raise ``ValidationError``; ``perturb=True`` only
+lifts that check.
 """
 from .errors import ValidationError
 from .model import (
@@ -23,6 +24,7 @@ from .model import (
     GeometricInstance,
     Solution,
     _graph_over,
+    _key,
     build_intersection_graph,  # unused here, but perfbench/tracing.py patches intervals.build_intersection_graph
     certify,
     is_bipartite,
@@ -32,7 +34,7 @@ from .model import (
 
 def _sweep(lefts, rights, order):
     """Indices the sweep selects, visiting ``order`` by increasing right
-    endpoint; ``lefts``/``rights`` map each index to its exact endpoints.
+    endpoint; ``lefts``/``rights`` map each index to its exact endpoint keys.
 
     This is the one place that decides endpoint ties, by closed semantics:
     an interval is disjoint from the frontier only if it starts strictly
@@ -62,9 +64,9 @@ def solve_intervals(instance: GeometricInstance, perturb: bool = False) -> Solut
     if instance.kind != INTERVALS:
         raise ValidationError(f"expected an intervals scene, got {instance.kind}")
     validate_instance(instance, require_nonempty=True)
-    lefts = [o.left for o in instance.objects]
-    rights = [o.right for o in instance.objects]
-    if not perturb and len(set(lefts + rights)) != 2 * instance.n:
+    lefts = [_key(o.left) for o in instance.objects]
+    rights = [_key(o.right) for o in instance.objects]
+    if not perturb and len({v for _, v in lefts + rights}) != 2 * instance.n:
         raise ValidationError(
             "duplicate interval endpoints; rerun with perturbation enabled"
         )

@@ -7,10 +7,11 @@ Intersection is closed: tangent objects are adjacent.
 
 The hot loops avoid ``Fraction`` arithmetic without giving up exactness.
 ``_frac`` reads plain ``p/q`` and integer text with ``int`` and leaves
-every other string to ``Fraction(str)``.  The graph
-builder sorts and sweeps on ``(float(v), v)`` keys, whose correctly rounded
-float decides a comparison unless the floats tie, and then the exact value
-does.  Disks are compared on integer centers against an integer (2r)^2.
+every other string to ``Fraction(str)``; constructors coerce only fields
+that are not a ``Fraction`` yet.  The graph builder and the interval sweeps
+sort and compare ``(float(v), v)`` keys, whose correctly rounded float
+decides a comparison unless the floats tie, and then the exact value does.
+Object orders, disks and arcs are compared on cross-multiplied ints.
 """
 from __future__ import annotations
 
@@ -24,8 +25,6 @@ from typing import Iterable, Optional, Sequence
 from . import _kernels
 from .errors import CertificateError, ValidationError
 
-Rational = Fraction
-
 # Scene kinds.
 INTERVALS = "intervals"
 ARCS = "arcs"
@@ -35,8 +34,6 @@ UNIT_HEIGHT_RECTS = "unit_height_rects"
 RECTS = "rects"
 
 KINDS = (INTERVALS, ARCS, UNIT_DISKS, UNIT_SQUARES, UNIT_HEIGHT_RECTS, RECTS)
-
-RECT_KINDS = (UNIT_SQUARES, UNIT_HEIGHT_RECTS, RECTS)
 
 
 def _frac(value) -> Fraction:
@@ -72,14 +69,20 @@ def _less(a: Fraction, b: Fraction) -> bool:
     return a.numerator * b.denominator < b.numerator * a.denominator
 
 
+def _coerce(obj, names):
+    """Replace the named fields of a frozen object by their ``_frac``."""
+    for name in names:
+        object.__setattr__(obj, name, _frac(getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class Point:
     x: Fraction
     y: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _frac(self.x))
-        object.__setattr__(self, "y", _frac(self.y))
+        if not (type(self.x) is type(self.y) is Fraction):
+            _coerce(self, ("x", "y"))
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,8 @@ class IntervalObj:
     right: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "left", _frac(self.left))
-        object.__setattr__(self, "right", _frac(self.right))
+        if not (type(self.left) is type(self.right) is Fraction):
+            _coerce(self, ("left", "right"))
         if not _less(self.left, self.right):
             raise ValidationError(f"interval needs left < right, got {self}")
 
@@ -106,23 +109,25 @@ class ArcObj:
     end: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "start", _frac(self.start))
-        object.__setattr__(self, "end", _frac(self.end))
+        if not (type(self.start) is type(self.end) is Fraction):
+            _coerce(self, ("start", "end"))
         for a in (self.start, self.end):
-            if not (0 <= a < 1):
+            if not 0 <= a.numerator < a.denominator:
                 raise ValidationError(f"arc angle {a} outside [0, 1)")
-        if self.start == self.end:
+        if self.start.as_integer_ratio() == self.end.as_integer_ratio():
             raise ValidationError("arc needs start != end")
 
     def contains(self, angle: Fraction) -> bool:
-        return _on_arc(self, angle % 1)
+        return _on_arc(self, _frac(angle) % 1)
 
 
 def _on_arc(arc: ArcObj, a: Fraction) -> bool:
-    """``arc.contains(a)`` for an angle ``a`` already in [0, 1)."""
-    if arc.start < arc.end:
-        return arc.start <= a <= arc.end
-    return a >= arc.start or a <= arc.end
+    """``arc.contains(a)`` for ``a`` in [0, 1), on cross-multiplied ints."""
+    s, e = arc.start, arc.end
+    an, ad = a.numerator, a.denominator
+    from_start = s.numerator * ad <= an * s.denominator
+    to_end = an * e.denominator <= e.numerator * ad
+    return from_start and to_end if _less(s, e) else from_start or to_end
 
 
 @dataclass(frozen=True)
@@ -138,8 +143,9 @@ class RectObj:
     y_max: Fraction
 
     def __post_init__(self):
-        for name in ("x_min", "x_max", "y_min", "y_max"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+        if not (type(self.x_min) is type(self.x_max) is type(self.y_min)
+                is type(self.y_max) is Fraction):
+            _coerce(self, ("x_min", "x_max", "y_min", "y_max"))
         if not (_less(self.x_min, self.x_max) and _less(self.y_min, self.y_max)):
             raise ValidationError(f"degenerate rectangle {self}")
 

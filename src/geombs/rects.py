@@ -5,9 +5,9 @@ minimum; every group is stabbed by one horizontal line, so within a group
 the intersection graph is the interval graph of the x-projections and the
 interval sweep solves it exactly.  Groups of equal parity are vertically
 disjoint, so each parity class unions its per-group optima into one
-bipartite set; the larger class has at least half the optimum.  The
-groups are index lists over the scene's one intersection graph, which
-colours and certifies the union.
+bipartite set; the larger class has at least half the optimum.  Groups are
+swept on exact x-projection keys, and the graph of the chosen union alone,
+not the scene's, colours and certifies it.
 """
 from .errors import ValidationError
 from .intervals import (
@@ -19,6 +19,7 @@ from .model import (
     GeometricInstance,
     Solution,
     _graph_over,
+    _key,
     certify,
     is_bipartite,
     validate_instance,
@@ -28,7 +29,7 @@ from .model import (
 def group_rects(instance: GeometricInstance) -> dict:
     """Group index -> rectangle indices, by unit bands above the lowest y_min."""
     ys = [o.y_min for o in instance.objects]
-    a = min(ys)
+    a = min(ys, key=_key)
     an, ad = a.numerator, a.denominator
     groups = {}
     for i, y in enumerate(ys):
@@ -45,14 +46,13 @@ def solve_unit_height(instance: GeometricInstance) -> Solution:
             f"expected a unit_height_rects scene, got {instance.kind}"
         )
     validate_instance(instance, require_nonempty=True)
-    graph = _graph_over(instance, range(instance.n))
-
-    lefts = [o.x_min for o in instance.objects]
-    rights = [o.x_max for o in instance.objects]
+    lefts = [_key(o.x_min) for o in instance.objects]
+    rights = [_key(o.x_max) for o in instance.objects]
     unions = [[], []]
     for g, indices in group_rects(instance).items():
         order = sorted(indices, key=rights.__getitem__)
         unions[g % 2] += _sweep(lefts, rights, order)
 
     best = max(unions, key=len)
+    graph = _graph_over(instance, best)
     return certify(graph, Solution(tuple(best), is_bipartite(graph, best)))

@@ -4,8 +4,11 @@ Rationals are serialized as ``"p/q"`` strings (integer shorthand allowed on
 input) so the text format round-trips losslessly.  Plain ``p/q`` and
 integer text is read with ``int``; any other string goes to
 ``Fraction(str)``, so the accepted strings and the error messages are
-``Fraction``'s.  Only exact rationals are read or written: a float or a
-bool is a ``ValidationError``, never coerced.  Solution files carry the 2-coloring certificate, which
+``Fraction``'s.  ``instance_from_dict`` reads each distinct string once per
+document, and keeps nothing across documents; ``parse_rational`` is the
+public reader of one rational, which the command line uses.  Only exact
+rationals are read or written: a float or a bool is a ``ValidationError``,
+never coerced.  Solution files carry the 2-coloring certificate, which
 keeps verification linear in the graph size and independent of whichever
 solver produced them.
 """
@@ -42,38 +45,32 @@ def format_rational(value) -> str:
 parse_rational = _frac
 
 
+# kind -> (the object's constructor, its record's fields in that order)
+_RECORDS = {
+    INTERVALS: (IntervalObj, ("left", "right")),
+    ARCS: (ArcObj, ("start", "end")),
+    UNIT_DISKS: (lambda x, y: DiskObj(Point(x, y)), ("x", "y")),
+}
+_RECT_RECORD = (RectObj, ("x_min", "x_max", "y_min", "y_max"))
+
+
 def _object_record(kind, obj) -> dict:
-    if kind == INTERVALS:
-        return {"left": format_rational(obj.left), "right": format_rational(obj.right)}
-    if kind == ARCS:
-        return {"start": format_rational(obj.start), "end": format_rational(obj.end)}
     if kind == UNIT_DISKS:
-        return {"x": format_rational(obj.center.x), "y": format_rational(obj.center.y)}
-    return {
-        "x_min": format_rational(obj.x_min),
-        "x_max": format_rational(obj.x_max),
-        "y_min": format_rational(obj.y_min),
-        "y_max": format_rational(obj.y_max),
-    }
+        obj = obj.center
+    return {nm: format_rational(getattr(obj, nm))
+            for nm in _RECORDS.get(kind, _RECT_RECORD)[1]}
 
 
-def _object_from_record(kind, rec):
+def _object_from_record(kind, rec, rational):
     if not isinstance(rec, dict):
         raise ValidationError(f"object record must be a mapping, got {rec!r}")
-
-    def get(*names):
+    make, names = _RECORDS.get(kind, _RECT_RECORD)
+    try:
+        values = [rec[nm] for nm in names]
+    except KeyError:
         missing = [nm for nm in names if nm not in rec]
-        if missing:
-            raise ValidationError(f"object record missing fields {missing}")
-        return [parse_rational(rec[nm]) for nm in names]
-
-    if kind == INTERVALS:
-        return IntervalObj(*get("left", "right"))
-    if kind == ARCS:
-        return ArcObj(*get("start", "end"))
-    if kind == UNIT_DISKS:
-        return DiskObj(Point(*get("x", "y")))
-    return RectObj(*get("x_min", "x_max", "y_min", "y_max"))
+        raise ValidationError(f"object record missing fields {missing}") from None
+    return make(*[rational(v) for v in values])
 
 
 def instance_to_dict(instance: GeometricInstance, weights=None) -> dict:
@@ -111,17 +108,27 @@ def instance_from_dict(doc: dict):
     objects = doc.get("objects")
     if not isinstance(objects, list):
         raise ValidationError("instance document needs an 'objects' list")
+    memo = {}  # text -> Fraction, for this document only
+
+    def rational(value):
+        if type(value) is not str:  # JSON true must never alias 1
+            return _frac(value)
+        f = memo.get(value)
+        if f is None:
+            f = memo[value] = _frac(value)
+        return f
+
     radius = doc.get("disk_radius")
     instance = GeometricInstance(
         kind,
-        tuple(_object_from_record(kind, rec) for rec in objects),
-        parse_rational(radius) if radius is not None else None,
+        tuple(_object_from_record(kind, rec, rational) for rec in objects),
+        rational(radius) if radius is not None else None,
     )
     weights = doc.get("weights")
     if weights is not None:
         if not isinstance(weights, list) or len(weights) != instance.n:
             raise ValidationError("'weights' must list one rational per object")
-        weights = [parse_rational(w) for w in weights]
+        weights = [rational(w) for w in weights]
         if any(w < 0 for w in weights):
             raise ValidationError("weights must be nonnegative")
     return instance, weights

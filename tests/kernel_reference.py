@@ -5,7 +5,8 @@ function here scans all subsets, so keep n at about a dozen or less.  The
 interval, unit-height and arc references sweep symbolically perturbed
 endpoint keys, on which no comparison ties; the arc reference cuts the
 circle in exact ``Fraction`` angles.  The slab DAG reference colours every
-box subset by pairwise adjacency tests on a slab's own scene, and the chain
+triangle-free box subset by pairwise adjacency tests on a slab's own scene
+(a 2-colourable set holds no triangle), and the chain
 reference is the triple-table DP that ``_kernels.chain_mbs`` replaced,
 O(n^4), exact output included.
 """
@@ -314,6 +315,26 @@ def _proper_colorings(graph, indices, boundary):
     return colorings
 
 
+def _triangle_free_subsets(graph, members):
+    """The subsets of the ascending list ``members`` that hold no triangle,
+    in ``itertools.combinations`` order: grown depth-first by ascending
+    members, never by one that closes a triangle, then stably sorted by
+    size.  Every subset of a triangle-free set is triangle-free, so the
+    growth misses none."""
+    found = []
+
+    def grow(subset, start):
+        found.append(subset)
+        for pos in range(start, len(members)):
+            v = members[pos]
+            near = [u for u in subset if graph.adjacent(u, v)]
+            if not any(graph.adjacent(u, w) for u, w in combinations(near, 2)):
+                grow(subset + (v,), pos + 1)
+
+    grow((), 0)
+    return sorted(found, key=len)
+
+
 def reference_slab_dag(instance):
     """``(vertices, step_edges)`` of the slab DAG of a scene that is one
     slab, built on its own graph: vertices are ``(box, indices, coloring)``
@@ -335,11 +356,10 @@ def reference_slab_dag(instance):
         boundary = {i for i in boxes[b]
                     if any(graph.adjacent(i, j) for j in near)}
         by_box[b] = []
-        for size in range(len(boxes[b]) + 1):
-            for subset in combinations(boxes[b], size):
-                for coloring in _proper_colorings(graph, subset, boundary):
-                    by_box[b].append(len(vertices))
-                    vertices.append((b, subset, coloring))
+        for subset in _triangle_free_subsets(graph, boxes[b]):
+            for coloring in _proper_colorings(graph, subset, boundary):
+                by_box[b].append(len(vertices))
+                vertices.append((b, subset, coloring))
     step_edges = {}
     for b in sorted(boxes):
         if b + 1 not in boxes:

@@ -17,9 +17,14 @@ from geombs import (
     solve_arcs,
 )
 from geombs import arcs as arcs_module
-from geombs.arcs import _uncovered_point
 import kernel_reference
 from conftest import graph_edges
+
+
+def _uncovered_point(instance):
+    """The first gap position that no arc covers, or None if the arcs
+    cover the whole circle."""
+    return arcs_module._coverage(*arcs_module._positions(instance))[2]
 
 
 def arcs(*pairs):

@@ -2,8 +2,11 @@
 wrong solver result is still refused under ``python -O``, and every public
 solver returns through exactly one ``certify`` call.  Every scene solver
 validates its scene exactly once, before reading an object.  One graph per
-solve: no solver module builds a scene or a graph object of its own.  The
-PTAS pays one component join per 2-colourable box subset."""
+solve: no solver module builds a scene or a graph object of its own, and
+the interval, arc and unit-height solvers certify on their selection's
+graph alone.  The interval sweeps make no more ``Fraction`` order
+comparisons than there are objects.  The PTAS pays one component join per
+2-colourable box subset."""
 import ast
 import importlib
 import os
@@ -162,25 +165,54 @@ def test_malformed_scene_rejected_before_its_objects_are_read(call):
 SELECTION_GRAPHS = {
     "solve_intervals": ("intervals", 2000, "intervals_intersect"),
     "solve_arcs": ("arcs", 300, "arcs_intersect"),
+    "solve_unit_height": ("unit_height_rects", 2000, "_y_overlap"),
 }
 
 
 @pytest.mark.parametrize("solver", sorted(SELECTION_GRAPHS))
 def test_certificate_graph_reads_only_the_selection(solver, monkeypatch):
-    # the whole scene's graph would test every pair with overlapping
+    # the solver builds one graph, over its selection: the whole scene's
+    # graph would list every object and test every pair with overlapping
     # extents; the selection's graph tests at most its own k(k-1)/2 pairs
     kind, n, predicate = SELECTION_GRAPHS[solver]
     scene = geombs.generate_instance(kind, n, 1)
-    calls = []
+    calls, listed = [], []
     exact = getattr(model, predicate)
+    sweep_items = model._sweep_items
 
     def spy(a, b):
         calls.append(None)
         return exact(a, b)
 
+    def listing(instance, indices):
+        listed.append(sorted(indices))
+        return sweep_items(instance, indices)
+
     monkeypatch.setattr(model, predicate, spy)
-    k = getattr(geombs, solver)(scene).size
+    monkeypatch.setattr(model, "_sweep_items", listing)
+    selected = getattr(geombs, solver)(scene).selected
+    k = len(selected)
+    assert listed == [list(selected)]
     assert 0 < len(calls) <= k * (k - 1) // 2, (len(calls), k)
+
+
+@pytest.mark.parametrize("solver", ["solve_intervals", "solve_unit_height"])
+def test_interval_sweeps_compare_floats(solver, monkeypatch):
+    # work, not wall clock: the sorts and sweeps compare float-first exact
+    # keys, so Fraction order comparisons stay at one per object or fewer
+    kind, n, _ = SELECTION_GRAPHS[solver]
+    scene = geombs.generate_instance(kind, n, 1)
+    options = {"perturb": True} if solver == "solve_intervals" else {}
+    compares = []
+    richcmp = Fraction._richcmp
+
+    def counted(a, b, op):
+        compares.append(None)
+        return richcmp(a, b, op)
+
+    monkeypatch.setattr(Fraction, "_richcmp", counted)
+    assert getattr(geombs, solver)(scene, **options).size
+    assert len(compares) <= n, len(compares)
 
 
 @pytest.mark.parametrize("kind", ["unit_disks", "unit_squares"])

@@ -62,6 +62,14 @@ class TestDegeneracy:
         with pytest.raises(ValidationError):
             solve_intervals(inst)
 
+    def test_endpoints_equal_as_floats_are_distinct(self):
+        # 1/3 and the float nearest it share a float but not a value; the
+        # duplicate check and the sweep read the exact half of each key
+        third, near = F(1, 3), F(1 / 3)
+        assert float(third) == float(near) and near < third
+        sol = solve_intervals(intervals((0, near), (third, 1)))
+        assert sol.selected == (0, 1) and sol.coloring == {0: 0, 1: 0}
+
     def test_perturbation_preserves_graph(self):
         inst = intervals((0, 1), (1, 2), (0, 2))
         sol = solve_intervals(inst, perturb=True)

@@ -32,6 +32,7 @@ from geombs import (
 from geombs.model import (
     _frac,
     _graph_over,
+    _on_arc,
     arcs_intersect,
     disks_intersect,
     intervals_intersect,
@@ -69,6 +70,8 @@ class TestObjects:
         b = ArcObj(F(1, 4), F(1, 2))
         assert b.contains(F(5, 4)) and b.contains(-F(1, 2))
         assert not b.contains(-F(1, 4)) and not b.contains(2)
+        with pytest.raises(ValidationError):
+            b.contains(0.375)  # floats are never coerced
 
     def test_arcs_intersect_is_endpoint_containment(self):
         # the predicate skips the reduction mod 1 but keeps contains' answer
@@ -178,6 +181,37 @@ class TestValidation:
                 else:
                     with pytest.raises(ValidationError, match=message):
                         build()
+
+    def test_arc_orders_are_exact(self, rng):
+        # ArcObj's checks, _on_arc and arcs_intersect compare cross-multiplied
+        # ints; the reference is Fraction comparison, on small grids, values
+        # at the 10^40 scale and near-equal neighbours, in and around [0, 1)
+        big = 10 ** 40
+        values = sorted({F(p, q) for q in (1, 2, 3, 7) for p in range(-2, 9)}
+                        | {F(k * big + e, 4 * big + d) for k in range(5)
+                           for e in (-1, 0, 1) for d in (-1, 0, 1)}
+                        | {F(1, big), F(-1, big), F(big - 1, big)})
+
+        def on_arc(s, e, a):
+            return s <= a <= e if s < e else a >= s or a <= e
+
+        arcs = []
+        for _ in range(3000):
+            s, e = rng.choice(values), rng.choice(values)
+            if not (0 <= s < 1 and 0 <= e < 1 and s != e):
+                with pytest.raises(ValidationError, match="arc"):
+                    ArcObj(s, e)
+                continue
+            arc = ArcObj(s, e)
+            for a in (s, e, rng.choice(values) % 1):
+                assert _on_arc(arc, a) == on_arc(s, e, a), (s, e, a)
+            arcs.append(arc)
+        for _ in range(3000):
+            a, b = rng.choice(arcs), rng.choice(arcs)
+            assert arcs_intersect(a, b) == (
+                on_arc(a.start, a.end, b.start) or on_arc(a.start, a.end, b.end)
+                or on_arc(b.start, b.end, a.start)
+                or on_arc(b.start, b.end, a.end)), (a, b)
 
 
 class TestPredicates:

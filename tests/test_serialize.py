@@ -6,7 +6,12 @@ import pytest
 
 from geombs import (
     KINDS,
+    ArcObj,
+    DiskObj,
     GeometricInstance,
+    IntervalObj,
+    Point,
+    RectObj,
     Solution,
     ValidationError,
     generate_instance,
@@ -16,6 +21,7 @@ from geombs import (
     save_instance,
     save_solution,
 )
+from geombs import serialize
 from geombs.serialize import (
     format_rational,
     instance_from_dict,
@@ -176,3 +182,108 @@ def test_solution_format_must_be_1(fmt):
         solution_from_dict(doc)
     del doc["format"]
     assert solution_from_dict(doc)[0] == Solution((0, 2), {0: 0, 2: 1})
+
+
+def _counted_reader(monkeypatch):
+    """Patch the string reader behind ``instance_from_dict``; returns the
+    list of the strings it is given."""
+    read = []
+    frac = serialize._frac
+
+    def counted(value):
+        if isinstance(value, str):
+            read.append(value)
+        return frac(value)
+
+    monkeypatch.setattr(serialize, "_frac", counted)
+    return read
+
+
+def _texts(doc):
+    """Every rational text of an instance document."""
+    texts = [v for rec in doc["objects"] for v in rec.values()]
+    texts += doc.get("weights", [])
+    if "disk_radius" in doc:
+        texts.append(doc["disk_radius"])
+    return texts
+
+
+def _repeating_doc():
+    inst = generate_instance("unit_disks", 40, 3, spread=3)
+    doc = instance_to_dict(inst, generate_weights(40, 3))
+    texts = _texts(doc)
+    assert len(set(texts)) < len(texts), "the scene should repeat a value"
+    return inst, doc, texts
+
+
+def test_each_distinct_text_is_read_once_per_document(monkeypatch):
+    inst, doc, texts = _repeating_doc()
+    read = _counted_reader(monkeypatch)
+    assert instance_from_dict(doc)[0] == inst
+    assert sorted(read) == sorted(set(texts))
+
+
+def test_same_document_twice_reads_twice(monkeypatch):
+    # nothing read in one call outlives it
+    inst, doc, texts = _repeating_doc()
+    read = _counted_reader(monkeypatch)
+    assert instance_from_dict(doc)[0] == instance_from_dict(doc)[0] == inst
+    assert len(read) == 2 * len(set(texts))
+    assert set(read) == set(texts)
+
+
+def test_repeated_malformed_text_fails_like_one():
+    with pytest.raises(ValidationError) as once:
+        parse_rational("1/x")
+    doc = {"kind": "intervals",
+           "objects": [{"left": "0", "right": "1/x"},
+                       {"left": "1/x", "right": "1/x"}]}
+    with pytest.raises(ValidationError) as repeated:
+        instance_from_dict(doc)
+    assert str(repeated.value) == str(once.value)
+    assert str(once.value).startswith("bad rational '1/x'")
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "intervals", "objects": [{"left": 0, "right": 1},
+                                      {"left": 0, "right": True}]},
+    {"kind": "intervals", "objects": [{"left": "0", "right": "1"},
+                                      {"left": "0", "right": True}]},
+    {"kind": "unit_disks", "objects": [{"x": 1, "y": 1}], "disk_radius": True},
+    {"kind": "unit_disks", "objects": [{"x": "1", "y": 1}, {"x": 0, "y": 0}],
+     "disk_radius": 1, "weights": [1, True]},
+])
+def test_true_never_aliases_one(doc):
+    with pytest.raises(ValidationError):
+        instance_from_dict(doc)
+
+
+def _fraction_parse(doc):
+    """The instance and weights of ``doc``, every string read by
+    ``Fraction(str)`` on its own."""
+    kind = doc["kind"]
+    objects = []
+    for rec in doc["objects"]:
+        v = {name: F(text) for name, text in rec.items()}
+        if kind == "intervals":
+            objects.append(IntervalObj(v["left"], v["right"]))
+        elif kind == "arcs":
+            objects.append(ArcObj(v["start"], v["end"]))
+        elif kind == "unit_disks":
+            objects.append(DiskObj(Point(v["x"], v["y"])))
+        else:
+            objects.append(RectObj(v["x_min"], v["x_max"], v["y_min"], v["y_max"]))
+    radius = F(doc["disk_radius"]) if "disk_radius" in doc else None
+    weights = [F(w) for w in doc["weights"]] if "weights" in doc else None
+    return GeometricInstance(kind, tuple(objects), radius), weights
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_parse_equals_per_value_fraction_parse(kind):
+    for seed in range(20):
+        n = 1 + seed * 3
+        inst = generate_instance(kind, n, seed, spread=1 + seed % 4)
+        doc = instance_to_dict(inst, generate_weights(n, seed) if seed % 2 else None)
+        got, weights = instance_from_dict(doc)
+        want, want_weights = _fraction_parse(doc)
+        assert got == want == inst and weights == want_weights, seed
