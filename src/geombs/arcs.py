@@ -9,8 +9,12 @@ scene, so one extra cut there makes that case exact.
 The cuts run on integer positions: the D distinct endpoint values are
 ranked once, value v sits at position 2·rank(v) on a circle of 2D
 positions, and the odd positions are the gaps between consecutive values.
-Ranking preserves every order and tie, so each cut makes the same
-comparisons as one made on the exact angles.
+Ranking, on exact ``_key``s, preserves every order and tie, so each cut
+makes the same comparisons as one made on the exact angles.  The circle is
+unrolled once to 4D positions, so a cut is a window of one list presorted
+by right endpoint.  Arcs meeting exactly at a cut lose that adjacency when
+unrolled, so a candidate is re-checked on the circular graph, but only when
+it would replace the best so far.
 """
 from bisect import bisect_right
 
@@ -25,6 +29,7 @@ from .model import (
     GeometricInstance,
     Solution,
     _graph_over,
+    _key,
     build_intersection_graph,  # unused here, but perfbench/tracing.py patches arcs.build_intersection_graph
     certify,
     is_bipartite,
@@ -36,13 +41,13 @@ def _positions(instance):
     """``(starts, ends, size)``: each arc's endpoint positions on a circle of
     ``size`` = 2D positions, D being the number of distinct endpoint values."""
     n = instance.n
-    angles = ([a.start for a in instance.objects]
-              + [a.end for a in instance.objects])
+    keys = ([_key(a.start) for a in instance.objects]
+            + [_key(a.end) for a in instance.objects])
     positions = [0] * (2 * n)
     size, last = 0, None
-    for j in sorted(range(2 * n), key=angles.__getitem__):
-        if angles[j] != last:
-            last = angles[j]
+    for j in sorted(range(2 * n), key=keys.__getitem__):
+        if keys[j] != last:
+            last = keys[j]
             size += 2
         positions[j] = size - 2
     return positions[:n], positions[n:], size
@@ -94,8 +99,9 @@ def _adjacency(starts, ends, covering, began):
 
 def solve_arcs(instance: GeometricInstance) -> Solution:
     """Bipartite subset of size at least OPT - 1, in O(n^2): O(n) cuts, each
-    an O(n) sweep and an O(n + m) check on n-bit masks; plus a certificate
-    on the graph of the selection alone."""
+    an O(n) sweep, and an O(n + m) check on n-bit masks of each candidate
+    that would replace the best so far; plus a certificate on the graph of
+    the selection alone."""
     if instance.kind != ARCS:
         raise ValidationError(f"expected an arcs scene, got {instance.kind}")
     validate_instance(instance, require_nonempty=True)
@@ -103,34 +109,38 @@ def solve_arcs(instance: GeometricInstance) -> Solution:
     starts, ends, size = _positions(instance)
     covering, began, gap = _coverage(starts, ends, size)
     masks = _adjacency(starts, ends, covering, began)
-    # every arc by (end position, index); a cut at c rotates it to the
-    # sweep's order by right endpoint: ends after c, then ends up to c
-    by_end = sorted(range(len(ends)), key=ends.__getitem__)
-    end_keys = [ends[i] for i in by_end]
+    # The circle unrolled once to 2·size positions: arc i runs from s to
+    # e' (e + size if it wraps) and its copy n + i from s + size to
+    # e' + size.  Cut at c, the circle is the window (c, c + size]: the
+    # copies ending there, each arc at most once, in the sweep's order of
+    # right endpoint then arc index.  Those starting before c hold the cut
+    # strictly inside and are dropped, as the sweep's markers start at c - 1.
+    n = len(starts)
+    lefts = starts + [s + size for s in starts]
+    rights = [e if s < e else e + size for s, e in zip(starts, ends)]
+    rights += [e + size for e in rights]
+    by_end = sorted(range(2 * n), key=lambda k: (rights[k], k % n))
+    end_keys = [rights[k] for k in by_end]
+    bits = [1 << i for i in range(n)] * 2
     cuts = list(range(0, size, 2))
     if gap is not None:
         cuts.append(gap)
 
     best, best_size = 0, 0
     for cut in cuts:
-        # unrolled at the cut, an arc runs from lo to hi, hi = 0 read as
-        # size; it survives iff lo < hi, so only arcs with the cut strictly
-        # inside are dropped
-        lo = [(s - cut) % size for s in starts]
-        hi = [(e - cut) % size or size for e in ends]
-        k = bisect_right(end_keys, cut)
-        order = [i for i in by_end[k:] + by_end[:k] if lo[i] < hi[i]]
-        candidate = sum(1 << i for i in _sweep(lo, hi, order))
-        # Arcs meeting exactly at the cut point lose that adjacency when
-        # unrolled, so re-check feasibility against the circular graph.
-        if _kernels.two_color(masks, candidate)[1] is not None:
-            continue
+        window = by_end[bisect_right(end_keys, cut):
+                        bisect_right(end_keys, cut + size)]
+        candidate = sum(map(bits.__getitem__,
+                            _sweep(lefts, rights, window, cut - 1)))
         # the largest candidate, then the lexicographically smallest
         # sorted index tuple: the lowest differing index is the candidate's
         count = candidate.bit_count()
         diff = candidate ^ best
         if count > best_size or (count == best_size and candidate & diff & -diff):
-            best, best_size = candidate, count
+            # Arcs meeting exactly at the cut point lose that adjacency
+            # when unrolled, so re-check feasibility on the circular graph.
+            if _kernels.two_color(masks, candidate)[1] is None:
+                best, best_size = candidate, count
 
     best = _kernels.mask_to_indices(best)
     graph = _graph_over(instance, best)

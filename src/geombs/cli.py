@@ -8,6 +8,7 @@ import argparse
 import sys
 
 from .bench import ALGORITHMS, default_suite, run_bench
+from .diskline import _line_sides
 from .errors import CertificateError, GeombsError, ValidationError
 from .generate import DISK_MODES, generate_instance, generate_weights
 from .model import (
@@ -16,6 +17,7 @@ from .model import (
     UNIT_DISKS,
     build_intersection_graph,
     certify,
+    validate_instance,
 )
 from .oracle import exact_mbs, exact_mis, exact_mtfs
 from .ptas import solve_ptas, solve_ptas_weighted
@@ -34,13 +36,11 @@ _EXIT_BY_CATEGORY = {"certificate": 1, "validation": 3, "capacity": 4}
 def _pick_algorithm(instance):
     """Strongest applicable algorithm for the scene (line-stabbed at y=0)."""
     if instance.kind == UNIT_DISKS:
-        r = instance.disk_radius
-        ys = [d.center.y for d in instance.objects]
-        if all(0 <= y <= r for y in ys):
-            return "one_sided"
-        if all(-r <= y <= r for y in ys):
-            return "two_sided"
-        return "3approx"
+        validate_instance(instance)
+        sides = _line_sides(instance, 0)
+        if None in sides:
+            return "3approx"
+        return "one_sided" if all(sides) else "two_sided"
     if instance.kind == RECTS:
         return "oracle"  # general rectangles have no guarantee algorithm
     return default_suite(instance.kind)[0]

@@ -10,6 +10,10 @@ bipartite set and the best one is within factor 3 of the optimum.
 ``solve_logn`` recursively splits at the median center x-coordinate; the
 middle band is stabbed by the median vertical line and handled by the
 two-sided 2-approximation, giving a max(1, 2 log2 n) factor overall.
+
+Both read the centers as cross-multiplied ints (the line index
+floor((y - base) / r), the band's |x - x_med| <= r) and sort exact
+``_key``s; only the public ``assign_slabs`` computes the lines themselves.
 """
 from dataclasses import dataclass
 
@@ -24,6 +28,7 @@ from .diskline import (
 from .model import (
     GeometricInstance,
     Solution,
+    _key,
     build_intersection_graph,
     certify,
     is_bipartite,
@@ -39,35 +44,50 @@ class SlabAssignment:
     group: tuple
 
     def groups(self):
-        out = {}
-        for i, t in enumerate(self.group):
-            out.setdefault(t, []).append(i)
-        return out
+        return _groups(self.group)
+
+
+def _groups(group):
+    """Line index -> the ascending indices of the disks assigned to it."""
+    out = {}
+    for i, t in enumerate(group):
+        out.setdefault(t, []).append(i)
+    return out
 
 
 def assign_slabs(instance: GeometricInstance) -> SlabAssignment:
     _require_disks(instance)
     validate_instance(instance)
-    return _assign_slabs(instance)
+    base, group = _assign_slabs(instance)
+    r = instance.disk_radius
+    return SlabAssignment(tuple(base + t * r for t in range(max(group) + 1)),
+                          group)
 
 
 def _assign_slabs(instance):
-    """``assign_slabs`` of a scene already validated."""
+    """``(base, group)`` of a valid scene: the lowest center y and, per
+    disk, the line index floor((y - base) / r), on cross-multiplied ints."""
     r = instance.disk_radius
-    base = min(d.center.y for d in instance.objects)
-    group = tuple(int((d.center.y - base) // r) for d in instance.objects)
-    return SlabAssignment(tuple(base + t * r for t in range(max(group) + 1)),
-                          group)
+    rn, rd = r.numerator, r.denominator
+    base = min((d.center.y for d in instance.objects), key=_key)
+    bn, bd = base.numerator, base.denominator
+    group = []
+    for d in instance.objects:
+        y = d.center.y
+        yd = y.denominator
+        # (y - base) / r = (y - base) * yd * bd * rd / (yd * bd * rn)
+        group.append((y.numerator * bd - bn * yd) * rd // (yd * bd * rn))
+    return base, tuple(group)
 
 
 def solve_3approx(instance: GeometricInstance) -> Solution:
     """Bipartite subset of size at least OPT / 3."""
     _require_disks(instance)
     graph = build_intersection_graph(instance)
-    assignment = _assign_slabs(instance)
+    _, group = _assign_slabs(instance)
     per_group = {
         t: _chain(graph, _x_order(instance, indices))
-        for t, indices in assignment.groups().items()
+        for t, indices in _groups(group).items()
     }
 
     # groups of one residue are pairwise non-adjacent, so each union is
@@ -89,31 +109,36 @@ def solve_3approx(instance: GeometricInstance) -> Solution:
 def solve_logn(instance: GeometricInstance) -> Solution:
     """Divide-and-conquer bipartite subset, factor max(1, 2 log2 n)."""
     _require_disks(instance)
-    r = instance.disk_radius
     graph = build_intersection_graph(instance)
+    objs = instance.objects
+    r = instance.disk_radius
+    rn, rd = r.numerator, r.denominator
+    x_keys = [(_key(d.center.x), i) for i, d in enumerate(objs)]
 
     def rec(indices):
         if len(indices) <= 2:
             return list(indices), {v: c for c, v in enumerate(indices)}
-        order = _x_order(instance, indices)
-        med = order[(len(order) - 1) // 2]
-        x_med = instance.objects[med].center.x
-        left, mid, right = [], [], []
+        order = sorted(indices, key=x_keys.__getitem__)
+        x_med = objs[order[(len(order) - 1) // 2]].center.x
+        mn, md = x_med.numerator, x_med.denominator
+        left, mid, right, east = [], [], [], set()
         for i in order:
-            dx = instance.objects[i].center.x - x_med
-            if dx < -r:
-                left.append(i)
-            elif dx > r:
-                right.append(i)
+            x = objs[i].center.x
+            xd = x.denominator
+            dx = x.numerator * md - mn * xd  # (x - x_med) * xd * md
+            if abs(dx) * rd > rn * xd * md:  # |x - x_med| > r
+                (left if dx < 0 else right).append(i)
             else:
                 mid.append(i)
+                if dx >= 0:
+                    east.add(i)
         # the median vertical line stabs the band: its sides are the disks
         # right and left of it, each in y order (ties keep mid's order)
-        by_y = sorted(mid, key=lambda i: instance.objects[i].center.y)
+        by_y = sorted(mid, key=lambda i: _key(objs[i].center.y))
         b_med = _two_sided(
             graph,
-            [i for i in by_y if instance.objects[i].center.x >= x_med],
-            [i for i in by_y if instance.objects[i].center.x < x_med],
+            [i for i in by_y if i in east],
+            [i for i in by_y if i not in east],
         )
         sel_l, col_l = rec(left)
         sel_r, col_r = rec(right)

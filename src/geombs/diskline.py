@@ -9,6 +9,10 @@ in x-order.  With centers on both sides, a maximum independent set per side
 (longest disjointness chain in x-order, valid because disjointness is
 transitive along the x-order on one side, O(n^2) adjacency tests) gives a
 2-approximation whose side labels are the 2-coloring.
+
+Which side of the line a center lies on, and whether its disk meets the
+line, is read off cross-multiplied ints (``_line_sides``, which the command
+line's algorithm choice also asks); the x-order sorts exact ``_key``s.
 """
 from . import _kernels
 from .errors import ValidationError
@@ -17,6 +21,7 @@ from .model import (
     GeometricInstance,
     Solution,
     _frac,
+    _key,
     build_intersection_graph,
     certify,
     is_bipartite,
@@ -33,24 +38,42 @@ def _require_disks(instance):
         raise ValidationError("instance has no objects")
 
 
-def _stabbed(instance, line_y, one_sided):
-    """``(graph, exact line_y)`` of a disk scene whose disks all meet the
-    line y = ``line_y``, with centers on or above it if ``one_sided``."""
-    _require_disks(instance)
-    line_y = _frac(line_y)
-    graph = build_intersection_graph(instance)
+def _line_sides(instance, line_y):
+    """Per disk of a valid unit-disk scene, whether its center lies on or
+    above the line y = ``line_y``, or None if the disk misses the line:
+    |y - line_y| <= r and y >= line_y, on cross-multiplied ints."""
+    line = _frac(line_y)
+    ln, ld = line.numerator, line.denominator
     r = instance.disk_radius
-    for i, d in enumerate(instance.objects):
-        dy = d.center.y - line_y
-        if not (-r <= dy <= r):
+    rn, rd = r.numerator, r.denominator
+    sides = []
+    for d in instance.objects:
+        y = d.center.y
+        yd = y.denominator
+        offset = y.numerator * ld - ln * yd  # (y - line_y) * yd * ld
+        sides.append(None if abs(offset) * rd > rn * yd * ld else offset >= 0)
+    return sides
+
+
+def _stabbed(instance, line_y, one_sided):
+    """``(graph, sides)`` of a disk scene whose disks all meet the line
+    y = ``line_y``, with centers on or above it if ``one_sided``; ``sides``
+    is the scene's ``_line_sides``."""
+    _require_disks(instance)
+    graph = build_intersection_graph(instance)
+    sides = _line_sides(instance, line_y)
+    for i, above in enumerate(sides):
+        if above is None:
             raise ValidationError(f"disk {i} does not intersect the line")
-        if one_sided and dy < 0:
+        if one_sided and not above:
             raise ValidationError(f"disk {i} has its center below the line")
-    return graph, line_y
+    return graph, sides
 
 
 def _x_order(instance, indices):
-    return sorted(indices, key=lambda i: (instance.objects[i].center.x, i))
+    """``indices`` by (center x, index), on exact ``_key``s."""
+    objs = instance.objects
+    return sorted(indices, key=lambda i: (_key(objs[i].center.x), i))
 
 
 def _chain(graph, order):
@@ -97,23 +120,23 @@ def _two_sided(graph, above, below):
 
 def solve_one_sided(instance: GeometricInstance, line_y=0) -> Solution:
     """Exact maximum bipartite subset; centers on or above the line."""
-    graph, line_y = _stabbed(instance, line_y, one_sided=True)
+    graph, _ = _stabbed(instance, line_y, one_sided=True)
     selected = _chain(graph, _x_order(instance, range(instance.n)))
     return certify(graph, Solution(tuple(selected), is_bipartite(graph, selected)))
 
 
 def one_sided_mis(instance: GeometricInstance, line_y=0) -> tuple:
     """Exact maximum independent set via the longest disjointness chain."""
-    graph, line_y = _stabbed(instance, line_y, one_sided=True)
+    graph, _ = _stabbed(instance, line_y, one_sided=True)
     selected = _mis_chain(graph, _x_order(instance, range(instance.n)))
     return certify(graph, Solution(tuple(selected)), "independent").selected
 
 
 def solve_two_sided(instance: GeometricInstance, line_y=0) -> Solution:
     """2-approximation: a maximum independent set per side, unioned."""
-    graph, line_y = _stabbed(instance, line_y, one_sided=False)
-    above = [i for i, d in enumerate(instance.objects) if d.center.y >= line_y]
-    below = [i for i, d in enumerate(instance.objects) if d.center.y < line_y]
+    graph, sides = _stabbed(instance, line_y, one_sided=False)
+    above = [i for i, up in enumerate(sides) if up]
+    below = [i for i, up in enumerate(sides) if not up]
     selected, coloring = _two_sided(
         graph, _x_order(instance, above), _x_order(instance, below)
     )

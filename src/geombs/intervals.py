@@ -32,16 +32,18 @@ from .model import (
 )
 
 
-def _sweep(lefts, rights, order):
+def _sweep(lefts, rights, order, floor=None):
     """Indices the sweep selects, visiting ``order`` by increasing right
     endpoint; ``lefts``/``rights`` map each index to its exact endpoint keys.
+    Both markers start at ``floor``, so no interval starting at or before a
+    given ``floor`` is taken.
 
     This is the one place that decides endpoint ties, by closed semantics:
     an interval is disjoint from the frontier only if it starts strictly
     beyond ``y``, and may stack only if it starts strictly beyond ``x``.
     """
     selected = []
-    x = y = None
+    x = y = floor
     for i in order:
         left = lefts[i]
         if y is None or left > y:

@@ -5,13 +5,15 @@ All coordinates are exact rationals (``fractions.Fraction``); predicates
 compare squared distances, so there is no tolerance parameter anywhere.
 Intersection is closed: tangent objects are adjacent.
 
-The hot loops avoid ``Fraction`` arithmetic without giving up exactness.
-``_frac`` reads plain ``p/q`` and integer text with ``int`` and leaves
-every other string to ``Fraction(str)``; constructors coerce only fields
-that are not a ``Fraction`` yet.  The graph builder and the interval sweeps
-sort and compare ``(float(v), v)`` keys, whose correctly rounded float
-decides a comparison unless the floats tie, and then the exact value does.
-Object orders, disks and arcs are compared on cross-multiplied ints.
+After parsing, no ``Fraction`` arithmetic runs on the objects, and
+exactness is kept.  ``_frac`` reads plain ``p/q`` and integer text with
+``int`` and leaves every other string to ``Fraction(str)``; constructors
+coerce only fields that are not a ``Fraction`` yet.  Sorts and sweeps
+compare ``_key``s ``(float(v), v)``, whose correctly rounded float decides
+a comparison unless the floats tie, and then the exact value does; the
+graph builder sweeps disks on the floats alone and leaves float ties to the
+exact pair test.  Object orders, disks and arcs are compared on
+cross-multiplied ints.
 """
 from __future__ import annotations
 
@@ -295,15 +297,20 @@ class IntersectionGraph:
         return out
 
 
-def _key(v: Fraction):
-    """Exact sort key of a rational: ``(float(v), v)``.  The float is the
-    correctly rounded int quotient, so it is monotone in v and decides most
-    comparisons; equal floats fall back to the exact values.  Values beyond
-    float range map to an infinity of their sign."""
+def _ratio(num: int, den: int) -> float:
+    """The correctly rounded float of num/den for den > 0, or an infinity
+    of its sign beyond float range: monotone in the exact quotient, so a
+    strict float order is the exact order."""
     try:
-        return v.numerator / v.denominator, v
+        return num / den
     except OverflowError:
-        return (inf if v > 0 else -inf), v
+        return inf if num > 0 else -inf
+
+
+def _key(v: Fraction):
+    """Exact sort key of a rational: ``(_ratio of v, v)``.  The float
+    decides most comparisons; equal floats fall back to the exact values."""
+    return _ratio(v.numerator, v.denominator), v
 
 
 def _y_overlap(a, b) -> bool:
@@ -311,10 +318,16 @@ def _y_overlap(a, b) -> bool:
 
 
 def _sweep_items(instance: GeometricInstance, indices):
-    """The kind's pair test and, per listed object, its closed x-extent as
-    ``_key``s, its index and what the pair test reads of it.  Objects whose
-    extents are disjoint never intersect.  Arcs span the whole turn, so
-    every pair of arcs is tested."""
+    """The kind's pair test and, per listed object, the bounds of its
+    closed x-extent, its index and what the pair test reads of it.  An
+    object whose left bound is above another's right bound never meets it.
+    Arcs span the whole turn, so every pair of arcs is tested.
+
+    Intervals and rectangles give exact ``_key`` bounds, which the
+    rectangles' pair test relies on.  A disk gives the ``_ratio`` floats of
+    its center x and of x + 2r, the largest center x of a disk it can meet,
+    from its ``_disk_ints``: as floats are monotone, a strict float gap is
+    an exact one, and a float tie costs only an exact pair test."""
     objs = instance.objects
     if instance.kind == INTERVALS:
         return intervals_intersect, [
@@ -324,10 +337,13 @@ def _sweep_items(instance: GeometricInstance, indices):
         return arcs_intersect, [(0, 1, i, objs[i]) for i in indices]
     if instance.kind == UNIT_DISKS:
         r = instance.disk_radius
+        reach, rd = 2 * r.numerator, r.denominator
         items = []
         for i in indices:
-            x = objs[i].center.x
-            items.append((_key(x - r), _key(x + r), i, _disk_ints(objs[i])))
+            center = _disk_ints(objs[i])
+            x, _, d = center
+            items.append((_ratio(x, d), _ratio(x * rd + reach * d, d * rd), i,
+                          center))
         return partial(_disks_meet, _diameter_sq(r)), items
     # the sweep already implies the x-overlap of rectangles
     items = []

@@ -8,7 +8,7 @@ integer text is read with ``int``; any other string goes to
 document, and keeps nothing across documents; ``parse_rational`` is the
 public reader of one rational, which the command line uses.  Only exact
 rationals are read or written: a float or a bool is a ``ValidationError``,
-never coerced.  Solution files carry the 2-coloring certificate, which
+never coerced, and so is a key the format does not define.  Solution files carry the 2-coloring certificate, which
 keeps verification linear in the graph size and independent of whichever
 solver produced them.
 """
@@ -61,6 +61,13 @@ def _object_record(kind, obj) -> dict:
             for nm in _RECORDS.get(kind, _RECT_RECORD)[1]}
 
 
+def _unknown_keys(doc, known, what):
+    """Reject the keys of ``doc`` outside ``known``, naming them."""
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValidationError(f"{what} has unknown keys {unknown}")
+
+
 def _object_from_record(kind, rec, rational):
     if not isinstance(rec, dict):
         raise ValidationError(f"object record must be a mapping, got {rec!r}")
@@ -70,6 +77,8 @@ def _object_from_record(kind, rec, rational):
     except KeyError:
         missing = [nm for nm in names if nm not in rec]
         raise ValidationError(f"object record missing fields {missing}") from None
+    if len(rec) != len(names):  # every field is present: the rest is unknown
+        _unknown_keys(rec, names, "object record")
     return make(*[rational(v) for v in values])
 
 
@@ -97,11 +106,18 @@ def _check_format(doc):
         )
 
 
+_INSTANCE_KEYS = ("format", "kind", "objects", "disk_radius", "weights")
+_SOLUTION_KEYS = ("format", "mode", "selected", "coloring")
+
+
 def instance_from_dict(doc: dict):
-    """Parse a document; returns (instance, weights-or-None)."""
+    """Parse a document; returns (instance, weights-or-None).  A key the
+    format does not define, at the top level or in an object record, is a
+    ``ValidationError``."""
     if not isinstance(doc, dict):
         raise ValidationError("instance document must be a mapping")
     _check_format(doc)
+    _unknown_keys(doc, _INSTANCE_KEYS, "instance document")
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}")
@@ -146,10 +162,12 @@ def solution_to_dict(solution: Solution, mode: str = "bipartite") -> dict:
 
 
 def solution_from_dict(doc: dict):
-    """Parse a document; returns (solution, mode)."""
+    """Parse a document; returns (solution, mode).  A key the format does
+    not define is a ``ValidationError``."""
     if not isinstance(doc, dict):
         raise ValidationError("solution document must be a mapping")
     _check_format(doc)
+    _unknown_keys(doc, _SOLUTION_KEYS, "solution document")
     mode = doc.get("mode", "bipartite")
     if mode not in ("bipartite", "triangle_free", "independent"):
         raise ValidationError(f"unknown solution mode {mode!r}")

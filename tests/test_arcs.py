@@ -64,7 +64,8 @@ class TestGolden:
         # sees no edge, pass the triangle through the per-cut re-check; the
         # certificate, on exact predicates over the selection, refuses it
         monkeypatch.setattr(arcs_module, "_sweep",
-                            lambda lefts, rights, order: list(order))
+                            lambda lefts, rights, order, floor:
+                            [k for k in order if lefts[k] > floor])
         monkeypatch.setattr(arcs_module, "_adjacency",
                             lambda starts, ends, *coverage: [0] * len(starts))
         inst = arcs((0, F(1, 2)), (F(1, 8), F(5, 8)), (F(1, 4), F(3, 4)))

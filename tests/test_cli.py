@@ -132,6 +132,30 @@ def test_auto_dispatch_picks_line_algorithms(tmp_path, capsys):
     assert "algo=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("ys, algo", [
+    (["0", "3/7", "1/7"], "one_sided"),
+    (["0", "3/7", "-3/7"], "two_sided"),
+    (["0", "3/7", "-3/7", "-3000000000000000000000001/7000000000000000000000000"],
+     "3approx"),
+])
+def test_auto_dispatch_at_the_line_boundaries(tmp_path, capsys, ys, algo):
+    # the line y = 0 stabs disks of r = 3/7 with centers at |y| <= r exactly
+    path = tmp_path / "disks.json"
+    path.write_text(json.dumps({
+        "kind": "unit_disks", "disk_radius": "3/7",
+        "objects": [{"x": str(3 * i), "y": y} for i, y in enumerate(ys)]}))
+    assert cli("solve", path) == 0
+    assert f"algo={algo} " in capsys.readouterr().out
+
+
+def test_auto_dispatch_without_radius_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "disks.json"
+    path.write_text('{"kind": "unit_disks", "objects": [{"x": "0", "y": "0"}]}')
+    assert cli("solve", path) == 3
+    assert "error:validation: unit_disks scene needs disk_radius > 0" in \
+        capsys.readouterr().err
+
+
 def test_solve_ptas_with_weights(tmp_path, capsys):
     path = tmp_path / "w.json"
     assert cli("generate", "--kind", "unit_disks", "--n", 6, "--seed", 8,

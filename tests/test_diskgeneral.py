@@ -19,6 +19,7 @@ from geombs import (
     solve_logn,
     solve_one_sided,
 )
+from geombs import diskgeneral
 from geombs.diskline import one_sided_mis
 from conftest import graph_edges
 
@@ -111,6 +112,24 @@ class TestLogN:
         # (x, index) order, 2 before 1, so the right side keeps disk 2
         inst = disks([(0, 0), (F(1, 2), 5), (F(1, 4), 5)])
         assert solve_logn(inst).selected == (0, 2)
+
+    def test_band_holds_disks_at_dx_plus_minus_r(self, monkeypatch):
+        # the top-level band around the median x = 0 holds the disks at
+        # dx = -r, 0 and r, and none at r + TINY or beyond; its sides split
+        # at the median line, a center on it going right (east)
+        r, tiny = F(3, 7), F(1, 10**30)
+        inst = disks([(-r - tiny, 0), (-r, 1), (0, 2), (r, 3), (r + tiny, 4)],
+                     r=r)
+        bands = []
+        two_sided = diskgeneral._two_sided
+
+        def spy(graph, east, west):
+            bands.append((list(east), list(west)))
+            return two_sided(graph, east, west)
+
+        monkeypatch.setattr(diskgeneral, "_two_sided", spy)
+        solve_logn(inst)
+        assert bands[0] == ([2, 3], [1])
 
     def test_ratio_and_feasibility(self):
         for seed in range(200):

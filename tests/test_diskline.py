@@ -232,6 +232,43 @@ class TestTwoSided:
                         assert sol.coloring[u] != sol.coloring[v]
 
 
+class TestStabbingBoundary:
+    # the line y = 2/3 and r = 3/7 make every test cross-multiply; TINY
+    # moves a center by less than a float can show
+    LINE, R, TINY = F(2, 3), F(3, 7), F(1, 10**30)
+
+    def scene(self, *ys):
+        return disks([(3 * i, y) for i, y in enumerate(ys)], r=self.R)
+
+    def test_one_sided_accepts_the_line_and_line_plus_r(self):
+        inst = self.scene(self.LINE, self.LINE + self.R, self.LINE + self.R / 2)
+        assert solve_one_sided(inst, line_y=self.LINE).selected == (0, 1, 2)
+        assert one_sided_mis(inst, line_y=self.LINE) == (0, 1, 2)
+
+    @pytest.mark.parametrize("solver", [solve_one_sided, one_sided_mis,
+                                        solve_two_sided])
+    def test_beyond_line_plus_r_misses(self, solver):
+        inst = self.scene(self.LINE, self.LINE + self.R + self.TINY)
+        with pytest.raises(ValidationError, match="disk 1 does not intersect"):
+            solver(inst, line_y=self.LINE)
+
+    @pytest.mark.parametrize("solver", [solve_one_sided, one_sided_mis])
+    def test_one_sided_rejects_just_below_the_line(self, solver):
+        inst = self.scene(self.LINE + self.R, self.LINE - self.TINY)
+        with pytest.raises(ValidationError, match="disk 1 has its center below"):
+            solver(inst, line_y=self.LINE)
+
+    def test_two_sided_sides_at_the_line_and_line_minus_r(self):
+        # a center on the line is above it (colour 0), one at line - r below
+        inst = self.scene(self.LINE - self.R, self.LINE, self.LINE - self.TINY,
+                          self.LINE + self.R)
+        sol = solve_two_sided(inst, line_y=self.LINE)
+        assert sol.coloring == {0: 1, 1: 0, 2: 1, 3: 0}
+        with pytest.raises(ValidationError, match="disk 1 does not intersect"):
+            solve_two_sided(self.scene(self.LINE, self.LINE - self.R - self.TINY),
+                            line_y=self.LINE)
+
+
 def test_one_sided_scales_to_250_disks():
     # the chain DP stores only the states inside the forward window; the
     # triple-table DP it replaced takes about 2 minutes on this scene on a

@@ -4,8 +4,10 @@ solver returns through exactly one ``certify`` call.  Every scene solver
 validates its scene exactly once, before reading an object.  One graph per
 solve: no solver module builds a scene or a graph object of its own, and
 the interval, arc and unit-height solvers certify on their selection's
-graph alone.  The interval sweeps make no more ``Fraction`` order
-comparisons than there are objects.  The PTAS pays one component join per
+graph alone.  The interval sweeps, the disk solvers, the disk graph build
+and the arc solver make no more ``Fraction`` order comparisons than there
+are objects, and the last four no ``Fraction`` arithmetic; the arc solver
+re-checks only cuts that improve on its best.  The PTAS pays one component join per
 2-colourable box subset."""
 import ast
 import importlib
@@ -213,6 +215,70 @@ def test_interval_sweeps_compare_floats(solver, monkeypatch):
     monkeypatch.setattr(Fraction, "_richcmp", counted)
     assert getattr(geombs, solver)(scene, **options).size
     assert len(compares) <= n, len(compares)
+
+
+# call -> (scene kind, generator options) of its seeded scenes
+DISK_AND_ARC_CALLS = {
+    "solve_one_sided": ("unit_disks", {"disk_mode": "one_sided"}),
+    "solve_two_sided": ("unit_disks", {"disk_mode": "two_sided"}),
+    "solve_3approx": ("unit_disks", {}),
+    "solve_logn": ("unit_disks", {}),
+    "solve_arcs": ("arcs", {}),
+    "build_intersection_graph": ("unit_disks", {}),
+}
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                       "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                       "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__")
+
+
+@pytest.mark.parametrize("call", sorted(DISK_AND_ARC_CALLS))
+def test_disk_and_arc_solvers_do_no_fraction_arithmetic(call, monkeypatch):
+    # work, not wall clock: after parsing, coordinates are read as
+    # cross-multiplied ints and float-first keys, so no Fraction arithmetic
+    # runs and Fraction order comparisons stay at one per object or fewer
+    kind, options = DISK_AND_ARC_CALLS[call]
+    n = 120
+    scenes = [geombs.generate_instance(kind, n, seed, **options)
+              for seed in (1, 2, 3)]
+    calls = {}
+
+    def counting(name):
+        method = getattr(Fraction, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return method(*args)
+        return counted
+
+    for name in FRACTION_ARITHMETIC + ("_richcmp",):
+        monkeypatch.setattr(Fraction, name, counting(name))
+    for seed, scene in enumerate(scenes):
+        calls.clear()
+        getattr(geombs, call)(scene)
+        compares = calls.pop("_richcmp", 0)
+        assert not calls, (seed, calls)
+        assert compares <= n, (seed, compares)
+
+
+def test_arcs_recheck_only_improving_cuts(monkeypatch):
+    # a cut's candidate is re-checked on the circular graph only when it
+    # would replace the best so far; each cut used to pay one check
+    two_color = geombs._kernels.two_color
+    calls = []
+
+    def counted(masks, mask):
+        calls.append(None)
+        return two_color(masks, mask)
+
+    monkeypatch.setattr(geombs._kernels, "two_color", counted)
+    for seed in (1, 2, 3):
+        scene = geombs.generate_instance("arcs", 120, seed)
+        starts, ends, size = geombs.arcs._positions(scene)
+        gap = geombs.arcs._coverage(starts, ends, size)[2]
+        cuts = size // 2 + (gap is not None)
+        calls.clear()
+        geombs.solve_arcs(scene)
+        assert len(calls) < cuts, (seed, len(calls), cuts)
 
 
 @pytest.mark.parametrize("kind", ["unit_disks", "unit_squares"])

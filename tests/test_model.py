@@ -340,6 +340,51 @@ def _extreme_scene(kind, rng):
     return GeometricInstance(kind, tuple(objs), radius)
 
 
+# disk scenes of radius 3/7 whose exact tests the x-extent sweep must not
+# skip: the sweep keys are floats, and the pair test cross-multiplies ints
+R37 = F(3, 7)
+PRIMES = (3, 5, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)  # and 7 in r
+
+
+def _radius_3_7_scene(rng):
+    return disks([(F(rng.randrange(-24, 25), 7), F(rng.randrange(-24, 25), 7))
+                  for _ in range(rng.randrange(1, 12))], r=R37)
+
+
+def _coprime_scene(rng):
+    # every coordinate has its own prime denominator, coprime to r's 7
+    dens = rng.sample(PRIMES, 2 * rng.randrange(1, len(PRIMES) // 2 + 1))
+    coords = [F(rng.randrange(-2 * q, 2 * q + 1), q) for q in dens]
+    return disks(list(zip(coords[::2], coords[1::2])), r=R37)
+
+
+def _tangent_scene(rng):
+    # pairs exactly 2r apart, and pairs 2r +- TINY apart, whose sweep keys
+    # tie as floats either way; horizontal and vertical
+    centers = []
+    for _ in range(rng.randrange(1, 5)):
+        x = F(rng.randrange(-60, 61), rng.choice(PRIMES))
+        y = F(rng.randrange(-9, 10), 11)
+        gap = 2 * R37 + rng.choice((0, TINY, -TINY))
+        centers += [(x, y), (x + gap, y) if rng.randrange(2) else (x, y + gap)]
+    return disks(centers, r=R37)
+
+
+def _huge_scene(rng):
+    def coord():
+        return rng.choice((HUGE, -HUGE, 0)) + F(rng.randrange(-9, 10), 7)
+    return disks([(coord(), coord()) for _ in range(rng.randrange(1, 9))],
+                 r=R37)
+
+
+DISK_EDGE_SCENES = {
+    "radius 3/7": _radius_3_7_scene,
+    "pairwise-coprime denominators": _coprime_scene,
+    "tangent pairs tying as floats": _tangent_scene,
+    "coordinates beyond float range": _huge_scene,
+}
+
+
 class TestBuilder:
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_corner_cases_match_all_pairs(self, case):
@@ -395,6 +440,22 @@ class TestBuilder:
                         dy = a.center.y - b.center.y
                         near = dx * dx + dy * dy <= 4 * r * r
                         assert (full[i] >> j & 1) == (near and i != j), trial
+
+    @pytest.mark.parametrize("family", sorted(DISK_EDGE_SCENES))
+    def test_disk_edge_cases_match_all_pairs(self, family, rng):
+        ties = 0
+        for trial in range(300):
+            inst = DISK_EDGE_SCENES[family](rng)
+            assert (build_intersection_graph(inst).masks
+                    == _all_pairs_masks(inst)), trial
+            self._check_graph_over(inst, rng)
+            if family == "tangent pairs tying as floats":
+                xs = [d.center.x for d in inst.objects]
+                ties += sum(float(b) == float(a + 2 * R37) and b > a + 2 * R37
+                            for a in xs for b in xs)
+        if family == "tangent pairs tying as floats":
+            # disjoint pairs whose sweep keys tie as floats did occur
+            assert ties > 0
 
     def test_induced_masks_relabel_by_position(self, rng):
         from conftest import random_graph

@@ -121,6 +121,40 @@ def test_instance_document_validation():
         })
 
 
+@pytest.mark.parametrize("doc, unknown", [
+    # a misspelt "weights" would otherwise load as an unweighted scene
+    ({"kind": "intervals", "objects": [{"left": "0", "right": "1"}],
+      "weight": ["2"]}, "instance document has unknown keys ['weight']"),
+    # a third coordinate would otherwise load as a plain disk
+    ({"kind": "unit_disks", "disk_radius": "1",
+      "objects": [{"x": "0", "y": "0", "z": "5"}]},
+     "object record has unknown keys ['z']"),
+    ({"kind": "rects", "objects": [
+        {"x_min": "0", "x_max": "1", "y_min": "0", "y_max": "1"},
+        {"x_min": "0", "x_max": "1", "y_min": "0", "y_max": "1",
+         "x_mid": "1/2", "label": "b"}]},
+     "object record has unknown keys ['x_mid', 'label']"),
+])
+def test_instance_unknown_keys_rejected(doc, unknown):
+    with pytest.raises(ValidationError) as info:
+        instance_from_dict(doc)
+    assert str(info.value) == unknown
+
+
+def test_object_record_reports_missing_before_unknown():
+    with pytest.raises(ValidationError, match=r"missing fields \['y'\]"):
+        instance_from_dict({"kind": "unit_disks", "disk_radius": "1",
+                            "objects": [{"x": "0", "z": "5"}]})
+
+
+def test_solution_unknown_keys_rejected():
+    doc = solution_to_dict(Solution((0, 2), {0: 0, 2: 1}))
+    doc["colouring"] = doc.pop("coloring")
+    with pytest.raises(ValidationError) as info:
+        solution_from_dict(doc)
+    assert str(info.value) == "solution document has unknown keys ['colouring']"
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "intervals", "objects": [{"left": False, "right": True}]},
     {"kind": "unit_disks", "objects": [{"x": "0", "y": "0"}],
