@@ -15,6 +15,8 @@ from .model import (
     KINDS,
     RECTS,
     UNIT_DISKS,
+    UNIT_SQUARES,
+    _graph_over,
     build_intersection_graph,
     certify,
     validate_instance,
@@ -33,8 +35,11 @@ from .serialize import (
 _EXIT_BY_CATEGORY = {"certificate": 1, "validation": 3, "capacity": 4}
 
 
-def _pick_algorithm(instance):
-    """Strongest applicable algorithm for the scene (line-stabbed at y=0)."""
+def _pick_algorithm(instance, weighted):
+    """Strongest applicable algorithm for the scene (line-stabbed at y=0);
+    the PTAS is the only one that reads weights."""
+    if weighted and instance.kind in (UNIT_DISKS, UNIT_SQUARES):
+        return "ptas"
     if instance.kind == UNIT_DISKS:
         validate_instance(instance)
         sides = _line_sides(instance, 0)
@@ -62,7 +67,10 @@ def _cmd_solve(args):
     instance, weights = load_instance(args.instance)
     algo = args.algo
     if algo == "auto":
-        algo = _pick_algorithm(instance)
+        algo = _pick_algorithm(instance, weights is not None)
+    if weights is not None and algo != "ptas":
+        raise ValidationError(f"algorithm {algo!r} ignores weights; a weighted "
+                              "scene needs 'ptas'")
     if algo == "ptas":
         eps = parse_rational(args.epsilon)
         sol = (solve_ptas_weighted(instance, weights, eps)
@@ -94,8 +102,14 @@ def _cmd_oracle(args):
 def _cmd_verify(args):
     instance, _ = load_instance(args.instance)
     solution, mode = load_solution(args.solution)
+    validate_instance(instance)
+    for v in solution.selected:
+        if v >= instance.n:
+            raise ValidationError(
+                f"subset index {v} out of range 0..{instance.n - 1}")
     try:
-        certify(build_intersection_graph(instance), solution, mode)
+        # the selection's graph holds every edge the certificate can name
+        certify(_graph_over(instance, solution.selected), solution, mode)
     except CertificateError as exc:
         print(f"verify: FAIL {exc}")
         return 1

@@ -5,7 +5,7 @@ All coordinates are exact rationals (``fractions.Fraction``); predicates
 compare squared distances, so there is no tolerance parameter anywhere.
 Intersection is closed: tangent objects are adjacent.
 
-After parsing, no ``Fraction`` arithmetic runs on the objects, and
+From parsing on, no ``Fraction`` arithmetic runs on the objects, and
 exactness is kept.  ``_frac`` reads plain ``p/q`` and integer text with
 ``int`` and leaves every other string to ``Fraction(str)``; constructors
 coerce only fields that are not a ``Fraction`` yet.  Sorts and sweeps
@@ -13,7 +13,7 @@ compare ``_key``s ``(float(v), v)``, whose correctly rounded float decides
 a comparison unless the floats tie, and then the exact value does; the
 graph builder sweeps disks on the floats alone and leaves float ties to the
 exact pair test.  Object orders, disks and arcs are compared on
-cross-multiplied ints.
+cross-multiplied ints, each value's read with one ``as_integer_ratio()``.
 """
 from __future__ import annotations
 
@@ -42,19 +42,19 @@ def _frac(value) -> Fraction:
     """Exact rational from a Fraction, an int or ``"p/q"`` text; bools,
     floats and malformed text raise ``ValidationError``.
 
-    ASCII text ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator is read
-    with ``int``; any other text goes to ``Fraction(str)``, so both accept
-    the same strings and fail with the same messages."""
+    Text ``-?D+(/D+)?`` with a nonzero denominator, D a decimal digit
+    (``str.isdecimal``: the digits both ``int`` and ``Fraction`` read), is
+    read with ``int``; any other text goes to ``Fraction(str)``, so both
+    accept the same strings and fail with the same messages."""
     if type(value) is Fraction:
         return value
     if isinstance(value, str):  # parsing is the hot path
         try:
             num, slash, den = value.partition("/")
-            digits = num[1:] if num[:1] == "-" else num
-            if value.isascii() and digits.isdigit():
+            if num.removeprefix("-").isdecimal():
                 if not slash:
                     return Fraction(int(num))
-                if den.isdigit() and (q := int(den)):
+                if den.isdecimal() and (q := int(den)):
                     return Fraction(int(num), q)
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -68,7 +68,9 @@ def _frac(value) -> Fraction:
 
 def _less(a: Fraction, b: Fraction) -> bool:
     """``a < b`` on cross-multiplied ints (denominators are positive)."""
-    return a.numerator * b.denominator < b.numerator * a.denominator
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    return an * bd < bn * ad
 
 
 def _coerce(obj, names):
@@ -114,7 +116,8 @@ class ArcObj:
         if not (type(self.start) is type(self.end) is Fraction):
             _coerce(self, ("start", "end"))
         for a in (self.start, self.end):
-            if not 0 <= a.numerator < a.denominator:
+            num, den = a.as_integer_ratio()
+            if not 0 <= num < den:
                 raise ValidationError(f"arc angle {a} outside [0, 1)")
         if self.start.as_integer_ratio() == self.end.as_integer_ratio():
             raise ValidationError("arc needs start != end")
@@ -125,11 +128,12 @@ class ArcObj:
 
 def _on_arc(arc: ArcObj, a: Fraction) -> bool:
     """``arc.contains(a)`` for ``a`` in [0, 1), on cross-multiplied ints."""
-    s, e = arc.start, arc.end
-    an, ad = a.numerator, a.denominator
-    from_start = s.numerator * ad <= an * s.denominator
-    to_end = an * e.denominator <= e.numerator * ad
-    return from_start and to_end if _less(s, e) else from_start or to_end
+    sn, sd = arc.start.as_integer_ratio()
+    en, ed = arc.end.as_integer_ratio()
+    an, ad = a.as_integer_ratio()
+    from_start = sn * ad <= an * sd
+    to_end = an * ed <= en * ad
+    return from_start and to_end if sn * ed < en * sd else from_start or to_end
 
 
 @dataclass(frozen=True)
@@ -183,8 +187,9 @@ _OBJECT_TYPES = {
 def _unit_apart(lo: Fraction, hi: Fraction) -> bool:
     """hi == lo + 1, read off the lowest terms: lo + 1 keeps lo's
     denominator."""
-    d = lo.denominator
-    return hi.denominator == d and hi.numerator - lo.numerator == d
+    ln, d = lo.as_integer_ratio()
+    hn, hd = hi.as_integer_ratio()
+    return hd == d and hn - ln == d
 
 
 def validate_instance(instance: GeometricInstance, require_nonempty: bool = False):
@@ -236,10 +241,10 @@ def disks_intersect(a: DiskObj, b: DiskObj, radius: Fraction) -> bool:
 
 def _disk_ints(d: DiskObj):
     """A disk's center as ``(X, Y, D)`` ints with x = X/D and y = Y/D."""
-    x, y = d.center.x, d.center.y
-    xd, yd = x.denominator, y.denominator
+    xn, xd = d.center.x.as_integer_ratio()
+    yn, yd = d.center.y.as_integer_ratio()
     den = lcm(xd, yd)
-    return x.numerator * (den // xd), y.numerator * (den // yd), den
+    return xn * (den // xd), yn * (den // yd), den
 
 
 def _diameter_sq(radius):
@@ -310,7 +315,7 @@ def _ratio(num: int, den: int) -> float:
 def _key(v: Fraction):
     """Exact sort key of a rational: ``(_ratio of v, v)``.  The float
     decides most comparisons; equal floats fall back to the exact values."""
-    return _ratio(v.numerator, v.denominator), v
+    return _ratio(*v.as_integer_ratio()), v
 
 
 def _y_overlap(a, b) -> bool:

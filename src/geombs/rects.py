@@ -30,12 +30,12 @@ def group_rects(instance: GeometricInstance) -> dict:
     """Group index -> rectangle indices, by unit bands above the lowest y_min."""
     ys = [o.y_min for o in instance.objects]
     a = min(ys, key=_key)
-    an, ad = a.numerator, a.denominator
+    an, ad = a.as_integer_ratio()
     groups = {}
     for i, y in enumerate(ys):
         # floor(y - a) on the cross-multiplied numerator and denominator
-        yd = y.denominator
-        groups.setdefault((y.numerator * ad - an * yd) // (yd * ad), []).append(i)
+        yn, yd = y.as_integer_ratio()
+        groups.setdefault((yn * ad - an * yd) // (yd * ad), []).append(i)
     return groups
 
 

@@ -1,18 +1,27 @@
 """JSON instance and solution files with exact rational coordinates.
 
 Rationals are serialized as ``"p/q"`` strings (integer shorthand allowed on
-input) so the text format round-trips losslessly.  Plain ``p/q`` and
-integer text is read with ``int``; any other string goes to
-``Fraction(str)``, so the accepted strings and the error messages are
-``Fraction``'s.  ``instance_from_dict`` reads each distinct string once per
-document, and keeps nothing across documents; ``parse_rational`` is the
-public reader of one rational, which the command line uses.  Only exact
-rationals are read or written: a float or a bool is a ``ValidationError``,
-never coerced, and so is a key the format does not define.  Solution files carry the 2-coloring certificate, which
-keeps verification linear in the graph size and independent of whichever
-solver produced them.
+input) so the text format round-trips losslessly.  ``parse_rational`` is the
+public reader of one rational, which the command line uses: plain ``p/q``
+and integer text is read with ``int``, any other string by
+``Fraction(str)``, whose strings and messages it shares.  A float, a bool or
+a key the format does not define is a ``ValidationError``, never coerced.
+
+``instance_from_dict`` makes one pass over a document's records into one
+list of values, reads each distinct string in it once (nothing is kept
+across documents), then builds the objects column by column through their
+constructors.  Of several faults it reports the first in this order: the
+document's own keys, kind and ``objects`` list; the first record that is not
+a mapping of exactly the kind's fields; a ``weights`` list of the wrong
+shape; the first value that is not an exact rational, in document order
+(records in turn, each in the kind's field order, then ``disk_radius``, then
+``weights``); the first object its constructor refuses; a negative weight.
+Solution files carry the 2-coloring certificate, which keeps verification
+linear in the graph size and independent of whichever solver produced them.
 """
 import json
+from functools import partial
+from operator import itemgetter
 
 from .errors import ValidationError
 from .model import (
@@ -45,13 +54,13 @@ def format_rational(value) -> str:
 parse_rational = _frac
 
 
-# kind -> (the object's constructor, its record's fields in that order)
+# kind -> (the objects made from the columns of their fields, the fields)
 _RECORDS = {
-    INTERVALS: (IntervalObj, ("left", "right")),
-    ARCS: (ArcObj, ("start", "end")),
-    UNIT_DISKS: (lambda x, y: DiskObj(Point(x, y)), ("x", "y")),
+    INTERVALS: (partial(map, IntervalObj), ("left", "right")),
+    ARCS: (partial(map, ArcObj), ("start", "end")),
+    UNIT_DISKS: (lambda xs, ys: map(DiskObj, map(Point, xs, ys)), ("x", "y")),
 }
-_RECT_RECORD = (RectObj, ("x_min", "x_max", "y_min", "y_max"))
+_RECT_RECORD = (partial(map, RectObj), ("x_min", "x_max", "y_min", "y_max"))
 
 
 def _object_record(kind, obj) -> dict:
@@ -68,18 +77,31 @@ def _unknown_keys(doc, known, what):
         raise ValidationError(f"{what} has unknown keys {unknown}")
 
 
-def _object_from_record(kind, rec, rational):
+def _check_record(rec, names):
+    """Reject an object record that is not a mapping of exactly ``names``."""
     if not isinstance(rec, dict):
         raise ValidationError(f"object record must be a mapping, got {rec!r}")
-    make, names = _RECORDS.get(kind, _RECT_RECORD)
+    missing = [nm for nm in names if nm not in rec]
+    if missing:
+        raise ValidationError(f"object record missing fields {missing}")
+    _unknown_keys(rec, names, "object record")
+
+
+def _fractions(values) -> list:
+    """The ``_frac`` of each value, reading each distinct string once, in
+    order of first appearance.  If a value is not a string, all are read in
+    order instead, strings still once and each non-string on its own, so
+    JSON ``true`` never aliases ``1``."""
+    memo = {}
     try:
-        values = [rec[nm] for nm in names]
-    except KeyError:
-        missing = [nm for nm in names if nm not in rec]
-        raise ValidationError(f"object record missing fields {missing}") from None
-    if len(rec) != len(names):  # every field is present: the rest is unknown
-        _unknown_keys(rec, names, "object record")
-    return make(*[rational(v) for v in values])
+        for text in dict.fromkeys(values):
+            if type(text) is not str:
+                raise TypeError
+            memo[text] = _frac(text)
+    except TypeError:  # a non-string, hashable or not
+        return [_frac(v) if type(v) is not str else memo[v] if v in memo
+                else memo.setdefault(v, _frac(v)) for v in values]
+    return list(map(memo.__getitem__, values))
 
 
 def instance_to_dict(instance: GeometricInstance, weights=None) -> dict:
@@ -113,7 +135,8 @@ _SOLUTION_KEYS = ("format", "mode", "selected", "coloring")
 def instance_from_dict(doc: dict):
     """Parse a document; returns (instance, weights-or-None).  A key the
     format does not define, at the top level or in an object record, is a
-    ``ValidationError``."""
+    ``ValidationError``; of several faults, the first in the order of the
+    module docstring is reported."""
     if not isinstance(doc, dict):
         raise ValidationError("instance document must be a mapping")
     _check_format(doc)
@@ -124,28 +147,34 @@ def instance_from_dict(doc: dict):
     objects = doc.get("objects")
     if not isinstance(objects, list):
         raise ValidationError("instance document needs an 'objects' list")
-    memo = {}  # text -> Fraction, for this document only
-
-    def rational(value):
-        if type(value) is not str:  # JSON true must never alias 1
-            return _frac(value)
-        f = memo.get(value)
-        if f is None:
-            f = memo[value] = _frac(value)
-        return f
-
-    radius = doc.get("disk_radius")
+    make, names = _RECORDS.get(kind, _RECT_RECORD)
+    width, fields = len(names), itemgetter(*names)
+    values = []
+    try:
+        for rec in objects:
+            if type(rec) is not dict or len(rec) != width:
+                _check_record(rec, names)
+            values += fields(rec)
+    except KeyError:  # as many keys as fields, but not the fields
+        _check_record(rec, names)
+        raise
+    m = len(values)
+    radius, weights = doc.get("disk_radius"), doc.get("weights")
+    if radius is not None:
+        values.append(radius)
+    if weights is not None:
+        if not isinstance(weights, list) or len(weights) != len(objects):
+            raise ValidationError("'weights' must list one rational per object")
+        values += weights
+    values = _fractions(values)
     instance = GeometricInstance(
         kind,
-        tuple(_object_from_record(kind, rec, rational) for rec in objects),
-        rational(radius) if radius is not None else None,
+        tuple(make(*[values[i:m:width] for i in range(width)])),
+        values[m] if radius is not None else None,
     )
-    weights = doc.get("weights")
     if weights is not None:
-        if not isinstance(weights, list) or len(weights) != instance.n:
-            raise ValidationError("'weights' must list one rational per object")
-        weights = [rational(w) for w in weights]
-        if any(w < 0 for w in weights):
+        weights = values[len(values) - len(weights):]
+        if any(w.numerator < 0 for w in weights):
             raise ValidationError("weights must be nonnegative")
     return instance, weights
 

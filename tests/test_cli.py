@@ -86,6 +86,18 @@ def test_out_of_range_index_is_validation_error(tmp_path):
     assert cli("verify", inst, sol) == 3
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_verify_rejects_an_index_past_the_scene(tmp_path, capsys, kind):
+    # the certificate graph is built over the selection, so the index is
+    # checked first and never reaches it as an IndexError
+    inst = gen(tmp_path, kind, n=6)
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"selected": [0, 6], "coloring": {"0": 0, "6": 1}}))
+    assert cli("verify", inst, sol) == 3
+    assert "error:validation: subset index 6 out of range 0..5" in \
+        capsys.readouterr().err
+
+
 def test_boolean_indices_are_validation_error(tmp_path):
     inst = gen(tmp_path, "intervals", n=5)
     sol = tmp_path / "sol.json"
@@ -182,3 +194,33 @@ def test_bench_subcommand(tmp_path, capsys):
     text = report.read_text()
     assert text.startswith("instance\t")
     assert "# intervals" in text
+
+
+def weighted(tmp_path, kind):
+    path = tmp_path / f"{kind}-weighted.json"
+    assert cli("generate", "--kind", kind, "--n", 6, "--seed", 8,
+               "--weights", "-o", path) == 0
+    return path
+
+
+@pytest.mark.parametrize("kind, algo", [
+    ("unit_disks", "3approx"), ("unit_disks", "logn"), ("unit_disks", "oracle"),
+    ("unit_squares", "oracle"), ("intervals", "intervals"),
+    ("intervals", "auto"), ("unit_height_rects", "auto"),
+])
+def test_unweighted_algorithm_refuses_a_weighted_scene(tmp_path, capsys,
+                                                       kind, algo):
+    path = weighted(tmp_path, kind)
+    assert cli("solve", path, "--algo", algo) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation: algorithm '")
+    assert "ignores weights" in err
+
+
+@pytest.mark.parametrize("kind", ["unit_disks", "unit_squares"])
+def test_auto_picks_ptas_on_a_weighted_scene(tmp_path, capsys, kind):
+    path = weighted(tmp_path, kind)
+    sol = tmp_path / "sol.json"
+    assert cli("solve", path, "-o", sol) == 0
+    assert "algo=ptas" in capsys.readouterr().out
+    assert cli("verify", path, sol) == 0

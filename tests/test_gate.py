@@ -8,7 +8,8 @@ graph alone.  The interval sweeps, the disk solvers, the disk graph build
 and the arc solver make no more ``Fraction`` order comparisons than there
 are objects, and the last four no ``Fraction`` arithmetic; the arc solver
 re-checks only cuts that improve on its best.  The PTAS pays one component join per
-2-colourable box subset."""
+2-colourable box subset.  Parsing a document does no ``Fraction`` comparison
+or arithmetic, and builds each object once."""
 import ast
 import importlib
 import os
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import geombs
-from geombs import model
+from geombs import model, serialize
 
 PACKAGE = Path(geombs.__file__).parent
 
@@ -304,3 +305,47 @@ def test_ptas_boxes_join_once_per_feasible_subset(kind, monkeypatch):
         per_box = [sum(len(i) == 1 for b, i in subsets if b == box)
                    for box in boxes]
         assert max(per_box) >= 8, seed
+
+
+# kind -> the constructors a record of that kind runs, once each
+RECORD_CONSTRUCTORS = {
+    "intervals": (geombs.IntervalObj,),
+    "arcs": (geombs.ArcObj,),
+    "unit_disks": (geombs.Point, geombs.DiskObj),
+    "unit_squares": (geombs.RectObj,),
+    "unit_height_rects": (geombs.RectObj,),
+    "rects": (geombs.RectObj,),
+}
+
+
+@pytest.mark.parametrize("kind", geombs.KINDS)
+def test_parse_does_no_fraction_arithmetic(kind, monkeypatch):
+    # work, not wall clock: values are read from their text once per
+    # distinct string, the objects' order checks and the weights' signs
+    # compare ints, and each record runs its constructors once
+    n = 60
+    docs = [serialize.instance_to_dict(
+                geombs.generate_instance(kind, n, seed, spread=3),
+                geombs.generate_weights(n, seed))
+            for seed in (1, 2, 3)]
+    calls, built = {}, {}
+
+    def counting(table, name, method):
+        def counted(*args, **kwargs):
+            table[name] = table.get(name, 0) + 1
+            return method(*args, **kwargs)
+        return counted
+
+    for name in FRACTION_ARITHMETIC + ("_richcmp",):
+        monkeypatch.setattr(Fraction, name,
+                            counting(calls, name, getattr(Fraction, name)))
+    for cls in RECORD_CONSTRUCTORS[kind]:
+        monkeypatch.setattr(cls, "__init__",
+                            counting(built, cls.__name__, cls.__init__))
+    for seed, doc in enumerate(docs, 1):
+        calls.clear()
+        built.clear()
+        instance, weights = serialize.instance_from_dict(doc)
+        assert instance.n == len(weights) == n
+        assert not calls, (seed, calls)
+        assert built == {cls.__name__: n for cls in RECORD_CONSTRUCTORS[kind]}

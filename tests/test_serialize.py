@@ -147,6 +147,46 @@ def test_object_record_reports_missing_before_unknown():
                             "objects": [{"x": "0", "z": "5"}]})
 
 
+# Documents with two faults each, and the one reported: the record shapes
+# first, then the weights list, then the values in document order, then the
+# objects' own checks, then the weights' signs.
+TWO_FAULTS = [
+    # a bad value in record 1, a missing field in record 3
+    ({"kind": "intervals", "objects": [{"left": "1/x", "right": "1"},
+                                       {"left": "0", "right": "1"},
+                                       {"left": "0"}]},
+     "object record missing fields ['right']"),
+    ({"kind": "intervals", "objects": [{"left": True, "right": "1"}, [0, 1]]},
+     "object record must be a mapping, got [0, 1]"),
+    ({"kind": "intervals", "objects": [{"left": "1/x", "right": "1"}],
+      "weights": []},
+     "'weights' must list one rational per object"),
+    # a degenerate interval in record 1, a bad value in record 2
+    ({"kind": "intervals", "objects": [{"left": "1", "right": "0"},
+                                       {"left": "0", "right": "1/x"}]},
+     "bad rational '1/x'"),
+    # the kind's field order, not the record's key order
+    ({"kind": "intervals", "objects": [{"right": "1/y", "left": "1/x"}]},
+     "bad rational '1/x'"),
+    ({"kind": "unit_disks", "objects": [{"x": "0", "y": "0"}],
+      "disk_radius": "1/x", "weights": ["1/y"]},
+     "bad rational '1/x'"),
+    ({"kind": "unit_disks", "objects": [{"x": "0", "y": 0.5}],
+      "disk_radius": "1/x"},
+     "expected an exact rational, got 0.5"),
+    ({"kind": "intervals", "objects": [{"left": "1", "right": "0"}],
+      "weights": ["-1"]},
+     "interval needs left < right"),
+]
+
+
+@pytest.mark.parametrize("doc, message", TWO_FAULTS)
+def test_two_faults_report_the_first_in_order(doc, message):
+    with pytest.raises(ValidationError) as info:
+        instance_from_dict(doc)
+    assert str(info.value).startswith(message)
+
+
 def test_solution_unknown_keys_rejected():
     doc = solution_to_dict(Solution((0, 2), {0: 0, 2: 1}))
     doc["colouring"] = doc.pop("coloring")
@@ -264,6 +304,19 @@ def test_same_document_twice_reads_twice(monkeypatch):
     assert instance_from_dict(doc)[0] == instance_from_dict(doc)[0] == inst
     assert len(read) == 2 * len(set(texts))
     assert set(read) == set(texts)
+
+
+def test_ints_beside_texts_still_read_each_text_once(monkeypatch):
+    # a JSON int sends the document down the value-by-value path, which
+    # keeps reading each distinct string once
+    doc = {"kind": "intervals",
+           "objects": [{"left": "1/2", "right": 1}, {"left": 0, "right": "1/2"},
+                       {"left": "1/2", "right": 2}]}
+    read = _counted_reader(monkeypatch)
+    instance, _ = instance_from_dict(doc)
+    assert read == ["1/2"]
+    assert instance.objects == (IntervalObj(F(1, 2), 1), IntervalObj(0, F(1, 2)),
+                                IntervalObj(F(1, 2), 2))
 
 
 def test_repeated_malformed_text_fails_like_one():

@@ -1,0 +1,159 @@
+"""Property tests of the instance parser: on generated documents
+``instance_from_dict`` equals a per-value ``Fraction(str)`` parse, and a
+document with one fault is a ``ValidationError``."""
+from fractions import Fraction as F
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from geombs import (  # noqa: E402
+    ArcObj,
+    DiskObj,
+    GeometricInstance,
+    IntervalObj,
+    Point,
+    RectObj,
+    ValidationError,
+)
+from geombs.serialize import instance_from_dict  # noqa: E402
+
+FIELDS = {
+    "intervals": ("left", "right"),
+    "arcs": ("start", "end"),
+    "unit_disks": ("x", "y"),
+    "unit_squares": ("x_min", "x_max", "y_min", "y_max"),
+    "unit_height_rects": ("x_min", "x_max", "y_min", "y_max"),
+    "rects": ("x_min", "x_max", "y_min", "y_max"),
+}
+
+# texts that Fraction(str) reads, beyond the canonical "p/q"; whether the
+# parser takes them is Fraction's call, so the oracle below decides
+ODD_SPELLINGS = ["+{p}/{q}", " {p}/{q}", "{p}/{q} ", "0{p}/{q}", "{p}/0{q}",
+                 "{p}_0/{q}0"]
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def spelled(draw, value):
+    """One text (or, for an integer, possibly a JSON int) of ``value``."""
+    p, q = value.as_integer_ratio()
+    k = draw(st.integers(1, 3))
+    choice = draw(st.integers(0, 4))
+    if choice == 0 or (choice == 1 and q != 1):
+        return f"{p * k}/{q * k}"
+    if choice == 1:
+        return draw(st.sampled_from([p, str(p)]))
+    if choice == 2 and p >= 0:
+        return draw(st.sampled_from(ODD_SPELLINGS)).format(p=p, q=q)
+    if choice == 3:
+        return f"{p}/{q}".translate(ARABIC_INDIC)
+    return f"{p}/{q}"
+
+
+def rationals(lo=-6, hi=6):
+    return st.builds(F, st.integers(lo * 4, hi * 4), st.sampled_from([1, 2, 4]))
+
+
+@st.composite
+def object_values(draw, kind):
+    """Field values, in the kind's field order, of one valid object."""
+    if kind == "arcs":
+        s, e = draw(st.lists(st.integers(0, 7), min_size=2, max_size=2,
+                             unique=True))
+        return [F(s, 8), F(e, 8)]
+    if kind == "unit_disks":
+        return [draw(rationals()), draw(rationals())]
+    pairs = []
+    for _ in range(len(FIELDS[kind]) // 2):
+        lo = draw(rationals())
+        pairs += [lo, lo + draw(st.sampled_from([F(1), F(1, 2), F(3)]))]
+    return pairs
+
+
+@st.composite
+def documents(draw, min_n=0):
+    """A valid instance document of up to 8 objects, every value spelled."""
+    kind = draw(st.sampled_from(sorted(FIELDS)))
+    objects = []
+    for _ in range(draw(st.integers(min_n, 8))):
+        vals = draw(object_values(kind))
+        objects.append({name: draw(spelled(v))
+                        for name, v in zip(FIELDS[kind], vals)})
+    doc = {"format": 1, "kind": kind, "objects": objects}
+    if kind == "unit_disks":
+        doc["disk_radius"] = draw(spelled(draw(rationals(1, 3))))
+    if draw(st.booleans()):
+        doc["weights"] = [draw(spelled(draw(rationals(0, 3))))
+                          for _ in objects]
+    return doc
+
+
+def _fraction_parse(doc):
+    """The document read one value at a time by ``Fraction``, which reads
+    a text as ``Fraction(str)`` and a JSON int as ``Fraction(int)``."""
+    kind = doc["kind"]
+    objects = []
+    for rec in doc["objects"]:
+        v = [F(rec[name]) for name in FIELDS[kind]]
+        if kind == "intervals":
+            objects.append(IntervalObj(*v))
+        elif kind == "arcs":
+            objects.append(ArcObj(*v))
+        elif kind == "unit_disks":
+            objects.append(DiskObj(Point(*v)))
+        else:
+            objects.append(RectObj(*v))
+    radius = F(doc["disk_radius"]) if "disk_radius" in doc else None
+    weights = [F(w) for w in doc["weights"]] if "weights" in doc else None
+    return GeometricInstance(kind, tuple(objects), radius), weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents())
+def test_parse_equals_fraction_parse_on_generated_documents(doc):
+    try:
+        want = _fraction_parse(doc)
+    except (ValueError, ZeroDivisionError):  # this Python's Fraction refuses
+        with pytest.raises(ValidationError):
+            instance_from_dict(doc)
+        return
+    assert instance_from_dict(doc) == want
+
+
+BAD_VALUES = [True, False, 0.5, 1.0, None, [1], {"p": 1}, "1/0", "0/0", "",
+              "abc", "1/", "/2", "--1", "1//2", "²", "1/2/3", "0x10", "nan",
+              "inf"]
+
+
+@st.composite
+def broken_documents(draw):
+    """A document with one fault: a value that is not an exact rational, a
+    missing or unknown field, or a record that is not a mapping."""
+    doc = draw(documents(min_n=1))
+    rec = draw(st.sampled_from(doc["objects"]))
+    fault = draw(st.integers(0, 4))
+    if fault == 0:
+        rec[draw(st.sampled_from(sorted(rec)))] = draw(st.sampled_from(BAD_VALUES))
+    elif fault == 1:
+        del rec[draw(st.sampled_from(sorted(rec)))]
+    elif fault == 2:
+        rec[draw(st.sampled_from(["z", "weight", "x_mid", "Left"]))] = "0"
+    elif fault == 3:
+        i = doc["objects"].index(rec)
+        doc["objects"][i] = draw(st.sampled_from(
+            [list(rec.values()), "0", 0, None]))
+    elif "weights" in doc:
+        doc["weights"][0] = draw(st.sampled_from(BAD_VALUES + ["-1"]))
+    else:
+        doc["weight"] = ["1"] * len(doc["objects"])
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(broken_documents())
+def test_one_fault_is_a_validation_error(doc):
+    with pytest.raises(ValidationError):
+        instance_from_dict(doc)
