@@ -7,8 +7,6 @@ for unit disks and unit squares (weighted too), a 2-approximation for
 unit-height rectangles, an exact branch-and-bound oracle for small scenes,
 and a doubling reduction tying bipartite subgraphs to independent sets.
 """
-from types import ModuleType as _ModuleType
-
 from .arcs import solve_arcs
 from .bench import BenchReport, BenchRow, bench_instance, run_bench
 from .diskgeneral import SlabAssignment, assign_slabs, solve_3approx, solve_logn
@@ -56,6 +54,61 @@ __version__ = "0.1.0"
 # The kernels are pure Python; benchmark records report this name.
 BACKEND = "python"
 
-# every public name bound above; the submodules are not exported
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+__all__ = [
+    "ARCS",
+    "BACKEND",
+    "BenchReport",
+    "BenchRow",
+    "CapacityError",
+    "CertificateError",
+    "GeombsError",
+    "GeometricInstance",
+    "INTERVALS",
+    "IntersectionGraph",
+    "ArcObj",
+    "DiskObj",
+    "IntervalObj",
+    "KINDS",
+    "Point",
+    "RECTS",
+    "RectObj",
+    "SlabAssignment",
+    "SlabDag",
+    "Solution",
+    "UNIT_DISKS",
+    "UNIT_HEIGHT_RECTS",
+    "UNIT_SQUARES",
+    "ValidationError",
+    "assign_slabs",
+    "bench_instance",
+    "build_intersection_graph",
+    "build_slab_dag",
+    "certify",
+    "double_instance",
+    "exact_mbs",
+    "exact_mis",
+    "exact_mtfs",
+    "generate_instance",
+    "generate_weights",
+    "is_bipartite",
+    "is_independent",
+    "is_triangle_free",
+    "load_instance",
+    "load_solution",
+    "one_sided_mis",
+    "run_bench",
+    "save_instance",
+    "save_solution",
+    "solve_3approx",
+    "solve_arcs",
+    "solve_intervals",
+    "solve_logn",
+    "solve_one_sided",
+    "solve_ptas",
+    "solve_ptas_weighted",
+    "solve_slab",
+    "solve_two_sided",
+    "solve_unit_height",
+    "translate_instance",
+    "validate_instance",
+]

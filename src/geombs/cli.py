@@ -17,6 +17,7 @@ from .model import (
     UNIT_DISKS,
     UNIT_SQUARES,
     _graph_over,
+    _subset_mask,
     build_intersection_graph,
     certify,
     validate_instance,
@@ -35,10 +36,10 @@ from .serialize import (
 _EXIT_BY_CATEGORY = {"certificate": 1, "validation": 3, "capacity": 4}
 
 
-def _pick_algorithm(instance, weighted):
+def _pick_algorithm(instance, weights):
     """Strongest applicable algorithm for the scene (line-stabbed at y=0);
     the PTAS is the only one that reads weights."""
-    if weighted and instance.kind in (UNIT_DISKS, UNIT_SQUARES):
+    if weights and instance.kind in (UNIT_DISKS, UNIT_SQUARES):
         return "ptas"
     if instance.kind == UNIT_DISKS:
         validate_instance(instance)
@@ -67,8 +68,8 @@ def _cmd_solve(args):
     instance, weights = load_instance(args.instance)
     algo = args.algo
     if algo == "auto":
-        algo = _pick_algorithm(instance, weights is not None)
-    if weights is not None and algo != "ptas":
+        algo = _pick_algorithm(instance, weights)
+    if weights and algo != "ptas":  # an empty scene has nothing to weigh
         raise ValidationError(f"algorithm {algo!r} ignores weights; a weighted "
                               "scene needs 'ptas'")
     if algo == "ptas":
@@ -103,10 +104,7 @@ def _cmd_verify(args):
     instance, _ = load_instance(args.instance)
     solution, mode = load_solution(args.solution)
     validate_instance(instance)
-    for v in solution.selected:
-        if v >= instance.n:
-            raise ValidationError(
-                f"subset index {v} out of range 0..{instance.n - 1}")
+    _subset_mask(instance.n, solution.selected)  # before the graph indexes them
     try:
         # the selection's graph holds every edge the certificate can name
         certify(_graph_over(instance, solution.selected), solution, mode)

@@ -385,32 +385,32 @@ def build_intersection_graph(instance: GeometricInstance) -> IntersectionGraph:
     return _graph_over(instance, range(instance.n))
 
 
-def _subset_mask(g: IntersectionGraph, subset: Iterable[int]) -> int:
+def _subset_mask(n: int, subset: Iterable[int]) -> int:
     mask = 0
     for v in subset:
         if type(v) is not int:
             raise ValidationError(f"subset index {v!r} is not an int")
-        if not 0 <= v < g.n:
-            raise ValidationError(f"subset index {v} out of range 0..{g.n - 1}")
+        if not 0 <= v < n:
+            raise ValidationError(f"subset index {v} out of range 0..{n - 1}")
         mask |= 1 << v
     return mask
 
 
 def is_bipartite(g: IntersectionGraph, subset: Iterable[int]):
     """Proper 2-coloring of the induced subgraph, or None."""
-    coloring, _ = _kernels.two_color(g.masks, _subset_mask(g, subset))
+    coloring, _ = _kernels.two_color(g.masks, _subset_mask(g.n, subset))
     return coloring
 
 
 def is_triangle_free(g: IntersectionGraph, subset: Iterable[int]):
     """None if the induced subgraph has no K3, else the lex-first triple."""
-    w = _kernels.triangle_witness(g.masks, _subset_mask(g, subset))
+    w = _kernels.triangle_witness(g.masks, _subset_mask(g.n, subset))
     return None if w is None else _kernels.mask_to_indices(w)
 
 
 def is_independent(g: IntersectionGraph, subset: Iterable[int]):
     """None if the subset induces no edge, else the lex-first edge."""
-    w = _kernels.edge_witness(g.masks, _subset_mask(g, subset))
+    w = _kernels.edge_witness(g.masks, _subset_mask(g.n, subset))
     return None if w is None else _kernels.mask_to_indices(w)
 
 
@@ -453,7 +453,7 @@ def certify(
     if mode not in _WITNESSES:
         raise ValidationError(f"unknown certificate mode {mode!r}")
     name, witness = _WITNESSES[mode]
-    checks = [_subset_mask(g, solution.selected)]
+    checks = [_subset_mask(g.n, solution.selected)]
     coloring = solution.coloring
     if mode == "bipartite" and coloring is not None:
         # a proper coloring leaves no edge inside either color class

@@ -1,21 +1,19 @@
 """JSON instance and solution files with exact rational coordinates.
 
 Rationals are serialized as ``"p/q"`` strings (integer shorthand allowed on
-input) so the text format round-trips losslessly.  ``parse_rational`` is the
-public reader of one rational, which the command line uses: plain ``p/q``
-and integer text is read with ``int``, any other string by
-``Fraction(str)``, whose strings and messages it shares.  A float, a bool or
-a key the format does not define is a ``ValidationError``, never coerced.
+input) so the text format round-trips losslessly.  ``parse_rational`` reads
+one rational: plain ``p/q`` and integer text with ``int``, any other string
+by ``Fraction(str)``, whose strings and messages it shares.  A float, a bool
+or a key the format does not define is a ``ValidationError``, never coerced.
 
-``instance_from_dict`` makes one pass over a document's records into one
-list of values, reads each distinct string in it once (nothing is kept
-across documents), then builds the objects column by column through their
-constructors.  Of several faults it reports the first in this order: the
-document's own keys, kind and ``objects`` list; the first record that is not
-a mapping of exactly the kind's fields; a ``weights`` list of the wrong
-shape; the first value that is not an exact rational, in document order
-(records in turn, each in the kind's field order, then ``disk_radius``, then
-``weights``); the first object its constructor refuses; a negative weight.
+``instance_from_dict`` reads a document's records into one value list, each
+distinct string once per document, and builds the objects column-wise
+through their constructors.  Of several faults it reports the earliest in
+this order, and in document order within each: the document's keys, kind and
+``objects`` list; a record that is not exactly the kind's fields; a
+``weights`` list of the wrong length; a value that is not an exact rational
+(each record's in the kind's field order, then ``disk_radius``, then
+``weights``); an object its constructor refuses; a negative weight.
 Solution files carry the 2-coloring certificate, which keeps verification
 linear in the graph size and independent of whichever solver produced them.
 """
@@ -87,23 +85,6 @@ def _check_record(rec, names):
     _unknown_keys(rec, names, "object record")
 
 
-def _fractions(values) -> list:
-    """The ``_frac`` of each value, reading each distinct string once, in
-    order of first appearance.  If a value is not a string, all are read in
-    order instead, strings still once and each non-string on its own, so
-    JSON ``true`` never aliases ``1``."""
-    memo = {}
-    try:
-        for text in dict.fromkeys(values):
-            if type(text) is not str:
-                raise TypeError
-            memo[text] = _frac(text)
-    except TypeError:  # a non-string, hashable or not
-        return [_frac(v) if type(v) is not str else memo[v] if v in memo
-                else memo.setdefault(v, _frac(v)) for v in values]
-    return list(map(memo.__getitem__, values))
-
-
 def instance_to_dict(instance: GeometricInstance, weights=None) -> dict:
     doc = {
         "format": FORMAT_VERSION,
@@ -166,7 +147,10 @@ def instance_from_dict(doc: dict):
         if not isinstance(weights, list) or len(weights) != len(objects):
             raise ValidationError("'weights' must list one rational per object")
         values += weights
-    values = _fractions(values)
+    memo = {}  # text -> Fraction, for this document only
+    values = [_frac(v) if type(v) is not str  # JSON true must never alias 1
+              else memo[v] if v in memo else memo.setdefault(v, _frac(v))
+              for v in values]
     instance = GeometricInstance(
         kind,
         tuple(make(*[values[i:m:width] for i in range(width)])),

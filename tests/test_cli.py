@@ -224,3 +224,19 @@ def test_auto_picks_ptas_on_a_weighted_scene(tmp_path, capsys, kind):
     assert cli("solve", path, "-o", sol) == 0
     assert "algo=ptas" in capsys.readouterr().out
     assert cli("verify", path, sol) == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("algo", ["auto", "oracle"])
+def test_empty_weights_solve_like_no_weights(tmp_path, capsys, kind, algo):
+    # an empty scene has nothing to weigh, so "weights": [] is no refusal
+    doc = {"kind": kind, "objects": []}
+    if kind == "unit_disks":
+        doc["disk_radius"] = "1"
+    runs = []
+    for extra in ({}, {"weights": []}):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({**doc, **extra}))
+        runs.append((cli("solve", path, "--algo", algo), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert "ignores weights" not in runs[1][1].err

@@ -307,8 +307,7 @@ def test_same_document_twice_reads_twice(monkeypatch):
 
 
 def test_ints_beside_texts_still_read_each_text_once(monkeypatch):
-    # a JSON int sends the document down the value-by-value path, which
-    # keeps reading each distinct string once
+    # JSON ints are read on their own, beside strings read once each
     doc = {"kind": "intervals",
            "objects": [{"left": "1/2", "right": 1}, {"left": 0, "right": "1/2"},
                        {"left": "1/2", "right": 2}]}
