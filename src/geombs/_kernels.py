@@ -1,5 +1,5 @@
 """Bitmask kernels: feasibility witnesses, the component join of a
-2-colourable set, branch-and-bound subset search and the chain DP.
+2-colourable set, branch-and-bound subset search and the two-chain DP.
 
 Adjacency is passed as a list of neighbor bitmasks (``masks[v] >> u & 1``
 iff u and v are adjacent).  ``max_subset`` and ``bipartite_subsets`` (the
@@ -210,130 +210,61 @@ def max_subset(masks, mode):
 
 
 def chain_mbs(masks):
-    """Max triangle-free chain DP over x-ordered adjacency masks.
+    """Maximum bipartite subset of x-ordered adjacency masks on which
+    "before and disjoint" is a strict order (unit disks stabbed one-sided by
+    a line): the largest union of two chains of that order.
 
-    B[i,j,k], for i < j < k, is the length of the longest chain starting
-    i, j, k: 0 on a triangle, 3 when no extension exists, else 1 + the best
-    B[j,k,l] over the l > k that form no triangle with two of i, j, k.
-    Returns (size, selected index list) for the largest B, ties going to the
-    first maximal l and to the lex-first start triple; (0, []) if every
-    triple is a triangle.
+    f[p][q] is the most positions selectable after p when p ends one chain
+    and q the other: q is a position before p with a neighbour beyond p, or
+    -1 (FREE) when the other chain is empty or its end meets nothing beyond
+    p.  A later r can follow either end it is disjoint from.  Every r beyond
+    both ends' last neighbours goes to (r, FREE), so a suffix maximum of
+    1 + f[r][FREE] covers those r, and only the forward window w (the largest
+    gap from a position to its last neighbour) is scanned: O(n*w^2) time and
+    O(n*w) space.
 
-    Let hi(i) be the last neighbour of i.  Each triangle condition on an
-    extension of (i, j, k) needs an edge from i to k or to some l > k, so for
-    k > hi(i) the state forgets i: B[i,j,k] = C[j,k], a pair state.  For the
-    same reason C[j,k] = T[k] when k > hi(j).  Only the triples and pairs
-    inside the forward window w = max(hi(i) - i) are stored, and extensions
-    beyond it are read from suffix maxima: O(n + n*w^3) time and
-    O(n + n*w^2) space.
+    Returns (size, ascending positions), the lexicographically first largest
+    list: the walk keeps every state still on a maximum and takes the
+    smallest next position.
     """
     n = len(masks)
-    if n < 3:
-        return 0, []
-    # A state is coded value * base + n - next (next = n: no extension), so
-    # the larger code has the larger value, then the smaller next.
-    base = n + 1
+    masks = list(masks) + [0]  # index -1: FREE, or no chain yet
     hi = [m.bit_length() - 1 for m in masks]
-    triple = {}  # B[i,j,k] for k <= hi(i), triangles left out
-    pair = {}  # C[j,k] for k <= hi(j)
-    tail = [0] * n  # T[k] = C[j,k] for every j with hi(j) < k
-    # best l >= L, coded value * base + n - l, of C[k,l] (pair_best[k, L],
-    # for L <= hi(k)) and of T[l] (tail_best[L]); tail_best[n] codes value 2
-    # and no l, so 1 + it is the leaf value 3
-    pair_best = {}
-    tail_best = [0] * n + [2 * base]
+    ends = [[-1] for _ in range(n)]  # the other ends q of p's states
+    for q in range(n):
+        for p in range(q + 1, hi[q]):
+            ends[p].append(q)
 
-    def reach(k, L):
-        # max over l >= L of C[k,l], coded by l: the best extension at or
-        # beyond L of a state ending in k whose other elements have no
-        # neighbour at L or beyond
-        return tail_best[L] if L > hi[k] else pair_best[k, L]
+    f = [None] * n
+    tail = [0] * (n + 1)  # tail[L]: the largest 1 + f[r][FREE] over r >= L
+    for p in range(n - 1, -1, -1):
+        f[p] = fp = {}
+        mp, hp = masks[p], hi[p]
+        for q in ends[p]:
+            mq, hq = masks[q], hi[q]
+            top = max(hp, hq, p)
+            v = tail[top + 1] - 1
+            for r in range(p + 1, top + 1):
+                fr = f[r]
+                if not mp >> r & 1 and fr[q if hq > r else -1] > v:
+                    v = fr[q if hq > r else -1]
+                if not mq >> r & 1 and fr[p if hp > r else -1] > v:
+                    v = fr[p if hp > r else -1]
+            fp[q] = v + 1
+        tail[p] = max(tail[p + 1], fp[-1] + 1)
 
-    def state(i, j, k):
-        # B[i,j,k] of a triple that is not a triangle
-        if k <= hi[i]:
-            return triple[i, j, k]
-        return pair[j, k] if k <= hi[j] else tail[k]
-
-    best, start = 3, None  # B >= 3 on every triple that is not a triangle
-    for i in range(n - 1, -1, -1):
-        mi = masks[i]
-        h = hi[i]
-        # triples i < j < k <= h, and the lex-first best start (j, k) for i
-        best_i = 2  # below every start
-        for j in range(i + 1, h + 1):
-            mj = masks[j]
-            hj = hi[j]
-            top = h if h > hj else hj
-            ij = mi >> j & 1
-            ks = (1 << (h + 1)) - (2 << j)
-            if ij:
-                ks &= ~(mi & mj)
-            while ks:
-                low = ks & -ks
-                ks ^= low
-                k = low.bit_length() - 1
-                mk = masks[k]
-                # no triangle condition holds beyond top
-                b = reach(k, top + 1) + base
-                cand = (1 << (top + 1)) - (2 << k)
-                if ij:
-                    cand &= ~(mi & mj)
-                if mi >> k & 1:
-                    cand &= ~(mi & mk)
-                if mj >> k & 1:
-                    cand &= ~(mj & mk)
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    l = low.bit_length() - 1
-                    e = (state(j, k, l) // base + 1) * base + n - l
-                    if e > b:
-                        b = e
-                triple[i, j, k] = b
-                if b // base > best_i:
-                    best_i, start_i = b // base, (j, k)
-            e = reach(j, h + 1)
-            if e // base > best_i:
-                best_i, start_i = e // base, (j, n - e % base)
-        for k in range(i + 1, h + 1):
-            b = reach(k, h + 1) + base
-            cand = (1 << (h + 1)) - (2 << k)
-            if mi >> k & 1:
-                cand &= ~(mi & masks[k])
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                l = low.bit_length() - 1
-                e = (triple[i, k, l] // base + 1) * base + n - l
-                if e > b:
-                    b = e
-            pair[i, k] = b
-        e = tail_best[h + 1]
-        for L in range(h, i, -1):
-            c = pair[i, L] // base * base + n - L
-            if c > e:
-                e = c
-            pair_best[i, L] = e
-        tail[i] = reach(i, i + 1) + base
-        c = tail[i] // base * base + n - i
-        e = tail_best[i + 1]
-        tail_best[i] = c if c > e else e
-        # starts (j, k) with j beyond hi(i): the best T[j], less one
-        J = (h if h > i else i) + 1
-        if tail_best[J] // base - 1 > best_i:
-            j = n - tail_best[J] % base
-            best_i, start_i = tail_best[J] // base - 1, (j, n - tail[j] % base)
-        if best_i >= best:
-            best, start = best_i, (i,) + start_i
-
-    if start is None:
-        return 0, []
-    i, j, k = start
-    chain = [i, j, k]
-    while True:
-        l = n - state(i, j, k) % base
-        if l == n:
-            return best, chain
-        chain.append(l)
-        i, j, k = j, k, l
+    size = tail[0]
+    chain, p, qs = [], -1, [-1]
+    for need in range(size - 1, -1, -1):
+        r, mp, nxt = p, masks[p], set()
+        while not nxt:
+            r += 1
+            fr, left = f[r], (p if hi[p] > r else -1)
+            for q in qs:
+                if not mp >> r & 1 and fr[s := q if hi[q] > r else -1] == need:
+                    nxt.add(s)
+                if not masks[q] >> r & 1 and fr[left] == need:
+                    nxt.add(left)
+        chain.append(r)
+        p, qs = r, nxt
+    return size, chain

@@ -34,12 +34,22 @@ from .serialize import (
 )
 
 _EXIT_BY_CATEGORY = {"certificate": 1, "validation": 3, "capacity": 4}
+_WEIGHTED_KINDS = (UNIT_DISKS, UNIT_SQUARES)  # the kinds 'ptas' weighs
+
+
+def _load_unweighted(path, command):
+    """The scene at ``path``; ``command`` reads no weights, so it has none."""
+    instance, weights = load_instance(path)
+    if weights:
+        raise ValidationError(f"command {command!r} is unweighted; the scene "
+                              "has weights")
+    return instance
 
 
 def _pick_algorithm(instance, weights):
     """Strongest applicable algorithm for the scene (line-stabbed at y=0);
     the PTAS is the only one that reads weights."""
-    if weights and instance.kind in (UNIT_DISKS, UNIT_SQUARES):
+    if weights and instance.kind in _WEIGHTED_KINDS:
         return "ptas"
     if instance.kind == UNIT_DISKS:
         validate_instance(instance)
@@ -70,8 +80,9 @@ def _cmd_solve(args):
     if algo == "auto":
         algo = _pick_algorithm(instance, weights)
     if weights and algo != "ptas":  # an empty scene has nothing to weigh
-        raise ValidationError(f"algorithm {algo!r} ignores weights; a weighted "
-                              "scene needs 'ptas'")
+        hint = ("a weighted scene needs 'ptas'" if instance.kind in _WEIGHTED_KINDS
+                else f"no solver reads weights for {instance.kind}")
+        raise ValidationError(f"algorithm {algo!r} ignores weights; {hint}")
     if algo == "ptas":
         eps = parse_rational(args.epsilon)
         sol = (solve_ptas_weighted(instance, weights, eps)
@@ -88,7 +99,7 @@ def _cmd_solve(args):
 
 
 def _cmd_oracle(args):
-    instance, _ = load_instance(args.instance)
+    instance = _load_unweighted(args.instance, "oracle")
     graph = build_intersection_graph(instance)
     solver = {"bipartite": exact_mbs, "triangle_free": exact_mtfs,
               "independent": exact_mis}[args.mode]
@@ -133,7 +144,7 @@ def _cmd_bench(args):
 
 
 def _cmd_reduce(args):
-    instance, _ = load_instance(args.instance)
+    instance = _load_unweighted(args.instance, "reduce")
     doubled = double_instance(instance)
     save_instance(doubled, args.output)
     print(f"doubled kind={instance.kind} n={instance.n} -> "

@@ -1,14 +1,13 @@
 """Unit disks stabbed by a horizontal line.
 
-With all centers on one side of the line the graph has no induced cycle of
-length five or more, so maximum bipartite and maximum triangle-free subsets
-coincide and the B[i,j,k] chain DP solves the problem exactly, in
-O(n + n*w^3) time and O(n + n*w^2) space after the graph build, where the
-forward window w is the largest index gap from a disk to its last neighbour
-in x-order.  With centers on both sides, a maximum independent set per side
-(longest disjointness chain in x-order, valid because disjointness is
-transitive along the x-order on one side, O(n^2) adjacency tests) gives a
-2-approximation whose side labels are the 2-coloring.
+With all centers on one side of the line, disjoint disks lie over sqrt(3)*r
+apart in x, so "before in x-order and disjoint" is a strict order whose
+chains are the independent sets.  The two-chain DP over pairs of chain ends
+solves the problem exactly in O(n*w^2) time and O(n*w) space after the graph
+build, where the forward window w is the largest index gap from a disk to
+its last neighbour in x-order.  With centers on both sides, a maximum
+independent set per side (longest chain in x-order, O(n^2) adjacency tests)
+gives a 2-approximation whose side labels are the 2-coloring.
 
 Which side of the line a center lies on, and whether its disk meets the
 line, is read off cross-multiplied ints (``_line_sides``, which the command
@@ -79,12 +78,10 @@ def _x_order(instance, indices):
 def _chain(graph, order):
     """Exact maximum bipartite subset of one-sided disks ``order``, listed
     in (x, index) order; returns ascending indices."""
-    if len(order) <= 2:
-        return sorted(order)
     size, chain = _kernels.chain_mbs(graph.induced_masks(order))
     if size >= 3:
         return sorted(order[i] for i in chain)
-    # Every x-ordered triple is a triangle; a best pair remains.
+    # At most two disks, or all pairwise intersecting: keep the lowest two.
     return sorted(order)[:2]
 
 

@@ -6,9 +6,10 @@ interval, unit-height and arc references sweep symbolically perturbed
 endpoint keys, on which no comparison ties; the arc reference cuts the
 circle in exact ``Fraction`` angles.  The slab DAG reference colours every
 triangle-free box subset by pairwise adjacency tests on a slab's own scene
-(a 2-colourable set holds no triangle), and the chain
-reference is the triple-table DP that ``_kernels.chain_mbs`` replaced,
-O(n^4), exact output included.
+(a 2-colourable set holds no triangle).  The chain reference is a
+triple-table DP over triangle-free x-ordered chains, O(n^4): an independent
+derivation of the size and the lexicographically first position list that
+``_kernels.chain_mbs`` returns on one-sided masks.
 """
 import math
 from fractions import Fraction
@@ -63,22 +64,6 @@ def brute_max_subset(masks, mode):
 
 def _triangle(masks, a, b, c):
     return masks[a] >> b & 1 and masks[a] >> c & 1 and masks[b] >> c & 1
-
-
-def is_chain(masks, chain):
-    """True iff ``chain`` is an increasing index sequence of length >= 3 in
-    which no three entries within four consecutive ones form a triangle."""
-    if len(chain) < 3 or list(chain) != sorted(set(chain)):
-        return False
-    return not any(_triangle(masks, *triple)
-                   for s in range(len(chain) - 2)
-                   for triple in combinations(chain[s:s + 4], 3))
-
-
-def brute_chain_size(masks):
-    """Length of the longest chain (see ``is_chain``), or 0 if none exists."""
-    return max((len(c) for c in map(_indices, range(1 << len(masks)))
-                if is_chain(masks, c)), default=0)
 
 
 def reference_chain_mbs(masks):

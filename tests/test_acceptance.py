@@ -96,6 +96,23 @@ def test_criterion_03_one_sided_dp_exactness(announce):
     assert elapsed < 120
 
 
+def test_criterion_03_one_sided_dp_exactness_at_larger_n(announce):
+    count = 0
+    for n in (24, 28):
+        for spread in (2, 4, None):
+            for seed in range(8):
+                inst = generate_instance(UNIT_DISKS, n, seed, spread=spread,
+                                         disk_mode="one_sided")
+                g = graph(inst)
+                assert (solve_one_sided(inst).size
+                        == exact_mbs(g, cap=n).size
+                        == exact_mtfs(g, cap=n).size), (n, spread, seed)
+                count += 1
+    elapsed = announce("03 one-sided DP exactness, larger n",
+                       f"{count} instances, n<=28")
+    assert elapsed < 60
+
+
 def test_criterion_04_one_sided_structure_fuzz(announce):
     count = 1000
     for seed in range(count):

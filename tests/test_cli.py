@@ -207,6 +207,7 @@ def weighted(tmp_path, kind):
     ("unit_disks", "3approx"), ("unit_disks", "logn"), ("unit_disks", "oracle"),
     ("unit_squares", "oracle"), ("intervals", "intervals"),
     ("intervals", "auto"), ("unit_height_rects", "auto"),
+    ("arcs", "auto"), ("rects", "auto"), ("unit_height_rects", "unit_height"),
 ])
 def test_unweighted_algorithm_refuses_a_weighted_scene(tmp_path, capsys,
                                                        kind, algo):
@@ -215,6 +216,25 @@ def test_unweighted_algorithm_refuses_a_weighted_scene(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:validation: algorithm '")
     assert "ignores weights" in err
+    # only the disk and square kinds have a weighted solver to point to
+    if kind in ("unit_disks", "unit_squares"):
+        assert "needs 'ptas'" in err
+    else:
+        assert "needs 'ptas'" not in err
+        assert f"no solver reads weights for {kind}" in err
+
+
+@pytest.mark.parametrize("command", ["oracle", "reduce"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_unweighted_command_refuses_a_weighted_scene(tmp_path, capsys,
+                                                     command, kind):
+    path = weighted(tmp_path, kind)
+    argv = ("-o", tmp_path / "out.json") if command == "reduce" else ()
+    assert cli(command, path, *argv) == 3
+    assert capsys.readouterr().err == (
+        f"error:validation: command {command!r} is unweighted; the scene "
+        "has weights\n")
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("kind", ["unit_disks", "unit_squares"])

@@ -41,6 +41,9 @@ class TestOneSidedGolden:
     def test_tight_triple_is_triangle(self):
         inst = disks([(0, F(1, 10)), (1, F(1, 10)), (2, F(1, 10))])
         assert solve_one_sided(inst).size == 2
+        # out of x-order every pair is still a best one; the lowest two stay
+        inst = disks([(2, F(1, 10)), (0, F(1, 10)), (1, F(1, 10))])
+        assert solve_one_sided(inst).selected == (0, 1)
 
     def test_disjoint_triple(self):
         inst = disks([(0, F(1, 2)), (3, F(1, 2)), (6, F(1, 2))])
@@ -270,9 +273,10 @@ class TestStabbingBoundary:
 
 
 def test_one_sided_scales_to_250_disks():
-    # the chain DP stores only the states inside the forward window; the
-    # triple-table DP it replaced takes about 2 minutes on this scene on a
-    # 2-vCPU VM (Python 3.11), and also selects 150 disks
+    # the two-chain DP stores only the chain ends inside the forward window;
+    # the O(n^4) triple-table reference in kernel_reference takes about 2
+    # minutes on this scene on a 2-vCPU VM (Python 3.11), and also selects
+    # 150 disks
     inst = generate_instance(UNIT_DISKS, 250, 1, disk_mode="one_sided")
     start = time.perf_counter()
     sol = solve_one_sided(inst)
