@@ -13,8 +13,8 @@ from .model import (
     ARCS,
     INTERVALS,
     KINDS,
+    RECTS,
     UNIT_DISKS,
-    UNIT_HEIGHT_RECTS,
     UNIT_SQUARES,
     ArcObj,
     DiskObj,
@@ -28,9 +28,9 @@ DISK_MODES = ("general", "one_sided", "two_sided", "slab")
 GRID = 4  # coordinate denominator
 
 
-def _grid_value(rng, lo_units, hi_units) -> Fraction:
-    """Uniform grid point in [lo_units, hi_units] quarter-units."""
-    return Fraction(rng.randrange(lo_units, hi_units + 1), GRID)
+def _grid_units(rng, lo_units, hi_units) -> int:
+    """Uniform grid point in [lo_units, hi_units], in quarter-units."""
+    return rng.randrange(lo_units, hi_units + 1)
 
 
 def generate_instance(
@@ -87,34 +87,28 @@ def generate_instance(
         return GeometricInstance(ARCS, objs)
 
     if kind == UNIT_DISKS:
+        # center heights in quarter-radii; a slab disk lies inside
+        # [0, slab_k * 2r], so its center is in r*[1, 2k-1]
+        lo, hi = {"one_sided": (0, GRID), "two_sided": (-GRID, GRID),
+                  "slab": (GRID, GRID * (2 * slab_k - 1))
+                  }.get(disk_mode, (0, GRID * spread))
+        rn, rd = radius.as_integer_ratio()
         objs = []
         for _ in range(n):
-            x = radius * _grid_value(rng, 0, GRID * spread)
-            if disk_mode == "one_sided":
-                y = radius * _grid_value(rng, 0, GRID)
-            elif disk_mode == "two_sided":
-                y = radius * _grid_value(rng, -GRID, GRID)
-            elif disk_mode == "slab":
-                # whole disk inside [0, slab_k * 2r]: center in r*[1, 2k-1]
-                y = radius * _grid_value(rng, GRID, GRID * (2 * slab_k - 1))
-            else:
-                y = radius * _grid_value(rng, 0, GRID * spread)
-            objs.append(DiskObj(Point(x, y)))
+            x = _grid_units(rng, 0, GRID * spread)
+            y = _grid_units(rng, lo, hi)
+            objs.append(DiskObj(Point(Fraction(rn * x, rd * GRID),
+                                      Fraction(rn * y, rd * GRID))))
         return GeometricInstance(UNIT_DISKS, tuple(objs), radius)
 
     objs = []
     for _ in range(n):
-        x0 = _grid_value(rng, 0, GRID * spread)
-        y0 = _grid_value(rng, 0, GRID * spread)
-        if kind == UNIT_SQUARES:
-            w = h = Fraction(1)
-        elif kind == UNIT_HEIGHT_RECTS:
-            w = _grid_value(rng, 1, 2 * GRID)
-            h = Fraction(1)
-        else:
-            w = _grid_value(rng, 1, 2 * GRID)
-            h = _grid_value(rng, 1, 2 * GRID)
-        objs.append(RectObj(x0, x0 + w, y0, y0 + h))
+        x0 = _grid_units(rng, 0, GRID * spread)
+        y0 = _grid_units(rng, 0, GRID * spread)
+        w = GRID if kind == UNIT_SQUARES else _grid_units(rng, 1, 2 * GRID)
+        h = _grid_units(rng, 1, 2 * GRID) if kind == RECTS else GRID
+        objs.append(RectObj(Fraction(x0, GRID), Fraction(x0 + w, GRID),
+                            Fraction(y0, GRID), Fraction(y0 + h, GRID)))
     return GeometricInstance(kind, tuple(objs))
 
 

@@ -1,15 +1,16 @@
 """Shifting-technique PTAS for unit disks and unit squares.
 
 A height-k slab (k in units of one object diameter) is solved exactly:
-partition the slab into diameter-wide boxes, list per box every
-2-colorable subset together with its proper colorings, and connect
-color-compatible choices of consecutive boxes in a vertex-weighted DAG
-whose maximum-weight s-t path is an optimal bipartite set for the slab.
-Boxes two or more apart cannot interact, so those edges are implicit.  A
-box's subsets come from ``_kernels.bipartite_subsets`` at one component
-join each: a box holds O(k) cells of pairwise-intersecting objects, at most
-2 per cell in a bipartite set, so b objects give b^O(k) subsets, not 2^b
-(Hochbaum & Maass, JACM 1985).
+partition the slab into diameter-wide boxes and list per box every
+2-colorable subset with its proper colorings, one vertex each.  Vertices of
+consecutive boxes combine iff no edge across them joins same-colored
+objects; boxes two or more apart never interact.  One DP pass over the
+boxes finds a maximum-weight path, an optimal bipartite set for the slab,
+and builds index lists for its vertices alone (``build_slab_dag`` lists
+them all, as an explicit DAG).  A box's subsets come from
+``_kernels.bipartite_subsets`` at one component join each: a box holds O(k)
+cells of pairwise-intersecting objects, at most 2 per cell in a bipartite
+set, so b objects give b^O(k) subsets, not 2^b (Hochbaum & Maass, JACM 1985).
 
 The full solver builds the scene's intersection graph once, shifts a grid
 of slab boundaries over k offsets, drops the objects crossing a boundary,
@@ -21,6 +22,7 @@ weights.  Geometry and weight sums are exact int arithmetic.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from . import _kernels
 from .errors import CapacityError, ValidationError
@@ -30,6 +32,7 @@ from .model import (
     GeometricInstance,
     Solution,
     _frac,
+    _key,
     build_intersection_graph,
     certify,
     is_bipartite,  # unused here, but perfbench/tracing.py patches ptas.is_bipartite
@@ -53,24 +56,24 @@ def _half_extent(instance) -> Fraction:
 
 
 def _units(instance, h):
-    """(xs, ys, lowest bottom): each object's position in diameters above
-    the lowest, per axis, as int pairs (numerator, positive denominator).
-
-    Positions are read at an anchor, the centre moved by one fixed vector (a
-    disk's centre, a square's lower-left corner): no Fraction arithmetic.
-    """
+    """(xs, ys, lowest anchor y): each object's position in diameters, ys
+    above the lowest, as int pairs (numerator, positive denominator), read
+    at an anchor, the centre moved by one fixed vector (a disk's centre, a
+    square's lower-left corner), with no Fraction arithmetic."""
     if instance.kind == UNIT_DISKS:
-        anchors, lift = [(o.center.x, o.center.y) for o in instance.objects], h
+        anchors = [(o.center.x, o.center.y) for o in instance.objects]
     else:
-        anchors, lift = [(o.x_min, o.y_min) for o in instance.objects], 0
-    dn, dd = (2 * h).numerator, (2 * h).denominator
-    axes = []
-    for values in zip(*anchors):
-        lo = min(values)
-        ln, ld = lo.numerator, lo.denominator
-        axes.append([((v.numerator * ld - ln * v.denominator) * dd,
-                      v.denominator * ld * dn) for v in values])
-    return axes[0], axes[1], lo - lift  # lo: the lowest anchor y
+        anchors = [(o.x_min, o.y_min) for o in instance.objects]
+    hn, hd = h.as_integer_ratio()  # a diameter is 2 hn / hd
+    lo = min((y for _, y in anchors), key=_key)
+    ln, ld = lo.as_integer_ratio()
+    xs, ys = [], []
+    for x, y in anchors:
+        xn, xd = x.as_integer_ratio()
+        yn, yd = y.as_integer_ratio()
+        xs.append((xn * hd, 2 * xd * hn))
+        ys.append(((yn * ld - ln * yd) * hd, 2 * yd * ld * hn))
+    return xs, ys, lo
 
 
 def _check_weights(instance, weights):
@@ -137,11 +140,12 @@ def _colorings(comps, boundary):
     return out
 
 
-def _slab_dag(graph, xs, members, box_cap) -> SlabDag:
-    """The slab DAG of the objects ``members`` (ascending scene indices of
-    ``graph``, all inside one slab), boxed by their x positions ``xs`` (as
-    ``_units`` gives them); its feasible sets and colorings hold scene
-    indices."""
+def _slab_dag(graph, xs, members, box_cap):
+    """The boxes of the objects ``members`` (ascending scene indices of
+    ``graph``, all inside one slab) by their x positions ``xs``, as
+    ascending (box, subsets) pairs: the box's 2-colorable subsets in
+    ``itertools.combinations`` order, as (bitmask, its ``_colorings``).
+    Vertex ids count the (subset, coloring) pairs in this order."""
     an, am = xs[members[0]]
     for i in members:
         n, m = xs[i]
@@ -154,7 +158,7 @@ def _slab_dag(graph, xs, members, box_cap) -> SlabDag:
 
     masks = graph.masks
     bits = {b: sum(1 << i for i in in_box) for b, in_box in boxes.items()}
-    vertices, classes, by_box = [], [], {}
+    out = []
     for b in sorted(boxes):
         in_box = boxes[b]
         if len(in_box) > box_cap:
@@ -162,40 +166,43 @@ def _slab_dag(graph, xs, members, box_cap) -> SlabDag:
                 f"box with {len(in_box)} objects exceeds cap {box_cap}")
         near = bits.get(b - 1, 0) | bits.get(b + 1, 0)
         boundary = sum(1 << i for i in in_box if masks[i] & near)
-        ids = by_box[b] = []
-        for sel, comps in _kernels.bipartite_subsets(masks, bits[b]):
+        out.append((b, [(sel, _colorings(comps, boundary)) for sel, comps
+                        in _kernels.bipartite_subsets(masks, bits[b])]))
+    return out
+
+
+def _as_dag(boxes) -> SlabDag:
+    """The ``SlabDag`` of ``_slab_dag``'s boxes: u and v in consecutive boxes
+    are compatible iff neither class of v meets the neighbors of u's class
+    of the same color."""
+    vertices, step_edges, prev = [], {}, (None, [])
+    for b, subsets in boxes:
+        ids = []
+        for sel, colorings in subsets:
             subset = _kernels.mask_to_indices(sel)
-            for cls in _colorings(comps, boundary):
-                ids.append(len(vertices))
-                classes.append(cls)
+            for cls in colorings:
+                ids.append((len(vertices), cls))
                 vertices.append(ColoredFeasibleSet(
                     b, subset, {v: cls[1] >> v & 1 for v in subset}))
-
-    # u and v in consecutive boxes are compatible iff no edge joins
-    # same-colored objects: neither class of v meets the neighbors of u's
-    # class of the same color
-    step_edges = {}
-    for b, ids in by_box.items():
-        if b + 1 not in by_box:
-            continue
-        nxt = [(v, *classes[v][:2]) for v in by_box[b + 1]]
-        for u in ids:
-            n0, n1 = classes[u][2:]
-            step_edges[u] = [v for v, c0, c1 in nxt if not (n0 & c0 or n1 & c1)]
+        for u, (_, _, n0, n1) in prev[1] if prev[0] == b - 1 else ():
+            step_edges[u] = [v for v, (c0, c1, _, _) in ids
+                             if not (n0 & c0 or n1 & c1)]
+        prev = b, ids
     return SlabDag(vertices, step_edges)
 
 
 def _scene_slab_dag(instance, k, slab_bottom, box_cap):
-    """(graph, slab DAG) of a scene that is one slab, validated once."""
+    """(graph, slab boxes) of a scene that is one slab, validated once."""
     h = _half_extent(instance)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValidationError(
             f"slab height multiplier k must be an int >= 1, got {k!r}")
     graph = build_intersection_graph(instance)
-    xs, ys, lowest = _units(instance, h)
+    xs, ys, lo = _units(instance, h)
     # every bottom must lie in [b, b + k - 1], in diameters above the lowest
-    b = Fraction(0) if slab_bottom is None else (_frac(slab_bottom) - lowest) / (2 * h)
-    bn, bd = b.numerator, b.denominator
+    lift = h if instance.kind == UNIT_DISKS else 0  # anchor above bottom
+    bn, bd = (0, 1) if slab_bottom is None else (
+        (_frac(slab_bottom) + lift - lo) / (2 * h)).as_integer_ratio()
     for i, (n, m) in enumerate(ys):
         if n * bd < bn * m or n * bd > (bn + (k - 1) * bd) * m:
             raise ValidationError(f"object {i} crosses the slab boundary")
@@ -208,59 +215,59 @@ def build_slab_dag(
     slab_bottom=None,
     box_cap: int = DEFAULT_BOX_CAP,
 ) -> SlabDag:
-    """Enumerate colored feasible sets per box and their step edges.
+    """The slab DAG: colored feasible sets per box and their step edges.
 
     The whole scene is one slab of height k diameters starting at
     ``slab_bottom`` (by default the lowest object's bottom); the slab is the
     index list ``range(n)`` over the scene's intersection graph.  A box of
     b <= ``box_cap`` objects costs one join per 2-colorable subset.
     """
-    return _scene_slab_dag(instance, k, slab_bottom, box_cap)[1]
+    return _as_dag(_scene_slab_dag(instance, k, slab_bottom, box_cap)[1])
 
 
-def _slab(dag, wts):
-    """Maximum-weight path of a slab DAG respecting box order, as
-    (selected, coloring) in scene indices.
-
-    Vertices two or more boxes back are always reachable (implicit edges),
-    so a running best over all boxes <= current - 2 replaces them.
-    """
-    by_box = {}
-    for v, cfs in enumerate(dag.vertices):
-        by_box.setdefault(cfs.box, []).append(v)
-
-    in_step = {}
-    for u, outs in dag.step_edges.items():
-        for v in outs:
-            in_step.setdefault(v, []).append(u)
-
-    best, parent = {}, {}
+def _slab(boxes, wts):
+    """Maximum-weight path through ``_slab_dag``'s boxes, as (selected,
+    coloring) in scene indices.  A vertex adds its subset's weight to the
+    running best over boxes two or more back (always compatible), unless
+    the previous box's first compatible vertex of largest best beats it.
+    The path ends at the largest best, smallest vertex id."""
+    best, links = [], []  # per vertex id: best, (parent, subset, class 1)
     far_best, far_v = 0, None  # best over boxes <= current - 2
-    tops = []  # (box, its first best vertex) per processed box
-    for b in sorted(by_box):
+    tops, ranked = [], []  # (box, best, top vertex); box b - 1's, best first
+    for b, subsets in boxes:
         while tops and b - tops[0][0] >= 2:
-            top = tops.pop(0)[1]
-            if best[top] > far_best:
-                far_best, far_v = best[top], top
-        for v in by_box[b]:
-            w = sum(wts[i] for i in dag.vertices[v].indices)
-            best[v] = w + far_best
-            parent[v] = far_v
-            for u in in_step.get(v, ()):
-                if best[u] + w > best[v]:
-                    best[v] = best[u] + w
-                    parent[v] = u
-        tops.append((b, max(by_box[b], key=best.__getitem__)))
+            _, top_best, top = tops.pop(0)
+            if top_best > far_best:
+                far_best, far_v = top_best, top
+        ranked = ranked if tops else []  # tops holds box b - 1 alone
+        weight, box = {0: 0}, []
+        for sel, colorings in subsets:
+            low = sel & -sel  # sel less low is a smaller subset, seen before
+            w = weight[sel] = (weight[sel ^ low] + wts[low.bit_length() - 1]
+                               if sel else 0)
+            for c0, c1, n0, n1 in colorings:
+                value, par = far_best, far_v
+                for bu, u, un0, un1 in ranked:
+                    if bu <= far_best:
+                        break
+                    if not (un0 & c0 or un1 & c1):
+                        value, par = bu, u
+                        break
+                box.append((value + w, len(best), n0, n1))
+                best.append(value + w)
+                links.append((par, sel, c1))
+        box.sort(key=itemgetter(0), reverse=True)  # stable: ids ascend
+        ranked = box
+        tops.append((b, *box[0][:2]))
 
-    path = []
-    end = max(best, key=lambda v: (best[v], -v))
-    v = end if best[end] > 0 else None
+    end = best.index(max(best))
+    v, path = (end if best[end] > 0 else None), []
     while v is not None:
-        path.append(dag.vertices[v])
-        v = parent[v]
-    path.reverse()
-    return ([i for cfs in path for i in cfs.indices],
-            {i: c for cfs in path for i, c in cfs.coloring.items()})
+        v, sel, c1 = links[v]
+        path.append((sel, c1))
+    pairs = [(i, c1 >> i & 1) for sel, c1 in reversed(path)
+             for i in _kernels.mask_to_indices(sel)]
+    return [i for i, _ in pairs], dict(pairs)
 
 
 def solve_slab(
@@ -272,8 +279,8 @@ def solve_slab(
 ) -> Solution:
     """Exact maximum(-weight) bipartite subset of a slab-confined scene."""
     wts = _check_weights(instance, weights)
-    graph, dag = _scene_slab_dag(instance, k, slab_bottom, box_cap)
-    selected, coloring = _slab(dag, wts)
+    graph, boxes = _scene_slab_dag(instance, k, slab_bottom, box_cap)
+    selected, coloring = _slab(boxes, wts)
     return certify(graph, Solution(tuple(selected), coloring))
 
 
@@ -297,13 +304,13 @@ def solve_ptas_weighted(
     its objects' scene indices over that graph, and a box of
     b <= ``box_cap`` objects costs one join per 2-colorable subset.
     """
-    epsilon = _frac(epsilon)
-    if epsilon <= 0:
+    en, ed = _frac(epsilon).as_integer_ratio()
+    if en <= 0:
         raise ValidationError("epsilon must be positive")
     h = _half_extent(instance)
     graph = build_intersection_graph(instance)
     wts = _check_weights(instance, weights)
-    k = math.ceil(1 / epsilon)
+    k = -(-ed // en)  # ceil(1 / epsilon)
     xs, ys, _ = _units(instance, h)
 
     # Grid line j lies j diameters above the lowest bottom, and an object
@@ -321,8 +328,7 @@ def solve_ptas_weighted(
                 slabs.setdefault((cell - s) // k, []).append(i)
         selected, coloring = [], {}
         for t, members in sorted(slabs.items()):
-            dag = _slab_dag(graph, xs, members, box_cap)
-            sel, col = _slab(dag, wts)
+            sel, col = _slab(_slab_dag(graph, xs, members, box_cap), wts)
             selected += sel
             coloring.update(col)
         total = sum(wts[v] for v in selected)

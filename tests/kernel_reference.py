@@ -6,7 +6,8 @@ interval, unit-height and arc references sweep symbolically perturbed
 endpoint keys, on which no comparison ties; the arc reference cuts the
 circle in exact ``Fraction`` angles.  The slab DAG reference colours every
 triangle-free box subset by pairwise adjacency tests on a slab's own scene
-(a 2-colourable set holds no triangle).  The chain reference is a
+(a 2-colourable set holds no triangle); the slab path reference searches
+that DAG's explicit step edges, reversed per vertex.  The chain reference is a
 triple-table DP over triangle-free x-ordered chains, O(n^4): an independent
 derivation of the size and the lexicographically first position list that
 ``_kernels.chain_mbs`` returns on one-sided masks.
@@ -356,3 +357,51 @@ def reference_slab_dag(instance):
                 if not any(graph.adjacent(i, j) and cu[i] == vertices[v][2][j]
                            for i in iu for j in vertices[v][1])]
     return vertices, step_edges
+
+
+def reference_slab_path(dag, wts):
+    """Maximum-weight path of a ``geombs.SlabDag`` respecting box order, as
+    (selected, coloring) in its indices, with ``wts`` indexed by them.
+
+    Vertices two or more boxes back are always reachable (implicit edges),
+    so a running best over all boxes <= current - 2 replaces them.  A
+    vertex's parent is its first in-neighbour with the largest best if that
+    strictly beats the running best; the path ends at the largest best,
+    smallest vertex id.
+    """
+    by_box = {}
+    for v, cfs in enumerate(dag.vertices):
+        by_box.setdefault(cfs.box, []).append(v)
+
+    in_step = {}
+    for u, outs in dag.step_edges.items():
+        for v in outs:
+            in_step.setdefault(v, []).append(u)
+
+    best, parent = {}, {}
+    far_best, far_v = 0, None  # best over boxes <= current - 2
+    tops = []  # (box, its first best vertex) per processed box
+    for b in sorted(by_box):
+        while tops and b - tops[0][0] >= 2:
+            top = tops.pop(0)[1]
+            if best[top] > far_best:
+                far_best, far_v = best[top], top
+        for v in by_box[b]:
+            w = sum(wts[i] for i in dag.vertices[v].indices)
+            best[v] = w + far_best
+            parent[v] = far_v
+            for u in in_step.get(v, ()):
+                if best[u] + w > best[v]:
+                    best[v] = best[u] + w
+                    parent[v] = u
+        tops.append((b, max(by_box[b], key=best.__getitem__)))
+
+    path = []
+    end = max(best, key=lambda v: (best[v], -v))
+    v = end if best[end] > 0 else None
+    while v is not None:
+        path.append(dag.vertices[v])
+        v = parent[v]
+    path.reverse()
+    return ([i for cfs in path for i in cfs.indices],
+            {i: c for cfs in path for i, c in cfs.coloring.items()})

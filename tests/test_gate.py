@@ -4,12 +4,13 @@ solver returns through exactly one ``certify`` call.  Every scene solver
 validates its scene exactly once, before reading an object.  One graph per
 solve: no solver module builds a scene or a graph object of its own, and
 the interval, arc and unit-height solvers certify on their selection's
-graph alone.  The interval sweeps, the disk solvers, the disk graph build
-and the arc solver make no more ``Fraction`` order comparisons than there
-are objects, and the last four no ``Fraction`` arithmetic; the arc solver
-re-checks only cuts that improve on its best.  The PTAS pays one component join per
-2-colourable box subset.  Parsing a document does no ``Fraction`` comparison
-or arithmetic, and builds each object once."""
+graph alone.  The interval sweeps, the disk solvers, the PTAS, the disk
+graph build and the arc solver make no more ``Fraction`` order comparisons
+than there are objects, and all but the interval sweeps no ``Fraction``
+arithmetic; the arc solver re-checks only cuts that improve on its best.
+The PTAS pays one component join per 2-colourable box subset.  Parsing a
+document does no ``Fraction`` comparison or arithmetic, and builds each
+object once."""
 import ast
 import importlib
 import os
@@ -218,14 +219,19 @@ def test_interval_sweeps_compare_floats(solver, monkeypatch):
     assert len(compares) <= n, len(compares)
 
 
-# call -> (scene kind, generator options) of its seeded scenes
+GATE_N = 120
+# call -> (scene kind, generator options of its seeded scenes, the arguments
+# it takes after the scene)
 DISK_AND_ARC_CALLS = {
-    "solve_one_sided": ("unit_disks", {"disk_mode": "one_sided"}),
-    "solve_two_sided": ("unit_disks", {"disk_mode": "two_sided"}),
-    "solve_3approx": ("unit_disks", {}),
-    "solve_logn": ("unit_disks", {}),
-    "solve_arcs": ("arcs", {}),
-    "build_intersection_graph": ("unit_disks", {}),
+    "solve_one_sided": ("unit_disks", {"disk_mode": "one_sided"}, ()),
+    "solve_two_sided": ("unit_disks", {"disk_mode": "two_sided"}, ()),
+    "solve_3approx": ("unit_disks", {}, ()),
+    "solve_logn": ("unit_disks", {}, ()),
+    "solve_arcs": ("arcs", {}, ()),
+    "build_intersection_graph": ("unit_disks", {}, ()),
+    "solve_ptas": ("unit_squares", {}, (Fraction(1, 2),)),
+    "solve_ptas_weighted": ("unit_disks", {},
+                            (geombs.generate_weights(GATE_N, 1), Fraction(1, 2))),
 }
 FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
                        "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
@@ -237,8 +243,8 @@ def test_disk_and_arc_solvers_do_no_fraction_arithmetic(call, monkeypatch):
     # work, not wall clock: after parsing, coordinates are read as
     # cross-multiplied ints and float-first keys, so no Fraction arithmetic
     # runs and Fraction order comparisons stay at one per object or fewer
-    kind, options = DISK_AND_ARC_CALLS[call]
-    n = 120
+    kind, options, args = DISK_AND_ARC_CALLS[call]
+    n = GATE_N
     scenes = [geombs.generate_instance(kind, n, seed, **options)
               for seed in (1, 2, 3)]
     calls = {}
@@ -255,7 +261,7 @@ def test_disk_and_arc_solvers_do_no_fraction_arithmetic(call, monkeypatch):
         monkeypatch.setattr(Fraction, name, counting(name))
     for seed, scene in enumerate(scenes):
         calls.clear()
-        getattr(geombs, call)(scene)
+        getattr(geombs, call)(scene, *args)
         compares = calls.pop("_richcmp", 0)
         assert not calls, (seed, calls)
         assert compares <= n, (seed, compares)

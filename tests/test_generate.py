@@ -1,4 +1,6 @@
-"""Seeded generators: determinism and per-mode constraints."""
+"""Seeded generators: determinism, pinned output and per-mode constraints."""
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +11,9 @@ from geombs import (
     ValidationError,
     generate_instance,
     generate_weights,
+    serialize,
 )
+from geombs.generate import DISK_MODES
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -19,6 +23,23 @@ def test_deterministic(kind):
     assert a == b
     c = generate_instance(kind, 9, 124)
     assert a != c
+
+
+def test_scenes_are_pinned():
+    # seeded scenes are benchmark and test corpora: a rewrite of the
+    # generator must not move one coordinate of any kind, disk mode or radius
+    digest = hashlib.sha256()
+    for kind in KINDS:
+        for seed in range(40):
+            variants = ([{"disk_mode": m, "radius": r, "slab_k": 1 + seed % 3}
+                         for m in DISK_MODES for r in (F(1), F(3, 2), F(2, 3))]
+                        if kind == UNIT_DISKS else [{}])
+            for options in variants:
+                inst = generate_instance(kind, 9, seed, spread=1 + seed % 12,
+                                         **options)
+                doc = serialize.instance_to_dict(inst)
+                digest.update(json.dumps(doc).encode())
+    assert digest.hexdigest()[:16] == "f33d18ffd71e6939"
 
 
 def test_single_object():

@@ -1,5 +1,6 @@
-"""Shifting PTAS: exact slab solver via the colored-feasible-set DAG, the
-shifted-grid wrapper, and the weighted variant."""
+"""Shifting PTAS: exact slab solver by one path DP over box subsets,
+checked against the colored-feasible-set DAG, the shifted-grid wrapper, and
+the weighted variant."""
 import random
 from fractions import Fraction as F
 
@@ -218,9 +219,9 @@ class TestReference:
         real = ptas._slab_dag
 
         def spy(graph, centers, members, *rest):
-            dag = real(graph, centers, members, *rest)
-            built.append((list(members), dag))
-            return dag
+            boxes = real(graph, centers, members, *rest)
+            built.append((list(members), ptas._as_dag(boxes)))
+            return boxes
 
         monkeypatch.setattr(ptas, "_slab_dag", spy)
         for seed, inst in reference_scenes(kind):
@@ -237,6 +238,35 @@ class TestReference:
                      {members[j]: c for j, c in coloring.items()})
                     for box, subset, coloring in vertices], seed
                 assert list(dag.step_edges.items()) == list(step_edges.items()), seed
+
+    @pytest.mark.parametrize("kind", [UNIT_DISKS, UNIT_SQUARES])
+    @pytest.mark.parametrize("epsilon", [F(1, 2), F(1, 3)])
+    @pytest.mark.parametrize("weighting", ["unit", "generated", "zeros"])
+    def test_slab_paths_match_dag_reference(self, kind, epsilon, weighting,
+                                            monkeypatch):
+        # every slab of every offset: the one-pass DP over the boxes picks
+        # the same path, in value and order, as the search over the
+        # explicit DAG's step edges
+        paths = []
+        real = ptas._slab
+
+        def spy(boxes, wts):
+            out = real(boxes, wts)
+            dag = ptas._as_dag(boxes)
+            paths.append((out, kernel_reference.reference_slab_path(dag, wts)))
+            return out
+
+        monkeypatch.setattr(ptas, "_slab", spy)
+        for j, (seed, inst) in enumerate(reference_scenes(kind)):
+            rng = random.Random(j)
+            wts = {"unit": None, "generated": generate_weights(inst.n, j),
+                   "zeros": [rng.randint(0, 2) for _ in inst.objects]}[weighting]
+            paths.clear()
+            solve_ptas_weighted(inst, wts, epsilon)
+            assert paths, seed
+            for (selected, coloring), (ref_selected, ref_coloring) in paths:
+                assert selected == ref_selected, seed
+                assert list(coloring.items()) == list(ref_coloring.items()), seed
 
 
 class TestWeighted:
