@@ -19,7 +19,6 @@ it would replace the best so far.
 from bisect import bisect_right
 
 from . import _kernels
-from .errors import ValidationError
 from .intervals import (
     _sweep,
     solve_intervals,  # unused here, but perfbench/tracing.py patches arcs.solve_intervals
@@ -28,6 +27,7 @@ from .model import (
     ARCS,
     GeometricInstance,
     Solution,
+    _expect,
     _graph_over,
     _key,
     build_intersection_graph,  # unused here, but perfbench/tracing.py patches arcs.build_intersection_graph
@@ -102,9 +102,8 @@ def solve_arcs(instance: GeometricInstance) -> Solution:
     an O(n) sweep, and an O(n + m) check on n-bit masks of each candidate
     that would replace the best so far; plus a certificate on the graph of
     the selection alone."""
-    if instance.kind != ARCS:
-        raise ValidationError(f"expected an arcs scene, got {instance.kind}")
-    validate_instance(instance, require_nonempty=True)
+    _expect(instance, ARCS)
+    validate_instance(instance)
 
     starts, ends, size = _positions(instance)
     covering, began, gap = _coverage(starts, ends, size)

@@ -40,8 +40,7 @@ def _solve_oracle(instance):
 
 # name -> (solver, guarantee factor as a function of n; factor * size >= OPT)
 ALGORITHMS = {
-    "intervals": (lambda inst: solve_intervals(inst, perturb=True),
-                  lambda n: Fraction(1)),
+    "intervals": (solve_intervals, lambda n: Fraction(1)),
     "arcs": (solve_arcs, None),  # additive: size >= OPT - 1
     "one_sided": (solve_one_sided, lambda n: Fraction(1)),
     "two_sided": (solve_two_sided, lambda n: Fraction(2)),

@@ -88,8 +88,6 @@ def _cmd_solve(args):
         sol = (solve_ptas_weighted(instance, weights, eps)
                if weights is not None else solve_ptas(instance, eps))
     else:
-        if algo not in ALGORITHMS:
-            raise ValidationError(f"unknown algorithm {algo!r}")
         sol = ALGORITHMS[algo][0](instance)
     if args.output:
         save_solution(sol, args.output)

@@ -19,15 +19,16 @@ from dataclasses import dataclass
 
 from .diskline import (
     _chain,
-    _require_disks,
     _two_sided,
     _x_order,
     solve_one_sided,  # unused here, but perfbench/tracing.py patches diskgeneral.solve_one_sided
     solve_two_sided,  # unused here, but perfbench/tracing.py patches diskgeneral.solve_two_sided
 )
 from .model import (
+    UNIT_DISKS,
     GeometricInstance,
     Solution,
+    _expect,
     _key,
     build_intersection_graph,
     certify,
@@ -56,7 +57,7 @@ def _groups(group):
 
 
 def assign_slabs(instance: GeometricInstance) -> SlabAssignment:
-    _require_disks(instance)
+    _expect(instance, UNIT_DISKS)
     validate_instance(instance)
     base, group = _assign_slabs(instance)
     r = instance.disk_radius
@@ -82,7 +83,7 @@ def _assign_slabs(instance):
 
 def solve_3approx(instance: GeometricInstance) -> Solution:
     """Bipartite subset of size at least OPT / 3."""
-    _require_disks(instance)
+    _expect(instance, UNIT_DISKS)
     graph = build_intersection_graph(instance)
     _, group = _assign_slabs(instance)
     per_group = {
@@ -108,7 +109,7 @@ def solve_3approx(instance: GeometricInstance) -> Solution:
 
 def solve_logn(instance: GeometricInstance) -> Solution:
     """Divide-and-conquer bipartite subset, factor max(1, 2 log2 n)."""
-    _require_disks(instance)
+    _expect(instance, UNIT_DISKS)
     graph = build_intersection_graph(instance)
     objs = instance.objects
     r = instance.disk_radius

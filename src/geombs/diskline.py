@@ -19,22 +19,13 @@ from .model import (
     UNIT_DISKS,
     GeometricInstance,
     Solution,
+    _expect,
     _frac,
     _key,
     build_intersection_graph,
     certify,
     is_bipartite,
 )
-
-
-def _require_disks(instance):
-    """Reject all but a nonempty unit-disk scene without reading its
-    objects: a solver's one graph build validates them, before any other
-    access."""
-    if instance.kind != UNIT_DISKS:
-        raise ValidationError(f"expected a unit_disks scene, got {instance.kind}")
-    if not instance.objects:
-        raise ValidationError("instance has no objects")
 
 
 def _line_sides(instance, line_y):
@@ -58,7 +49,7 @@ def _stabbed(instance, line_y, one_sided):
     """``(graph, sides)`` of a disk scene whose disks all meet the line
     y = ``line_y``, with centers on or above it if ``one_sided``; ``sides``
     is the scene's ``_line_sides``."""
-    _require_disks(instance)
+    _expect(instance, UNIT_DISKS)
     graph = build_intersection_graph(instance)
     sides = _line_sides(instance, line_y)
     for i, above in enumerate(sides):

@@ -22,6 +22,7 @@ from .model import (
     IntervalObj,
     Point,
     RectObj,
+    _frac,
 )
 
 DISK_MODES = ("general", "one_sided", "two_sided", "slab")
@@ -60,7 +61,7 @@ def generate_instance(
         raise ValidationError("need n >= 1 objects")
     if disk_mode not in DISK_MODES:
         raise ValidationError(f"unknown disk mode {disk_mode!r}")
-    radius = Fraction(radius)
+    radius = _frac(radius)
     if radius <= 0:
         raise ValidationError("radius must be positive")
     if slab_k < 1:

@@ -14,15 +14,13 @@ Intersection is closed, so shared endpoints need no tie-breaking: a left
 endpoint equal to a marker touches the interval that set it.  The sort and
 the sweep compare the exact ``(float(v), v)`` endpoint keys, on which floats
 decide all but float ties.  Right endpoints of equal value are visited by
-increasing index.  Without ``perturb`` the endpoints must still be pairwise
-distinct, and duplicates raise ``ValidationError``; ``perturb=True`` only
-lifts that check.
+increasing index, and shared endpoints are valid input.
 """
-from .errors import ValidationError
 from .model import (
     INTERVALS,
     GeometricInstance,
     Solution,
+    _expect,
     _graph_over,
     _key,
     build_intersection_graph,  # unused here, but perfbench/tracing.py patches intervals.build_intersection_graph
@@ -61,17 +59,12 @@ def solve_intervals(instance: GeometricInstance, perturb: bool = False) -> Solut
     O(n log n + k log k) for k selected intervals: a sort and a linear
     sweep, then a certificate on the graph of the selection alone.
 
-    Shared endpoint values are valid input only with ``perturb=True``; the
-    sweep treats them the same either way."""
-    if instance.kind != INTERVALS:
-        raise ValidationError(f"expected an intervals scene, got {instance.kind}")
-    validate_instance(instance, require_nonempty=True)
+    Shared endpoint values are valid input.  ``perturb`` does nothing; it is
+    kept only for callers that still pass it."""
+    _expect(instance, INTERVALS)
+    validate_instance(instance)
     lefts = [_key(o.left) for o in instance.objects]
     rights = [_key(o.right) for o in instance.objects]
-    if not perturb and len({v for _, v in lefts + rights}) != 2 * instance.n:
-        raise ValidationError(
-            "duplicate interval endpoints; rerun with perturbation enabled"
-        )
     selected = _sweep(lefts, rights, sorted(range(instance.n), key=rights.__getitem__))
 
     # the greedy selection induces a forest, so its graph has O(k) edges

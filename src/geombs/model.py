@@ -6,14 +6,13 @@ compare squared distances, so there is no tolerance parameter anywhere.
 Intersection is closed: tangent objects are adjacent.
 
 From parsing on, no ``Fraction`` arithmetic runs on the objects, and
-exactness is kept.  ``_frac`` reads plain ``p/q`` and integer text with
-``int`` and leaves every other string to ``Fraction(str)``; constructors
-coerce only fields that are not a ``Fraction`` yet.  Sorts and sweeps
-compare ``_key``s ``(float(v), v)``, whose correctly rounded float decides
-a comparison unless the floats tie, and then the exact value does; the
-graph builder sweeps disks on the floats alone and leaves float ties to the
-exact pair test.  Object orders, disks and arcs are compared on
-cross-multiplied ints, each value's read with one ``as_integer_ratio()``.
+exactness is kept.  ``_frac`` reads its one text grammar with ``int`` and
+refuses every other text; constructors coerce only fields that are not a
+``Fraction`` yet.  Sorts and sweeps compare ``_key``s ``(float(v), v)``,
+whose correctly rounded float decides a comparison unless the floats tie,
+and then the exact value does; the graph builder sweeps disks on the floats
+alone and leaves float ties to the exact pair test.  Object orders, disks
+and arcs compare cross-multiplied ints, one ``as_integer_ratio()`` per value.
 """
 from __future__ import annotations
 
@@ -39,30 +38,29 @@ KINDS = (INTERVALS, ARCS, UNIT_DISKS, UNIT_SQUARES, UNIT_HEIGHT_RECTS, RECTS)
 
 
 def _frac(value) -> Fraction:
-    """Exact rational from a Fraction, an int or ``"p/q"`` text; bools,
-    floats and malformed text raise ``ValidationError``.
-
-    Text ``-?D+(/D+)?`` with a nonzero denominator, D a decimal digit
-    (``str.isdecimal``: the digits both ``int`` and ``Fraction`` read), is
-    read with ``int``; any other text goes to ``Fraction(str)``, so both
-    accept the same strings and fail with the same messages."""
+    """Exact rational from a Fraction, an int or text in the grammar
+    ``-?[0-9]+(/[0-9]+)?`` in ASCII with a nonzero denominator, the language
+    ``format_rational`` writes; bools, floats and any other text raise
+    ``ValidationError``, on every supported Python alike."""
     if type(value) is Fraction:
         return value
     if isinstance(value, str):  # parsing is the hot path
-        try:
-            num, slash, den = value.partition("/")
-            if num.removeprefix("-").isdecimal():
+        num, slash, den = value.partition("/")
+        if (value.isascii() and num.removeprefix("-").isdigit()
+                and (den.isdigit() or not slash)):
+            try:
                 if not slash:
                     return Fraction(int(num))
-                if den.isdecimal() and (q := int(den)):
+                if q := int(den):
                     return Fraction(int(num), q)
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad rational {value!r}: {exc}") from exc
+            except ValueError as exc:  # beyond the interpreter's digit limit
+                raise ValidationError(f"bad rational {value!r}: {exc}") from exc
+        raise ValidationError(f"bad rational {value!r}: expected "
+                              "-?[0-9]+(/[0-9]+)? with a nonzero denominator")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return Fraction(int(value))
     raise ValidationError(f"expected an exact rational, got {value!r}")
 
 
@@ -192,7 +190,7 @@ def _unit_apart(lo: Fraction, hi: Fraction) -> bool:
     return hd == d and hn - ln == d
 
 
-def validate_instance(instance: GeometricInstance, require_nonempty: bool = False):
+def validate_instance(instance: GeometricInstance):
     """Check kind/payload consistency and per-kind invariants."""
     if instance.kind not in KINDS:
         raise ValidationError(f"unknown kind {instance.kind!r}")
@@ -216,7 +214,16 @@ def validate_instance(instance: GeometricInstance, require_nonempty: bool = Fals
         for obj in instance.objects:
             if not _unit_apart(obj.y_min, obj.y_max):
                 raise ValidationError(f"non-unit-height rectangle {obj}")
-    if require_nonempty and not instance.objects:
+
+
+def _expect(instance: GeometricInstance, *kinds):
+    """Reject a scene of a kind outside ``kinds``, then an empty scene,
+    without reading an object: the solver's one validation reads them."""
+    if instance.kind not in kinds:
+        wanted = " or ".join(map(repr, kinds))
+        raise ValidationError(
+            f"expected a scene of kind {wanted}, got {instance.kind!r}")
+    if not instance.objects:
         raise ValidationError("instance has no objects")
 
 

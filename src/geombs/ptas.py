@@ -31,6 +31,7 @@ from .model import (
     UNIT_SQUARES,
     GeometricInstance,
     Solution,
+    _expect,
     _frac,
     _key,
     build_intersection_graph,
@@ -44,15 +45,8 @@ DEFAULT_BOX_CAP = 16
 def _half_extent(instance) -> Fraction:
     """Half the object diameter of a nonempty disk or square scene, read
     without touching the objects: the solver's graph build validates them."""
-    if not instance.objects:
-        raise ValidationError("instance has no objects")
-    if instance.kind == UNIT_DISKS:
-        return instance.disk_radius
-    if instance.kind == UNIT_SQUARES:
-        return Fraction(1, 2)
-    raise ValidationError(
-        f"shifting solver handles unit_disks or unit_squares, got {instance.kind}"
-    )
+    _expect(instance, UNIT_DISKS, UNIT_SQUARES)
+    return instance.disk_radius if instance.kind == UNIT_DISKS else Fraction(1, 2)
 
 
 def _units(instance, h):

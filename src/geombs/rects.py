@@ -9,7 +9,6 @@ bipartite set; the larger class has at least half the optimum.  Groups are
 swept on exact x-projection keys, and the graph of the chosen union alone,
 not the scene's, colours and certifies it.
 """
-from .errors import ValidationError
 from .intervals import (
     _sweep,
     solve_intervals,  # unused here, but perfbench/tracing.py patches rects.solve_intervals
@@ -18,6 +17,7 @@ from .model import (
     UNIT_HEIGHT_RECTS,
     GeometricInstance,
     Solution,
+    _expect,
     _graph_over,
     _key,
     certify,
@@ -41,11 +41,8 @@ def group_rects(instance: GeometricInstance) -> dict:
 
 def solve_unit_height(instance: GeometricInstance) -> Solution:
     """Best parity class of per-group interval optima (parity 0 on a tie)."""
-    if instance.kind != UNIT_HEIGHT_RECTS:
-        raise ValidationError(
-            f"expected a unit_height_rects scene, got {instance.kind}"
-        )
-    validate_instance(instance, require_nonempty=True)
+    _expect(instance, UNIT_HEIGHT_RECTS)
+    validate_instance(instance)
     lefts = [_key(o.x_min) for o in instance.objects]
     rights = [_key(o.x_max) for o in instance.objects]
     unions = [[], []]

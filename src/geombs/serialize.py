@@ -1,10 +1,10 @@
 """JSON instance and solution files with exact rational coordinates.
 
-Rationals are serialized as ``"p/q"`` strings (integer shorthand allowed on
-input) so the text format round-trips losslessly.  ``parse_rational`` reads
-one rational: plain ``p/q`` and integer text with ``int``, any other string
-by ``Fraction(str)``, whose strings and messages it shares.  A float, a bool
-or a key the format does not define is a ``ValidationError``, never coerced.
+Rationals are written as ``"p/q"``, or ``"p"`` for an integer, so the text
+format round-trips losslessly.  ``parse_rational`` reads a JSON int or text
+in the one grammar ``-?[0-9]+(/[0-9]+)?`` (ASCII, nonzero denominator) that
+``format_rational`` writes; other text, a float, a bool or a key the format
+does not define is a ``ValidationError``, never coerced.
 
 ``instance_from_dict`` reads a document's records into one value list, each
 distinct string once per document, and builds the objects column-wise
@@ -48,7 +48,7 @@ def format_rational(value) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-# "p/q" text or an integer; JSON booleans and floats are a ValidationError
+# text in the grammar or an integer; anything else is a ValidationError
 parse_rational = _frac
 
 

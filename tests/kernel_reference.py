@@ -181,7 +181,7 @@ def _perturbed(spans):
 
 
 def reference_intervals(instance):
-    """``(selected, coloring)`` of ``solve_intervals(perturb=True)``: the
+    """``(selected, coloring)`` of ``solve_intervals``: the
     sweep over perturbed keys, coloured on the scene's whole graph."""
     lefts, rights = _perturbed([(o.left, o.right) for o in instance.objects])
     order = sorted(range(instance.n), key=rights.__getitem__)
@@ -230,7 +230,7 @@ def _cut_candidates(instance):
 
 
 def _linearize(instance, cut):
-    """``solve_intervals(perturb=True)`` keys, by arc index, of the arcs
+    """Perturbed interval keys, by arc index, of the arcs
     not wrapping across ``cut``: the surviving arc at position p unrolls to
     ``(lo, -(p+1))`` and ``(hi, p+1)``.  ``solve_arcs`` numbers arcs by
     index instead, so a match shows that the numbering decides nothing."""

@@ -65,7 +65,7 @@ def test_criterion_01_interval_exactness(announce):
     count = 1000
     for seed in range(count):
         inst = generate_instance(INTERVALS, 1 + seed % 16, seed)
-        sol = solve_intervals(inst, perturb=True)
+        sol = solve_intervals(inst)
         assert sol.size == exact_mbs(graph(inst)).size, seed
     elapsed = announce("01 interval exactness", f"{count} instances, n<=16")
     assert elapsed < 30

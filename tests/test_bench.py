@@ -30,6 +30,15 @@ def test_disk_suite_guarantees():
     assert all(r.within_guarantee for r in report.rows)
 
 
+def test_arc_suite_within_one_of_the_optimum():
+    # arcs carry an additive guarantee, size >= OPT - 1, not a factor; two
+    # of these scenes sit exactly at the bound
+    report = run_bench("arcs", 20, 10, seed=220)
+    assert {r.algorithm for r in report.rows} == {"arcs"}
+    assert all(r.within_guarantee is True for r in report.rows)
+    assert any(r.size == r.optimum - 1 for r in report.rows)
+
+
 def test_no_oracle_mode():
     report = run_bench("arcs", 3, 6, seed=1, with_oracle=False)
     assert all(r.optimum is None and r.ratio is None for r in report.rows)

@@ -132,6 +132,16 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "error:validation:" in capsys.readouterr().err
 
 
+def test_options_read_the_rational_grammar(tmp_path, capsys):
+    # --epsilon and --radius read only the grammar of the files
+    path = gen(tmp_path, "unit_squares")
+    assert cli("solve", path, "--epsilon", "0.5") == 3
+    assert cli("generate", "--kind", "unit_disks", "--n", 3, "--seed", 1,
+               "--radius", " 1", "-o", tmp_path / "disks.json") == 3
+    err = capsys.readouterr().err
+    assert "bad rational '0.5'" in err and "bad rational ' 1'" in err
+
+
 def test_auto_dispatch_picks_line_algorithms(tmp_path, capsys):
     one = gen(tmp_path, "unit_disks", n=7, seed=5, disk_mode="one_sided")
     assert cli("solve", one) == 0

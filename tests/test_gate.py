@@ -137,15 +137,56 @@ def test_every_scene_solver_validates_once(solver, monkeypatch):
     calls = []
     validate = model.validate_instance
 
-    def spy(instance, require_nonempty=False):
+    def spy(instance):
         calls.append(instance)
-        return validate(instance, require_nonempty)
+        return validate(instance)
 
     for name in ("model",) + SOLVER_MODULES:
         monkeypatch.setattr(importlib.import_module(f"geombs.{name}"),
                             "validate_instance", spy, raising=False)
     SOLVER_CALLS[solver]()
     assert len(calls) == 1, len(calls)
+
+
+# public scene solver -> (a call on a scene, the kinds it solves)
+DISKS, SHIFTED = ("unit_disks",), ("unit_disks", "unit_squares")
+SCENE_SOLVERS = {
+    "solve_intervals": (geombs.solve_intervals, ("intervals",)),
+    "solve_arcs": (geombs.solve_arcs, ("arcs",)),
+    "solve_unit_height": (geombs.solve_unit_height, ("unit_height_rects",)),
+    "solve_one_sided": (geombs.solve_one_sided, DISKS),
+    "one_sided_mis": (geombs.one_sided_mis, DISKS),
+    "solve_two_sided": (geombs.solve_two_sided, DISKS),
+    "solve_3approx": (geombs.solve_3approx, DISKS),
+    "solve_logn": (geombs.solve_logn, DISKS),
+    "assign_slabs": (geombs.assign_slabs, DISKS),
+    "solve_slab": (lambda inst: geombs.solve_slab(inst, 1, slab_bottom=0),
+                   SHIFTED),
+    "build_slab_dag": (lambda inst: geombs.build_slab_dag(inst, 1), SHIFTED),
+    "solve_ptas": (lambda inst: geombs.solve_ptas(inst, Fraction(1, 2)),
+                   SHIFTED),
+    "solve_ptas_weighted": (lambda inst: geombs.solve_ptas_weighted(
+        inst, [1] * inst.n, Fraction(1, 2)), SHIFTED),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(SCENE_SOLVERS))
+def test_every_scene_solver_refuses_other_kinds_and_empty_scenes(solver):
+    # the kind first, then emptiness, each before an object is read: the
+    # placeholder object None has nothing a solver could read
+    call, kinds = SCENE_SOLVERS[solver]
+    for kind in geombs.KINDS + ("hexagons",):
+        radius = 1 if kind == "unit_disks" else None
+        empty = geombs.GeometricInstance(kind, (), radius)
+        if kind in kinds:
+            message = "instance has no objects"
+        else:
+            wanted = " or ".join(map(repr, kinds))
+            message = f"expected a scene of kind {wanted}, got '{kind}'"
+            with pytest.raises(geombs.ValidationError, match=message):
+                call(geombs.GeometricInstance(kind, (None,), radius))
+        with pytest.raises(geombs.ValidationError, match=message):
+            call(empty)
 
 
 # a unit-disk scene holding an interval, which has no centre to read
@@ -206,7 +247,6 @@ def test_interval_sweeps_compare_floats(solver, monkeypatch):
     # keys, so Fraction order comparisons stay at one per object or fewer
     kind, n, _ = SELECTION_GRAPHS[solver]
     scene = geombs.generate_instance(kind, n, 1)
-    options = {"perturb": True} if solver == "solve_intervals" else {}
     compares = []
     richcmp = Fraction._richcmp
 
@@ -215,7 +255,7 @@ def test_interval_sweeps_compare_floats(solver, monkeypatch):
         return richcmp(a, b, op)
 
     monkeypatch.setattr(Fraction, "_richcmp", counted)
-    assert getattr(geombs, solver)(scene, **options).size
+    assert getattr(geombs, solver)(scene).size
     assert len(compares) <= n, len(compares)
 
 

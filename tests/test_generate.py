@@ -101,6 +101,15 @@ def test_parameter_validation():
         generate_instance(UNIT_DISKS, 3, 0, spread=0)
 
 
+@pytest.mark.parametrize("radius", [0.5, True, " 1", "+1", "1.5"])
+def test_radius_is_an_exact_rational(radius):
+    # the radius reads as every other rational does, never coerced
+    with pytest.raises(ValidationError):
+        generate_instance(UNIT_DISKS, 3, 0, radius=radius)
+    assert (generate_instance(UNIT_DISKS, 3, 0, radius="3/2")
+            == generate_instance(UNIT_DISKS, 3, 0, radius=F(3, 2)))
+
+
 @pytest.mark.parametrize("name, value", [
     ("n", True), ("n", 2.5), ("n", "3"),
     ("spread", 2.7), ("spread", True), ("spread", F(2)),

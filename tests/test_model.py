@@ -47,6 +47,15 @@ def disks(centers, r=1):
     )
 
 
+# value -> what _frac reads, or None where it must refuse
+RATIONALS = [
+    ("3/4", F(3, 4)), ("-3/4", F(-3, 4)), ("-0", F(0)), ("007/4", F(7, 4)),
+    ("6/8", F(3, 4)), (7, F(7)),
+] + [(text, None) for text in [
+    " 3/4", "3/4 ", "3/ 4", "3 / 4", "+3", "1_0", "٣", "²", "3/", "/4", "3/0",
+    "1e3", "1.5", "0.5", "--3", "-3/-4", "", "7" * 4301, 0.5, True]]
+
+
 class TestObjects:
     def test_interval_needs_left_below_right(self):
         with pytest.raises(ValidationError):
@@ -101,22 +110,21 @@ class TestObjects:
         with pytest.raises(ValidationError):
             Point(text, 0)
 
-    @pytest.mark.parametrize("text", [
-        "3/4", "-3/4", " 3/4", "3/4 ", "3/ 4", "+3", "1_0", "٣", "²", "3/",
-        "/4", "3/0", "-0", "007/4", "1e3", "1.5", "--3", "-3/-4", "",
-        "7" * 4301])
-    def test_parser_agrees_with_fraction(self, text):
-        # the p/q fast path accepts exactly what Fraction(str) accepts and
-        # fails with the same message
-        try:
-            want = F(text)
-        except (ValueError, ZeroDivisionError) as exc:
+    @pytest.mark.parametrize("text, want", RATIONALS,
+                             ids=[t if isinstance(t, str)
+                                  else f"{type(t).__name__}:{t!r}"
+                                  for t, _ in RATIONALS])
+    def test_parser_agrees_with_fraction(self, text, want):
+        # text in the grammar reads as Fraction(text) does; every other text,
+        # and every float or bool, is refused on every supported Python
+        if want is None:
             with pytest.raises(ValidationError) as got:
                 _frac(text)
-            assert str(got.value) == f"bad rational {text!r}: {exc}"
+            if isinstance(text, str):
+                assert str(got.value).startswith(f"bad rational {text!r}: ")
         else:
             got = _frac(text)
-            assert got == want and type(got) is F
+            assert got == want == F(text) and type(got) is F
 
 
 class TestValidation:
@@ -124,6 +132,8 @@ class TestValidation:
         inst = GeometricInstance(INTERVALS, (DiskObj(Point(0, 0)),))
         with pytest.raises(ValidationError):
             validate_instance(inst)
+        with pytest.raises(ValidationError, match="unknown kind 'hexagons'"):
+            validate_instance(GeometricInstance("hexagons", ()))
 
     def test_disk_radius_required(self):
         inst = GeometricInstance(UNIT_DISKS, (DiskObj(Point(0, 0)),))

@@ -302,6 +302,11 @@ class TestWeighted:
         with pytest.raises(ValidationError):
             solve_ptas_weighted(inst, [-1], F(1, 2))
 
+    @pytest.mark.parametrize("weights", [[], [1], [1, 1, 1]])
+    def test_one_weight_per_object(self, weights):
+        with pytest.raises(ValidationError, match="one weight per object"):
+            solve_ptas_weighted(disks([(0, 0), (3, 0)]), weights, F(1, 2))
+
     def test_weight_guarantee(self):
         # k * achieved weight >= (k-1) * optimal weight, via weighted oracle
         from itertools import combinations

@@ -1,6 +1,10 @@
 """Property tests of the instance parser: on generated documents
-``instance_from_dict`` equals a per-value ``Fraction(str)`` parse, and a
-document with one fault is a ``ValidationError``."""
+``instance_from_dict`` equals a per-value ``Fraction(str)`` parse of the
+rational grammar's texts and refuses every other spelling, a document with
+one fault is a ``ValidationError``, and instance and solution documents
+read back exactly what the writer wrote."""
+import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -16,9 +20,15 @@ from geombs import (  # noqa: E402
     IntervalObj,
     Point,
     RectObj,
+    Solution,
     ValidationError,
 )
-from geombs.serialize import instance_from_dict  # noqa: E402
+from geombs.serialize import (  # noqa: E402
+    instance_from_dict,
+    instance_to_dict,
+    solution_from_dict,
+    solution_to_dict,
+)
 
 FIELDS = {
     "intervals": ("left", "right"),
@@ -29,8 +39,9 @@ FIELDS = {
     "rects": ("x_min", "x_max", "y_min", "y_max"),
 }
 
-# texts that Fraction(str) reads, beyond the canonical "p/q"; whether the
-# parser takes them is Fraction's call, so the oracle below decides
+# texts beyond the canonical "p/q", most of which Fraction(str) reads on
+# some Python; the parser takes only those in the grammar
+GRAMMAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
 ODD_SPELLINGS = ["+{p}/{q}", " {p}/{q}", "{p}/{q} ", "0{p}/{q}", "{p}/0{q}",
                  "{p}_0/{q}0"]
 ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
@@ -91,13 +102,20 @@ def documents(draw, min_n=0):
     return doc
 
 
+def _read(value):
+    """A JSON int as ``Fraction(int)``, a text in the grammar as
+    ``Fraction(str)``; any other text raises ``ValueError``."""
+    if isinstance(value, str) and not GRAMMAR.fullmatch(value):
+        raise ValueError(f"{value!r} is outside the grammar")
+    return F(value)
+
+
 def _fraction_parse(doc):
-    """The document read one value at a time by ``Fraction``, which reads
-    a text as ``Fraction(str)`` and a JSON int as ``Fraction(int)``."""
+    """The document read one value at a time by ``_read``."""
     kind = doc["kind"]
     objects = []
     for rec in doc["objects"]:
-        v = [F(rec[name]) for name in FIELDS[kind]]
+        v = [_read(rec[name]) for name in FIELDS[kind]]
         if kind == "intervals":
             objects.append(IntervalObj(*v))
         elif kind == "arcs":
@@ -106,8 +124,8 @@ def _fraction_parse(doc):
             objects.append(DiskObj(Point(*v)))
         else:
             objects.append(RectObj(*v))
-    radius = F(doc["disk_radius"]) if "disk_radius" in doc else None
-    weights = [F(w) for w in doc["weights"]] if "weights" in doc else None
+    radius = _read(doc["disk_radius"]) if "disk_radius" in doc else None
+    weights = [_read(w) for w in doc["weights"]] if "weights" in doc else None
     return GeometricInstance(kind, tuple(objects), radius), weights
 
 
@@ -116,7 +134,7 @@ def _fraction_parse(doc):
 def test_parse_equals_fraction_parse_on_generated_documents(doc):
     try:
         want = _fraction_parse(doc)
-    except (ValueError, ZeroDivisionError):  # this Python's Fraction refuses
+    except (ValueError, ZeroDivisionError):  # outside the grammar, or q = 0
         with pytest.raises(ValidationError):
             instance_from_dict(doc)
         return
@@ -157,3 +175,67 @@ def broken_documents(draw):
 def test_one_fault_is_a_validation_error(doc):
     with pytest.raises(ValidationError):
         instance_from_dict(doc)
+
+
+def exact(lo=None):
+    """Rationals of any sign and size, or above ``lo`` when given."""
+    values = st.fractions(min_value=lo, max_denominator=10 ** 12)
+    return values if lo is None else values.filter(lambda v: v > lo)
+
+
+@st.composite
+def scene_objects(draw, kind):
+    """One valid object of ``kind`` on arbitrary exact rationals."""
+    if kind == "arcs":
+        turn = st.fractions(0, 1, max_denominator=10 ** 12).filter(
+            lambda v: v < 1)
+        start = draw(turn)
+        return ArcObj(start, draw(turn.filter(lambda v: v != start)))
+    if kind == "unit_disks":
+        return DiskObj(Point(draw(exact()), draw(exact())))
+    x, y = draw(exact()), draw(exact())
+    if kind == "intervals":
+        return IntervalObj(x, x + draw(exact(0)))
+    width = 1 if kind == "unit_squares" else draw(exact(0))
+    height = draw(exact(0)) if kind == "rects" else 1
+    return RectObj(x, x + width, y, y + height)
+
+
+@st.composite
+def scenes(draw):
+    """``(instance, weights-or-None)`` of any kind, up to 8 objects."""
+    kind = draw(st.sampled_from(sorted(FIELDS)))
+    objects = tuple(draw(st.lists(scene_objects(kind), max_size=8)))
+    radius = draw(exact(0)) if kind == "unit_disks" else None
+    weights = draw(st.none() | st.lists(exact(0) | st.just(F(0)),
+                                        min_size=len(objects),
+                                        max_size=len(objects)))
+    return GeometricInstance(kind, objects, radius), weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenes())
+def test_instance_documents_round_trip(scene):
+    # the strict grammar reads every rational the writer writes
+    text = json.dumps(instance_to_dict(*scene))
+    assert instance_from_dict(json.loads(text)) == scene
+
+
+@st.composite
+def solutions(draw):
+    """``(solution, mode)``, with a 0/1 colouring of some selected indices
+    or none."""
+    selected = draw(st.lists(st.integers(0, 10 ** 6), unique=True, max_size=8))
+    coloring = None
+    if draw(st.booleans()):
+        coloring = {v: draw(st.integers(0, 1)) for v in selected
+                    if draw(st.booleans())}
+    mode = draw(st.sampled_from(["bipartite", "triangle_free", "independent"]))
+    return Solution(tuple(selected), coloring), mode
+
+
+@settings(max_examples=100, deadline=None)
+@given(solutions())
+def test_solution_documents_round_trip(solved):
+    text = json.dumps(solution_to_dict(*solved))
+    assert solution_from_dict(json.loads(text)) == solved
