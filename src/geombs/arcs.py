@@ -6,15 +6,13 @@ these candidate solutions is within one vertex of the optimum.  When some
 point of the circle is uncovered the whole scene is already an interval
 scene, so one extra cut there makes that case exact.
 
-The cuts run on integer positions: the D distinct endpoint values are
-ranked once, value v sits at position 2·rank(v) on a circle of 2D
-positions, and the odd positions are the gaps between consecutive values.
-Ranking, on exact ``_key``s, preserves every order and tie, so each cut
-makes the same comparisons as one made on the exact angles.  The circle is
-unrolled once to 4D positions, so a cut is a window of one list presorted
-by right endpoint.  Arcs meeting exactly at a cut lose that adjacency when
-unrolled, so a candidate is re-checked on the circular graph, but only when
-it would replace the best so far.
+The cuts run on the integer positions of ``model._positions``, which keep
+every order and tie of the exact angles.  The circle is unrolled once to
+twice its positions, so a cut is a window of one list presorted by right
+endpoint.  Arcs meeting exactly at a cut lose that adjacency when unrolled,
+so a candidate is re-checked on the circular graph, but only when it would
+replace the best so far.  That graph's masks come from ``model._coverage``
+and ``model._adjacency``, which build every arc graph.
 """
 from bisect import bisect_right
 
@@ -27,9 +25,11 @@ from .model import (
     ARCS,
     GeometricInstance,
     Solution,
+    _adjacency,
+    _coverage,
     _expect,
     _graph_over,
-    _key,
+    _positions,
     build_intersection_graph,  # unused here, but perfbench/tracing.py patches arcs.build_intersection_graph
     certify,
     is_bipartite,
@@ -37,77 +37,18 @@ from .model import (
 )
 
 
-def _positions(instance):
-    """``(starts, ends, size)``: each arc's endpoint positions on a circle of
-    ``size`` = 2D positions, D being the number of distinct endpoint values."""
-    n = instance.n
-    keys = ([_key(a.start) for a in instance.objects]
-            + [_key(a.end) for a in instance.objects])
-    positions = [0] * (2 * n)
-    size, last = 0, None
-    for j in sorted(range(2 * n), key=keys.__getitem__):
-        if keys[j] != last:
-            last = keys[j]
-            size += 2
-        positions[j] = size - 2
-    return positions[:n], positions[n:], size
-
-
-def _coverage(starts, ends, size):
-    """One pass over the positions: ``(covering, began, gap)``.
-
-    ``covering[x]`` is the bitmask of the arcs containing position x and
-    ``began[x]`` that of the arcs starting at or before x.  ``gap`` is the
-    first odd position that no arc covers, or None if the arcs cover the
-    circle.
-    """
-    at_start, at_end = [0] * size, [0] * size
-    wrapping = 0  # arcs through position 0 that do not start there
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        at_start[s] |= 1 << i
-        at_end[e] |= 1 << i
-        if s > e:
-            wrapping |= 1 << i
-    covering, began = [], []
-    current, b, gap = wrapping, 0, None
-    for x in range(size):
-        current |= at_start[x]
-        covering.append(current)
-        current &= ~at_end[x]
-        if gap is None and not current:
-            gap = x + 1  # x is even, as nothing starts or ends at odd x
-        b |= at_start[x]
-        began.append(b)
-    return covering, began, gap
-
-
-def _adjacency(starts, ends, covering, began):
-    """Neighbour bitmasks of the arcs, from their positions and the masks of
-    ``_coverage``, in O(n) operations on n-bit masks.
-
-    Arc b meets arc a iff b covers a's start or starts in the circular range
-    (s(a), e(a)]: an arc that meets a but misses its start cannot enter a
-    from outside, so it starts inside.
-    """
-    masks = []
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        inside = (began[e] & ~began[s] if s < e
-                  else began[e] | began[-1] & ~began[s])
-        masks.append((covering[s] | inside) & ~(1 << i))
-    return masks
-
-
 def solve_arcs(instance: GeometricInstance) -> Solution:
     """Bipartite subset of size at least OPT - 1, in O(n^2): O(n) cuts, each
     an O(n) sweep, and an O(n + m) check on n-bit masks of each candidate
     that would replace the best so far; plus a certificate on the graph of
-    the selection alone."""
+    the k selected arcs alone, O(k log k) plus O(k) mask operations."""
     _expect(instance, ARCS)
     validate_instance(instance)
 
-    starts, ends, size = _positions(instance)
-    covering, began, gap = _coverage(starts, ends, size)
-    masks = _adjacency(starts, ends, covering, began)
+    labels = range(instance.n)
+    starts, ends, size = _positions(instance.objects)
+    covering, began, gap = _coverage(starts, ends, size, labels)
+    masks = _adjacency(starts, ends, covering, began, labels)
     # The circle unrolled once to 2·size positions: arc i runs from s to
     # e' (e + size if it wraps) and its copy n + i from s + size to
     # e' + size.  Cut at c, the circle is the window (c, c + size]: the

@@ -76,6 +76,7 @@ def _cmd_generate(args):
 
 def _cmd_solve(args):
     instance, weights = load_instance(args.instance)
+    eps = parse_rational(args.epsilon)  # on every scene, read or not
     algo = args.algo
     if algo == "auto":
         algo = _pick_algorithm(instance, weights)
@@ -84,7 +85,6 @@ def _cmd_solve(args):
                 else f"no solver reads weights for {instance.kind}")
         raise ValidationError(f"algorithm {algo!r} ignores weights; {hint}")
     if algo == "ptas":
-        eps = parse_rational(args.epsilon)
         sol = (solve_ptas_weighted(instance, weights, eps)
                if weights is not None else solve_ptas(instance, eps))
     else:
@@ -176,7 +176,8 @@ def _build_parser():
     p.add_argument("--algo", default="auto",
                    choices=("auto",) + tuple(sorted(ALGORITHMS)))
     p.add_argument("--epsilon", default="1/2",
-                   help="accuracy parameter for the shifting solver")
+                   help="accuracy parameter for the shifting solver; "
+                   "every scene checks its grammar")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_solve)
 

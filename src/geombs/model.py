@@ -10,17 +10,20 @@ exactness is kept.  ``_frac`` reads its one text grammar with ``int`` and
 refuses every other text; constructors coerce only fields that are not a
 ``Fraction`` yet.  Sorts and sweeps compare ``_key``s ``(float(v), v)``,
 whose correctly rounded float decides a comparison unless the floats tie,
-and then the exact value does; the graph builder sweeps disks on the floats
-alone and leaves float ties to the exact pair test.  Object orders, disks
-and arcs compare cross-multiplied ints, one ``as_integer_ratio()`` per value.
+and then the exact value does.  Object orders, disks and arcs compare
+cross-multiplied ints, one ``as_integer_ratio()`` per value.
+
+The graph builder makes one pass per kind with no call per pair; the
+public predicates are only the pairwise reference it is tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from itertools import accumulate
 from math import inf, lcm
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterable, Optional, Sequence
 
 from . import _kernels
@@ -243,7 +246,14 @@ def arcs_intersect(a: ArcObj, b: ArcObj) -> bool:
 
 
 def disks_intersect(a: DiskObj, b: DiskObj, radius: Fraction) -> bool:
-    return _disks_meet(_diameter_sq(radius), _disk_ints(a), _disk_ints(b))
+    # the squared center distance, cross-multiplied to ints, is at most (2r)^2
+    p, q = _diameter_sq(radius)
+    ax, ay, ad = _disk_ints(a)
+    bx, by, bd = _disk_ints(b)
+    dx = ax * bd - bx * ad
+    dy = ay * bd - by * ad
+    dd = ad * bd
+    return q * (dx * dx + dy * dy) <= p * dd * dd
 
 
 def _disk_ints(d: DiskObj):
@@ -257,18 +267,6 @@ def _disk_ints(d: DiskObj):
 def _diameter_sq(radius):
     """(2r)^2 as ``(P, Q)`` ints with (2r)^2 = P/Q."""
     return (2 * radius.numerator) ** 2, radius.denominator ** 2
-
-
-def _disks_meet(diameter_sq, a, b) -> bool:
-    """Whether the disks of ``_disk_ints`` centers a and b meet: the squared
-    center distance, cross-multiplied to ints, is at most (2r)^2."""
-    p, q = diameter_sq
-    ax, ay, ad = a
-    bx, by, bd = b
-    dx = ax * bd - bx * ad
-    dy = ay * bd - by * ad
-    dd = ad * bd
-    return q * (dx * dx + dy * dy) <= p * dd * dd
 
 
 def rects_intersect(a: RectObj, b: RectObj) -> bool:
@@ -325,69 +323,161 @@ def _key(v: Fraction):
     return _ratio(*v.as_integer_ratio()), v
 
 
-def _y_overlap(a, b) -> bool:
-    return a[0] <= b[1] and b[0] <= a[1]
+def _positions(arcs):
+    """``(starts, ends, size)``: the listed arcs' endpoint positions on a
+    circle of ``size`` = 2D positions, D being the number of distinct
+    endpoint values.  Value v sits at position 2·rank(v), ranked on exact
+    ``_key``s, so positions keep every order and tie of the angles; the odd
+    positions are the gaps between consecutive values."""
+    n = len(arcs)
+    keys = [_key(a.start) for a in arcs] + [_key(a.end) for a in arcs]
+    positions = [0] * (2 * n)
+    size, last = 0, None
+    for j in sorted(range(2 * n), key=keys.__getitem__):
+        if keys[j] != last:
+            last = keys[j]
+            size += 2
+        positions[j] = size - 2
+    return positions[:n], positions[n:], size
+
+
+def _coverage(starts, ends, size, labels):
+    """One pass over the positions: ``(covering, began, gap)``, on the bits
+    of the arcs' ``labels``.  ``covering[x]`` is the bitmask of the arcs
+    containing position x and ``began[x]`` that of the arcs starting at or
+    before x.  ``gap`` is the first odd position that no arc covers, or None
+    if the arcs cover the circle."""
+    at_start, at_end = [0] * size, [0] * size
+    wrapping = 0  # arcs through position 0 that do not start there
+    for i, s, e in zip(labels, starts, ends):
+        at_start[s] |= 1 << i
+        at_end[e] |= 1 << i
+        if s > e:
+            wrapping |= 1 << i
+    covering, began = [], []
+    current, b, gap = wrapping, 0, None
+    for x in range(size):
+        current |= at_start[x]
+        covering.append(current)
+        current &= ~at_end[x]
+        if gap is None and not current:
+            gap = x + 1  # x is even, as nothing starts or ends at odd x
+        b |= at_start[x]
+        began.append(b)
+    return covering, began, gap
+
+
+def _adjacency(starts, ends, covering, began, labels):
+    """Neighbour bitmasks of the arcs, in list order, from their positions
+    and the masks of ``_coverage``, in O(n) mask operations.  Arc b meets
+    arc a iff b covers a's start or starts in the circular range
+    (s(a), e(a)]: an arc that meets a but misses its start cannot enter a
+    from outside, so it starts inside."""
+    masks = []
+    for i, s, e in zip(labels, starts, ends):
+        inside = (began[e] & ~began[s] if s < e
+                  else began[e] | began[-1] & ~began[s])
+        masks.append((covering[s] | inside) & ~(1 << i))
+    return masks
 
 
 def _sweep_items(instance: GeometricInstance, indices):
-    """The kind's pair test and, per listed object, the bounds of its
-    closed x-extent, its index and what the pair test reads of it.  An
-    object whose left bound is above another's right bound never meets it.
-    Arcs span the whole turn, so every pair of arcs is tested.
-
-    Intervals and rectangles give exact ``_key`` bounds, which the
-    rectangles' pair test relies on.  A disk gives the ``_ratio`` floats of
-    its center x and of x + 2r, the largest center x of a disk it can meet,
-    from its ``_disk_ints``: as floats are monotone, a strict float gap is
-    an exact one, and a float tie costs only an exact pair test."""
+    """What the kind's builder reads of each listed object, in list order:
+    an arc itself; else the bounds of its closed x-extent, its index, and
+    the ``_key``s of a rectangle's y-extent or a disk's ``_disk_ints``.
+    Intervals and rectangles give exact ``_key`` bounds.  A disk gives the
+    ``_ratio`` floats of its center x and of x + 2r, the largest center x of
+    a disk it can meet: floats are monotone, so a strict float gap is an
+    exact one, and a float tie costs only an exact test."""
     objs = instance.objects
     if instance.kind == INTERVALS:
-        return intervals_intersect, [
-            (_key(objs[i].left), _key(objs[i].right), i, objs[i])
-            for i in indices]
+        return [(_key(objs[i].left), _key(objs[i].right), i) for i in indices]
     if instance.kind == ARCS:
-        return arcs_intersect, [(0, 1, i, objs[i]) for i in indices]
+        return [objs[i] for i in indices]
     if instance.kind == UNIT_DISKS:
         r = instance.disk_radius
         reach, rd = 2 * r.numerator, r.denominator
         items = []
         for i in indices:
-            center = _disk_ints(objs[i])
-            x, _, d = center
+            x, y, d = _disk_ints(objs[i])
             items.append((_ratio(x, d), _ratio(x * rd + reach * d, d * rd), i,
-                          center))
-        return partial(_disks_meet, _diameter_sq(r)), items
-    # the sweep already implies the x-overlap of rectangles
+                          x, y, d))
+        return items
     items = []
     for i in indices:
         o = objs[i]
         items.append((_key(o.x_min), _key(o.x_max), i,
-                      (_key(o.y_min), _key(o.y_max))))
-    return _y_overlap, items
+                      _key(o.y_min), _key(o.y_max)))
+    return items
 
 
 def _graph_over(instance: GeometricInstance, indices) -> IntersectionGraph:
     """The graph induced by ``indices``, as masks over all n objects with 0
-    for every object not listed: a sort-and-sweep over the listed objects'
-    x-extents, O(k log k) for k indices plus one exact pair test per pair
-    whose extents overlap.  The instance must already be valid."""
-    meets, items = _sweep_items(instance, indices)
-    items.sort(key=itemgetter(0))
+    for every object not listed.  The instance must already be valid.
+
+    Arcs take ``_adjacency``.  The other kinds sort by left x and sweep
+    (Bentley, Stanat & Williams 1977): p can meet only the later q with
+    left(q) <= right(p).  For intervals those are exactly its later
+    neighbours, one run of the sorted list, and its earlier ones are the
+    intervals still open, so no pair is tested.  Rectangles compare their
+    y-extents and disks their integer squared distance, inline."""
+    order = list(indices)
+    items = _sweep_items(instance, order)
     masks = [0] * instance.n
-    for p, (_, right, i, a) in enumerate(items):
-        for q in range(p + 1, len(items)):
-            left, _, j, b = items[q]
-            if left > right:
-                break
-            if meets(a, b):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    if instance.kind == ARCS:
+        starts, ends, size = _positions(items)
+        covering, began, _ = _coverage(starts, ends, size, order)
+        for i, m in zip(order, _adjacency(starts, ends, covering, began, order)):
+            masks[i] = m
+        return IntersectionGraph(instance.n, tuple(masks))
+    items.sort(key=itemgetter(0))
+    if instance.kind == INTERVALS:
+        lefts = [item[0] for item in items]
+        # below[q]: the bits of items[:q]
+        below = list(accumulate((1 << i for _, _, i in items), or_, initial=0))
+        # closing[q]: the bits of the p whose run of later neighbours stops
+        # at q; open_: those whose run reaches the current item
+        closing = [0] * (len(items) + 1)
+        open_ = 0
+        for p, (_, right, i) in enumerate(items):
+            open_ &= ~closing[p]
+            stop = bisect_right(lefts, right, p + 1)
+            closing[stop] |= 1 << i
+            masks[i] = open_ | below[stop] & ~below[p + 1]
+            open_ |= 1 << i
+    elif instance.kind == UNIT_DISKS:
+        num, den = _diameter_sq(instance.disk_radius)
+        for p, (_, right, i, ax, ay, ad) in enumerate(items):
+            bit, mask = 1 << i, 0
+            for q in range(p + 1, len(items)):
+                left, _, j, bx, by, bd = items[q]
+                if left > right:
+                    break
+                dx = ax * bd - bx * ad
+                dy = ay * bd - by * ad
+                dd = ad * bd
+                if den * (dx * dx + dy * dy) <= num * dd * dd:
+                    mask |= 1 << j
+                    masks[j] |= bit
+            masks[i] |= mask
+    else:  # rectangles, which the sweep leaves to overlap on y
+        for p, (_, right, i, low, high) in enumerate(items):
+            bit, mask = 1 << i, 0
+            for q in range(p + 1, len(items)):
+                left, _, j, b_low, b_high = items[q]
+                if left > right:
+                    break
+                if low <= b_high and b_low <= high:
+                    mask |= 1 << j
+                    masks[j] |= bit
+            masks[i] |= mask
     return IntersectionGraph(instance.n, tuple(masks))
 
 
 def build_intersection_graph(instance: GeometricInstance) -> IntersectionGraph:
-    """Sort-and-sweep over x-extents: O(n log n) plus one exact predicate
-    per pair whose extents overlap."""
+    """O(n log n) plus O(n) operations on n-bit masks for intervals and
+    arcs, whose coverage masks hold O(n^2) bits; O(n log n) plus one exact
+    test per pair whose x-extents overlap for disks and rectangles."""
     validate_instance(instance)
     return _graph_over(instance, range(instance.n))
 

@@ -82,6 +82,20 @@ def test_criterion_02_arc_near_optimality(announce):
     assert elapsed < 60
 
 
+def test_criterion_02_arc_near_optimality_at_larger_n(announce):
+    count = 0
+    for n in (24, 32):
+        for seed in range(8):
+            inst = generate_instance(ARCS, n, seed)
+            sol = solve_arcs(inst)
+            opt = exact_mbs(graph(inst), cap=n).size
+            assert opt - 1 <= sol.size <= opt, (n, seed)
+            count += 1
+    elapsed = announce("02 arc near-optimality, larger n",
+                       f"{count} instances, n<=32")
+    assert elapsed < 60
+
+
 def test_criterion_03_one_sided_dp_exactness(announce):
     count = 500
     for seed in range(count):

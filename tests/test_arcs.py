@@ -17,6 +17,7 @@ from geombs import (
     solve_arcs,
 )
 from geombs import arcs as arcs_module
+from geombs.model import arcs_intersect
 import kernel_reference
 from conftest import graph_edges
 
@@ -24,7 +25,8 @@ from conftest import graph_edges
 def _uncovered_point(instance):
     """The first gap position that no arc covers, or None if the arcs
     cover the whole circle."""
-    return arcs_module._coverage(*arcs_module._positions(instance))[2]
+    return arcs_module._coverage(*arcs_module._positions(instance.objects),
+                                 range(instance.n))[2]
 
 
 def arcs(*pairs):
@@ -62,7 +64,7 @@ class TestGolden:
     def test_certifies_its_coloring(self, monkeypatch):
         # a sweep that keeps every surviving arc, and integer adjacency that
         # sees no edge, pass the triangle through the per-cut re-check; the
-        # certificate, on exact predicates over the selection, refuses it
+        # certificate, on the model's own graph of the selection, refuses it
         monkeypatch.setattr(arcs_module, "_sweep",
                             lambda lefts, rights, order, floor:
                             [k for k in order if lefts[k] > floor])
@@ -139,11 +141,14 @@ class TestReference:
                     == kernel_reference.reference_arcs(inst)), seed
 
     def test_position_masks_match_builder(self):
+        # the coverage masks, which build every arc graph, against the
+        # public pair predicate on every pair
         for seed, inst in enumerate(TIE_HEAVY):
-            starts, ends, size = arcs_module._positions(inst)
-            covering, began, _ = arcs_module._coverage(starts, ends, size)
-            assert (tuple(arcs_module._adjacency(starts, ends, covering, began))
-                    == build_intersection_graph(inst).masks), seed
+            objs = inst.objects
+            want = tuple(sum(1 << j for j, b in enumerate(objs)
+                             if j != i and arcs_intersect(a, b))
+                         for i, a in enumerate(objs))
+            assert build_intersection_graph(inst).masks == want, seed
 
     def test_uncovered_gap_is_the_reference_midpoint(self):
         for seed, inst in enumerate(TIE_HEAVY):

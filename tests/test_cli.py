@@ -142,6 +142,17 @@ def test_options_read_the_rational_grammar(tmp_path, capsys):
     assert "bad rational '0.5'" in err and "bad rational ' 1'" in err
 
 
+def test_epsilon_is_read_on_every_scene(tmp_path, capsys):
+    # no interval solver reads --epsilon, yet a malformed one is refused
+    path = gen(tmp_path, "intervals")
+    assert cli("solve", path, "--epsilon", "abc") == 3
+    assert cli("solve", path, "--epsilon", "0.5") == 3
+    err = capsys.readouterr().err
+    assert "bad rational 'abc'" in err and "bad rational '0.5'" in err
+    assert cli("solve", path, "--epsilon", "1/3") == 0
+    assert "algo=intervals" in capsys.readouterr().out
+
+
 def test_auto_dispatch_picks_line_algorithms(tmp_path, capsys):
     one = gen(tmp_path, "unit_disks", n=7, seed=5, disk_mode="one_sided")
     assert cli("solve", one) == 0

@@ -4,7 +4,8 @@ solver returns through exactly one ``certify`` call.  Every scene solver
 validates its scene exactly once, before reading an object.  One graph per
 solve: no solver module builds a scene or a graph object of its own, and
 the interval, arc and unit-height solvers certify on their selection's
-graph alone.  The interval sweeps, the disk solvers, the PTAS, the disk
+graph alone.  The interval and arc graph builds run no pair test.  The
+interval sweeps and graph builds, the disk solvers, the PTAS, the disk
 graph build and the arc solver make no more ``Fraction`` order comparisons
 than there are objects, and all but the interval sweeps no ``Fraction``
 arithmetic; the arc solver re-checks only cuts that improve on its best.
@@ -206,46 +207,73 @@ def test_malformed_scene_rejected_before_its_objects_are_read(call):
         call(MALFORMED)
 
 
-# solver -> (scene kind, n, the predicate its certificate graph calls)
+# solver -> (scene kind, n) of a scene whose selection leaves objects out
 SELECTION_GRAPHS = {
-    "solve_intervals": ("intervals", 2000, "intervals_intersect"),
-    "solve_arcs": ("arcs", 300, "arcs_intersect"),
-    "solve_unit_height": ("unit_height_rects", 2000, "_y_overlap"),
+    "solve_intervals": ("intervals", 2000),
+    "solve_arcs": ("arcs", 300),
+    "solve_unit_height": ("unit_height_rects", 2000),
 }
 
 
 @pytest.mark.parametrize("solver", sorted(SELECTION_GRAPHS))
 def test_certificate_graph_reads_only_the_selection(solver, monkeypatch):
     # the solver builds one graph, over its selection: the whole scene's
-    # graph would list every object and test every pair with overlapping
-    # extents; the selection's graph tests at most its own k(k-1)/2 pairs
-    kind, n, predicate = SELECTION_GRAPHS[solver]
+    # graph would list every object.  Every graph build passes its index
+    # list through model._sweep_items, for every kind
+    kind, n = SELECTION_GRAPHS[solver]
     scene = geombs.generate_instance(kind, n, 1)
-    calls, listed = [], []
-    exact = getattr(model, predicate)
+    listed = []
     sweep_items = model._sweep_items
-
-    def spy(a, b):
-        calls.append(None)
-        return exact(a, b)
 
     def listing(instance, indices):
         listed.append(sorted(indices))
         return sweep_items(instance, indices)
 
-    monkeypatch.setattr(model, predicate, spy)
     monkeypatch.setattr(model, "_sweep_items", listing)
     selected = getattr(geombs, solver)(scene).selected
-    k = len(selected)
+    assert 0 < len(selected) < n
     assert listed == [list(selected)]
-    assert 0 < len(calls) <= k * (k - 1) // 2, (len(calls), k)
+
+
+# kind -> the pair tests its graph build does not call
+PAIR_TESTS = {
+    "intervals": ("intervals_intersect",),
+    "arcs": ("arcs_intersect", "_on_arc"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PAIR_TESTS))
+def test_graph_build_calls_no_pair_test(kind, monkeypatch):
+    # work, not wall clock: interval edges follow from the sweep's order and
+    # arc edges from coverage masks, so no pair test runs, and Fraction
+    # order comparisons stay at one per object or fewer
+    n = 2000
+    scene = geombs.generate_instance(kind, n, 1)
+    calls, compares = [], []
+    richcmp = Fraction._richcmp
+
+    def refused(*args):
+        calls.append(args)
+        raise AssertionError("the graph build ran a pair test")
+
+    def counted(a, b, op):
+        compares.append(None)
+        return richcmp(a, b, op)
+
+    for name in PAIR_TESTS[kind]:
+        monkeypatch.setattr(model, name, refused)
+    monkeypatch.setattr(Fraction, "_richcmp", counted)
+    graph = geombs.build_intersection_graph(scene)
+    assert not calls
+    assert len(compares) <= n, len(compares)
+    assert any(graph.masks)
 
 
 @pytest.mark.parametrize("solver", ["solve_intervals", "solve_unit_height"])
 def test_interval_sweeps_compare_floats(solver, monkeypatch):
     # work, not wall clock: the sorts and sweeps compare float-first exact
     # keys, so Fraction order comparisons stay at one per object or fewer
-    kind, n, _ = SELECTION_GRAPHS[solver]
+    kind, n = SELECTION_GRAPHS[solver]
     scene = geombs.generate_instance(kind, n, 1)
     compares = []
     richcmp = Fraction._richcmp
@@ -320,8 +348,8 @@ def test_arcs_recheck_only_improving_cuts(monkeypatch):
     monkeypatch.setattr(geombs._kernels, "two_color", counted)
     for seed in (1, 2, 3):
         scene = geombs.generate_instance("arcs", 120, seed)
-        starts, ends, size = geombs.arcs._positions(scene)
-        gap = geombs.arcs._coverage(starts, ends, size)[2]
+        starts, ends, size = model._positions(scene.objects)
+        gap = model._coverage(starts, ends, size, range(scene.n))[2]
         cuts = size // 2 + (gap is not None)
         calls.clear()
         geombs.solve_arcs(scene)

@@ -310,7 +310,12 @@ def rects(*quads):
     return GeometricInstance(RECTS, tuple(RectObj(*q) for q in quads))
 
 
-# closed-semantics corner cases for the x-extent sweep
+def arcs(*pairs):
+    return GeometricInstance(ARCS, tuple(ArcObj(a, b) for a, b in pairs))
+
+
+# closed-semantics corner cases for the x-extent sweep and the arcs'
+# coverage masks
 SWEEP_CASES = {
     "disks 2r apart on x": disks([(4, 0), (0, 0), (2, 0), (6, 1), (8, 0)]),
     "disks 2r apart on x, on and off a line": disks(
@@ -322,6 +327,16 @@ SWEEP_CASES = {
     "long interval covers later starts": intervals(
         (0, 20), (1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (19, 21), (20, 22),
         (21, 23)),
+    "arcs sharing one endpoint": arcs(
+        (0, F(1, 4)), (F(1, 4), F(1, 2)), (F(1, 2), F(3, 4)), (F(1, 4), F(5, 8)),
+        (F(7, 8), F(1, 4))),
+    "arc wrapping through 0 beside one starting at 0": arcs(
+        (F(3, 4), F(1, 8)), (0, F(1, 4)), (F(1, 2), 0), (F(1, 8), F(1, 2)),
+        (F(1, 4), F(3, 4)), (F(5, 8), F(11, 16))),
+    "nested arcs": arcs(
+        (0, F(1, 2)), (F(1, 8), F(1, 4)), (F(1, 16), F(3, 8)),
+        (F(3, 4), F(1, 4)), (F(7, 8), F(1, 8)), (F(5, 8), F(11, 16))),
+    "covering C5": arcs(*((F(i, 5), (F(i, 5) + F(3, 10)) % 1) for i in range(5))),
 }
 
 
@@ -336,6 +351,10 @@ EXTREME_POINTS = [0, 1, -1, 2 * TINY, -TINY, THIRD, NEAR_THIRD, THIRD + TINY,
                   2 * NEAR_THIRD, HUGE, -HUGE, HUGE + THIRD, HUGE + NEAR_THIRD]
 EXTREME_WIDTHS = [TINY, 2 * TINY, THIRD - NEAR_THIRD, THIRD, 1, HUGE, 2 * HUGE]
 EXTREME_RADII = [TINY, THIRD, NEAR_THIRD, 1, HUGE]
+# in [0, 1): 1 - TINY is the float 1.0, above every other angle's float
+EXTREME_ANGLES = [0, TINY, 2 * TINY, THIRD, NEAR_THIRD, THIRD + TINY,
+                  NEAR_THIRD + 2 * TINY, F(1, 2), 2 * THIRD, 2 * NEAR_THIRD,
+                  1 - TINY]
 
 
 def _extreme_scene(kind, rng):
@@ -343,7 +362,8 @@ def _extreme_scene(kind, rng):
     for _ in range(rng.randrange(1, 9)):
         x, y = rng.choice(EXTREME_POINTS), rng.choice(EXTREME_POINTS)
         w, h = rng.choice(EXTREME_WIDTHS), rng.choice(EXTREME_WIDTHS)
-        objs.append(DiskObj(Point(x, y)) if kind == UNIT_DISKS
+        objs.append(ArcObj(*rng.sample(EXTREME_ANGLES, 2)) if kind == ARCS
+                    else DiskObj(Point(x, y)) if kind == UNIT_DISKS
                     else IntervalObj(x, x + w) if kind == INTERVALS
                     else RectObj(x, x + w, y, y + h))
     radius = rng.choice(EXTREME_RADII) if kind == UNIT_DISKS else None
@@ -432,7 +452,7 @@ class TestBuilder:
                                      spread=1 + seed % 5)
             self._check_graph_over(inst, rng)
 
-    @pytest.mark.parametrize("kind", [INTERVALS, UNIT_DISKS, RECTS])
+    @pytest.mark.parametrize("kind", [INTERVALS, ARCS, UNIT_DISKS, RECTS])
     def test_exact_at_float_ties_and_beyond_float_range(self, kind, rng):
         assert float(THIRD) == float(NEAR_THIRD) and THIRD != NEAR_THIRD
         for trial in range(600):
