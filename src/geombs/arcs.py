@@ -6,19 +6,29 @@ these candidate solutions is within one vertex of the optimum.  When some
 point of the circle is uncovered the whole scene is already an interval
 scene, so one extra cut there makes that case exact.
 
-The cuts run on the integer positions of ``model._positions``, which keep
-every order and tie of the exact angles.  The circle is unrolled once to
-twice its positions, so a cut is a window of one list presorted by right
-endpoint.  Arcs meeting exactly at a cut lose that adjacency when unrolled,
-so a candidate is re-checked on the circular graph, but only when it would
-replace the best so far.  That graph's masks come from ``model._coverage``
-and ``model._adjacency``, which build every arc graph.
+The cuts run on the integer positions of ``model._positions``, the ranks
+of the distinct endpoint angles, which keep every order and tie of the
+exact angles.  The circle is unrolled once to twice its positions, so a cut
+is a window of one list presorted by right endpoint, and consecutive cuts
+slide along it.  They share one sweep (``intervals._window_sweeps``): a cut
+sweeps from its window's start only until its markers equal the last cut's
+at the same step, which on generated scenes is a few dozen steps, and then
+sweeps only the entries past the last cut's window.  That is O(n^2) steps
+at worst, as many as one sweep per cut; generated scenes take about 29n,
+52n and 99n in all at n = 120, 500 and 2,000.
+
+Arcs meeting exactly at a cut lose that adjacency when unrolled, and no
+other edge is lost.  So a candidate is re-checked on the circular graph
+only when it would replace the best so far and holds both an arc starting
+at the cut and one ending there; the gap cut never is.  That graph's masks
+come from ``model._coverage`` and ``model._adjacency``, which build every
+arc graph.
 """
-from bisect import bisect_right
+from itertools import accumulate
 
 from . import _kernels
 from .intervals import (
-    _sweep,
+    _window_sweeps,
     solve_intervals,  # unused here, but perfbench/tracing.py patches arcs.solve_intervals
 )
 from .model import (
@@ -37,50 +47,77 @@ from .model import (
 )
 
 
+def _unrolled(starts, ends, size, gap):
+    """The circle unrolled once to 2·size positions, and its cuts, as
+    ``(steps, windows, dropped)``.  Arc i runs from s to e' (e + size if it
+    wraps) and its copy from s + size to e' + size; ``steps`` holds the 2n
+    entries ``(left, right, 1 << i)`` by right endpoint, then arc index.
+
+    Cut at position c, the circle is the window (c, c + size]: the entries
+    ending there, each arc at most once.  Those starting before c hold the
+    cut strictly inside and are dropped, as the sweep's floor is c - 1.
+    The gap cut is cut ``gap``'s window with floor ``gap``, as nothing
+    starts or ends inside the gap.  ``windows`` holds the ``(start, stop,
+    floor)`` of every cut's run of ``steps``, in cut order, so starts and
+    stops never decrease.  Unrolled, a cut's window loses only the edges
+    between an arc starting at the cut and one ending there; ``dropped``
+    holds the masks of those two sets, per cut, and the gap cut loses
+    none."""
+    ranked = []
+    starting, ending = [0] * size, [0] * size
+    for i, (s, e) in enumerate(zip(starts, ends)):
+        bit = 1 << i
+        starting[s] |= bit
+        ending[e] |= bit
+        e += size if s > e else 0
+        ranked += (e, i, s, bit), (e + size, i, s + size, bit)
+    ranked.sort()
+    steps = [(s, e, bit) for e, _, s, bit in ranked]
+    # below[r]: the number of entries ending at or before r
+    below = [0] * (2 * size)
+    for e, _, _, _ in ranked:
+        if e < 2 * size:
+            below[e] += 1
+    below = list(accumulate(below))
+    windows = list(zip(below, below[size:], range(-1, size - 1)))
+    dropped = list(zip(starting, ending))
+    if gap is not None:
+        windows.insert(gap + 1, (below[gap], below[gap + size], gap))
+        dropped.insert(gap + 1, (0, 0))
+    return steps, windows, dropped
+
+
 def solve_arcs(instance: GeometricInstance) -> Solution:
-    """Bipartite subset of size at least OPT - 1, in O(n^2): O(n) cuts, each
-    an O(n) sweep, and an O(n + m) check on n-bit masks of each candidate
-    that would replace the best so far; plus a certificate on the graph of
-    the k selected arcs alone, O(k log k) plus O(k) mask operations."""
+    """Bipartite subset of size at least OPT - 1, in O(n^2) at worst: O(n)
+    cuts sharing one sweep, each sweeping from its window's start until it
+    meets the last cut's sweep; an O(n + m) check on n-bit masks of each
+    candidate that would replace the best so far and holds two arcs meeting
+    at its cut; and a certificate on the graph of the k selected arcs alone,
+    O(k log k) plus O(k) mask operations."""
     _expect(instance, ARCS)
     validate_instance(instance)
 
     labels = range(instance.n)
     starts, ends, size = _positions(instance.objects)
     covering, began, gap = _coverage(starts, ends, size, labels)
-    masks = _adjacency(starts, ends, covering, began, labels)
-    # The circle unrolled once to 2·size positions: arc i runs from s to
-    # e' (e + size if it wraps) and its copy n + i from s + size to
-    # e' + size.  Cut at c, the circle is the window (c, c + size]: the
-    # copies ending there, each arc at most once, in the sweep's order of
-    # right endpoint then arc index.  Those starting before c hold the cut
-    # strictly inside and are dropped, as the sweep's markers start at c - 1.
-    n = len(starts)
-    lefts = starts + [s + size for s in starts]
-    rights = [e if s < e else e + size for s, e in zip(starts, ends)]
-    rights += [e + size for e in rights]
-    by_end = sorted(range(2 * n), key=lambda k: (rights[k], k % n))
-    end_keys = [rights[k] for k in by_end]
-    bits = [1 << i for i in range(n)] * 2
-    cuts = list(range(0, size, 2))
-    if gap is not None:
-        cuts.append(gap)
+    steps, windows, dropped = _unrolled(starts, ends, size, gap)
 
-    best, best_size = 0, 0
-    for cut in cuts:
-        window = by_end[bisect_right(end_keys, cut):
-                        bisect_right(end_keys, cut + size)]
-        candidate = sum(map(bits.__getitem__,
-                            _sweep(lefts, rights, window, cut - 1)))
+    best, best_size, masks = 0, 0, None
+    sweeps = _window_sweeps(steps, windows)
+    for (starting, ending), candidate in zip(dropped, sweeps):
         # the largest candidate, then the lexicographically smallest
         # sorted index tuple: the lowest differing index is the candidate's
         count = candidate.bit_count()
         diff = candidate ^ best
         if count > best_size or (count == best_size and candidate & diff & -diff):
-            # Arcs meeting exactly at the cut point lose that adjacency
-            # when unrolled, so re-check feasibility on the circular graph.
-            if _kernels.two_color(masks, candidate)[1] is None:
-                best, best_size = candidate, count
+            # only two arcs meeting at the cut can close an odd cycle that
+            # the unrolled sweep did not see
+            if candidate & starting and candidate & ending:
+                if masks is None:
+                    masks = _adjacency(starts, ends, covering, began, labels)
+                if _kernels.two_color(masks, candidate)[1] is not None:
+                    continue
+            best, best_size = candidate, count
 
     best = _kernels.mask_to_indices(best)
     graph = _graph_over(instance, best)

@@ -15,6 +15,10 @@ endpoint equal to a marker touches the interval that set it.  The sort and
 the sweep compare the exact ``(float(v), v)`` endpoint keys, on which floats
 decide all but float ties.  Right endpoints of equal value are visited by
 increasing index, and shared endpoints are valid input.
+
+``_window_sweeps`` runs the same sweep over windows that slide along one
+presorted list, as the arc solver's cuts do, sharing the steps on which
+consecutive windows agree.
 """
 from .model import (
     INTERVALS,
@@ -52,6 +56,59 @@ def _sweep(lefts, rights, order, floor=None):
             x = y
             y = rights[i]
     return selected
+
+
+def _window_sweeps(steps, windows):
+    """For each window ``(start, stop, floor)`` in turn, the bitmask of the
+    sweep of ``steps[start:stop]`` from markers at ``floor``.  A step is an
+    entry ``(left, right, bit)`` in sweep order; no bit occurs twice in one
+    window.  Starts and stops never decrease, so the windows slide along
+    one list and share one sweep, with the tie rule of ``_sweep``.
+
+    The state after a step is the marker pair ``(x, y)``, kept per step
+    with the step's pick for the latest window that reached it.  The sweep
+    from a state on is fixed, so a window sweeps from its start only until
+    its state equals the kept one at the same step, keeps the kept steps
+    after it, and sweeps on from the last kept state to its stop.  Its mask
+    is the last one XORed with the entries that left and the picks that
+    changed or were added."""
+    xs, ys, picks = [None] * len(steps), [None] * len(steps), [0] * len(steps)
+    mask = lo = hi = 0  # the last window's mask and extent
+    for start, stop, floor in windows:
+        if lo < start:
+            for j in range(lo, start if start < hi else hi):
+                mask ^= picks[j]
+            lo = start
+        x = y = floor
+        for j in range(start, hi):
+            left, right, bit = steps[j]
+            if left > y:
+                y = right
+            elif x < left:
+                x, y = y, right
+            else:
+                bit = 0
+            if bit != picks[j]:
+                mask ^= bit ^ picks[j]
+                picks[j] = bit
+            if x == xs[j] and y == ys[j]:
+                # the kept steps up to hi are this window's too
+                x, y = xs[hi - 1], ys[hi - 1]
+                break
+            xs[j], ys[j] = x, y
+        if hi < stop:
+            for j in range(hi if hi > start else start, stop):
+                left, right, bit = steps[j]
+                if left > y:
+                    y = right
+                elif x < left:
+                    x, y = y, right
+                else:
+                    bit = 0
+                mask ^= bit
+                xs[j], ys[j], picks[j] = x, y, bit
+            hi = stop
+        yield mask
 
 
 def solve_intervals(instance: GeometricInstance, perturb: bool = False) -> Solution:

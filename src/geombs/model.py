@@ -325,10 +325,11 @@ def _key(v: Fraction):
 
 def _positions(arcs):
     """``(starts, ends, size)``: the listed arcs' endpoint positions on a
-    circle of ``size`` = 2D positions, D being the number of distinct
-    endpoint values.  Value v sits at position 2·rank(v), ranked on exact
-    ``_key``s, so positions keep every order and tie of the angles; the odd
-    positions are the gaps between consecutive values."""
+    circle of ``size`` = D positions, D <= 2n being the number of distinct
+    endpoint values.  Value v sits at position rank(v), ranked on exact
+    ``_key``s, so positions keep every order and tie of the angles.  The
+    stretches of circle between consecutive values have no position: a
+    cut there is taken at the value before it (see ``_coverage``'s gap)."""
     n = len(arcs)
     keys = [_key(a.start) for a in arcs] + [_key(a.end) for a in arcs]
     positions = [0] * (2 * n)
@@ -336,8 +337,8 @@ def _positions(arcs):
     for j in sorted(range(2 * n), key=keys.__getitem__):
         if keys[j] != last:
             last = keys[j]
-            size += 2
-        positions[j] = size - 2
+            size += 1
+        positions[j] = size - 1
     return positions[:n], positions[n:], size
 
 
@@ -345,8 +346,10 @@ def _coverage(starts, ends, size, labels):
     """One pass over the positions: ``(covering, began, gap)``, on the bits
     of the arcs' ``labels``.  ``covering[x]`` is the bitmask of the arcs
     containing position x and ``began[x]`` that of the arcs starting at or
-    before x.  ``gap`` is the first odd position that no arc covers, or None
-    if the arcs cover the circle."""
+    before x: O(D) operations on masks of n bits, n·D bits held in each
+    list.  ``gap`` is the first position x such that no arc covers the open
+    stretch of circle from x to the next position, or None if the arcs
+    cover the circle."""
     at_start, at_end = [0] * size, [0] * size
     wrapping = 0  # arcs through position 0 that do not start there
     for i, s, e in zip(labels, starts, ends):
@@ -361,7 +364,7 @@ def _coverage(starts, ends, size, labels):
         covering.append(current)
         current &= ~at_end[x]
         if gap is None and not current:
-            gap = x + 1  # x is even, as nothing starts or ends at odd x
+            gap = x
         b |= at_start[x]
         began.append(b)
     return covering, began, gap

@@ -17,14 +17,15 @@ from geombs import (
     solve_arcs,
 )
 from geombs import arcs as arcs_module
+from geombs.intervals import _sweep, _window_sweeps
 from geombs.model import arcs_intersect
 import kernel_reference
 from conftest import graph_edges
 
 
 def _uncovered_point(instance):
-    """The first gap position that no arc covers, or None if the arcs
-    cover the whole circle."""
+    """The first position after which no arc covers the circle up to the
+    next position, or None if the arcs cover the whole circle."""
     return arcs_module._coverage(*arcs_module._positions(instance.objects),
                                  range(instance.n))[2]
 
@@ -62,14 +63,14 @@ class TestGolden:
         assert solve_arcs(arcs((0, F(1, 2)))).selected == (0,)
 
     def test_certifies_its_coloring(self, monkeypatch):
-        # a sweep that keeps every surviving arc, and integer adjacency that
-        # sees no edge, pass the triangle through the per-cut re-check; the
+        # a shared sweep that keeps every surviving arc passes the triangle,
+        # whose arcs share no endpoint, so no cut re-checks it; the
         # certificate, on the model's own graph of the selection, refuses it
-        monkeypatch.setattr(arcs_module, "_sweep",
-                            lambda lefts, rights, order, floor:
-                            [k for k in order if lefts[k] > floor])
-        monkeypatch.setattr(arcs_module, "_adjacency",
-                            lambda starts, ends, *coverage: [0] * len(starts))
+        monkeypatch.setattr(
+            arcs_module, "_window_sweeps",
+            lambda steps, windows: (
+                sum(bit for left, _, bit in steps[start:stop] if left > floor)
+                for start, stop, floor in windows))
         inst = arcs((0, F(1, 2)), (F(1, 8), F(5, 8)), (F(1, 4), F(3, 4)))
         with pytest.raises(CertificateError):
             solve_arcs(inst)
@@ -158,7 +159,22 @@ class TestReference:
             if mid is not None:
                 values = {a.start for a in inst.objects} | {a.end for a in inst.objects}
                 below = sum(v < mid for v in values)
-                assert gap == (2 * below - 1) % (2 * len(values)), seed
+                assert gap == (below - 1) % len(values), seed
+
+    def test_shared_sweep_matches_one_sweep_per_cut(self):
+        # every cut's candidate from the shared sweep against the interval
+        # sweep run alone on that cut's window and floor
+        for seed, inst in enumerate(TIE_HEAVY):
+            starts, ends, size = arcs_module._positions(inst.objects)
+            gap = _uncovered_point(inst)
+            steps, windows, _ = arcs_module._unrolled(starts, ends, size, gap)
+            assert len(windows) == size + (gap is not None)
+            lefts = [left for left, _, _ in steps]
+            rights = [right for _, right, _ in steps]
+            shared = list(_window_sweeps(steps, windows))
+            for (start, stop, floor), candidate in zip(windows, shared):
+                alone = _sweep(lefts, rights, range(start, stop), floor)
+                assert candidate == sum(steps[j][2] for j in alone), (seed, floor)
 
 
 def _component_count(g):

@@ -8,7 +8,8 @@ graph alone.  The interval and arc graph builds run no pair test.  The
 interval sweeps and graph builds, the disk solvers, the PTAS, the disk
 graph build and the arc solver make no more ``Fraction`` order comparisons
 than there are objects, and all but the interval sweeps no ``Fraction``
-arithmetic; the arc solver re-checks only cuts that improve on its best.
+arithmetic.  The arc solver's cuts share one sweep, and it re-checks
+only cuts that improve on its best and hold two arcs meeting at the cut.
 The PTAS pays one component join per 2-colourable box subset.  Parsing a
 document does no ``Fraction`` comparison or arithmetic, and builds each
 object once."""
@@ -337,7 +338,9 @@ def test_disk_and_arc_solvers_do_no_fraction_arithmetic(call, monkeypatch):
 
 def test_arcs_recheck_only_improving_cuts(monkeypatch):
     # a cut's candidate is re-checked on the circular graph only when it
-    # would replace the best so far; each cut used to pay one check
+    # would replace the best so far and holds an arc starting at the cut and
+    # one ending there.  Generated endpoints are distinct, so no cut
+    # re-checks and the one 2-colouring left is the certificate's
     two_color = geombs._kernels.two_color
     calls = []
 
@@ -349,11 +352,34 @@ def test_arcs_recheck_only_improving_cuts(monkeypatch):
     for seed in (1, 2, 3):
         scene = geombs.generate_instance("arcs", 120, seed)
         starts, ends, size = model._positions(scene.objects)
+        assert size == 2 * scene.n, seed
         gap = model._coverage(starts, ends, size, range(scene.n))[2]
-        cuts = size // 2 + (gap is not None)
+        cuts = size + (gap is not None)
         calls.clear()
         geombs.solve_arcs(scene)
-        assert len(calls) < cuts, (seed, len(calls), cuts)
+        assert len(calls) == 1 < cuts, (seed, len(calls), cuts)
+
+
+def test_arcs_cuts_share_one_sweep(monkeypatch):
+    # work, not wall clock: a cut sweeps from its window's start only until
+    # its state meets the last cut's, then sweeps on past the last cut's
+    # stop.  Each step reads one entry of the steps list; one sweep per cut
+    # read about 840n entries at n = 500, the shared sweep about 50n
+    n = 500
+    reads = []
+
+    class Counted(list):
+        def __getitem__(self, j):
+            reads.append(None)
+            return list.__getitem__(self, j)
+
+    sweeps = geombs.arcs._window_sweeps
+    monkeypatch.setattr(geombs.arcs, "_window_sweeps",
+                        lambda steps, windows: sweeps(Counted(steps), windows))
+    for seed in (1, 2, 3):
+        reads.clear()
+        geombs.solve_arcs(geombs.generate_instance("arcs", n, seed))
+        assert 0 < len(reads) <= 100 * n, (seed, len(reads))
 
 
 @pytest.mark.parametrize("kind", ["unit_disks", "unit_squares"])
