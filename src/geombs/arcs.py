@@ -22,7 +22,8 @@ other edge is lost.  So a candidate is re-checked on the circular graph
 only when it would replace the best so far and holds both an arc starting
 at the cut and one ending there; the gap cut never is.  That graph's masks
 come from ``model._coverage`` and ``model._adjacency``, which build every
-arc graph.
+arc graph; the solve builds them on its first re-check, so scenes with
+distinct endpoints (all generated ones) hold no n-bit mask per position.
 """
 from itertools import accumulate
 
@@ -47,31 +48,44 @@ from .model import (
 )
 
 
-def _unrolled(starts, ends, size, gap):
+def _unrolled(starts, ends, size):
     """The circle unrolled once to 2·size positions, and its cuts, as
-    ``(steps, windows, dropped)``.  Arc i runs from s to e' (e + size if it
-    wraps) and its copy from s + size to e' + size; ``steps`` holds the 2n
-    entries ``(left, right, 1 << i)`` by right endpoint, then arc index.
+    ``(steps, windows, dropped, gap)``.  Arc i runs from s to e' (e + size
+    if it wraps) and its copy from s + size to e' + size; ``steps`` holds
+    the 2n entries ``(left, right, 1 << i)`` by right endpoint, then arc
+    index.
 
     Cut at position c, the circle is the window (c, c + size]: the entries
     ending there, each arc at most once.  Those starting before c hold the
     cut strictly inside and are dropped, as the sweep's floor is c - 1.
-    The gap cut is cut ``gap``'s window with floor ``gap``, as nothing
-    starts or ends inside the gap.  ``windows`` holds the ``(start, stop,
-    floor)`` of every cut's run of ``steps``, in cut order, so starts and
-    stops never decrease.  Unrolled, a cut's window loses only the edges
-    between an arc starting at the cut and one ending there; ``dropped``
-    holds the masks of those two sets, per cut, and the gap cut loses
-    none."""
+    ``gap`` is the first position x such that no arc covers the open
+    stretch of circle from x to the next position, or None if the arcs
+    cover the circle, found by a running count of the arcs open past each
+    position.  The gap cut is cut ``gap``'s window with floor ``gap``, as
+    nothing starts or ends inside the gap.  ``windows`` holds the
+    ``(start, stop, floor)`` of every cut's run of ``steps``, in cut order,
+    so starts and stops never decrease.  Unrolled, a cut's window loses
+    only the edges between an arc starting at the cut and one ending
+    there; ``dropped`` holds the masks of those two sets, per cut, and the
+    gap cut loses none."""
     ranked = []
     starting, ending = [0] * size, [0] * size
+    open_ = 0  # open arcs, first those through 0 that do not start there
     for i, (s, e) in enumerate(zip(starts, ends)):
         bit = 1 << i
         starting[s] |= bit
         ending[e] |= bit
-        e += size if s > e else 0
+        if s > e:
+            open_ += 1
+            e += size
         ranked += (e, i, s, bit), (e + size, i, s + size, bit)
     ranked.sort()
+    gap = None
+    for x in range(size):
+        open_ += starting[x].bit_count() - ending[x].bit_count()
+        if not open_:
+            gap = x
+            break
     steps = [(s, e, bit) for e, _, s, bit in ranked]
     # below[r]: the number of entries ending at or before r
     below = [0] * (2 * size)
@@ -84,7 +98,7 @@ def _unrolled(starts, ends, size, gap):
     if gap is not None:
         windows.insert(gap + 1, (below[gap], below[gap + size], gap))
         dropped.insert(gap + 1, (0, 0))
-    return steps, windows, dropped
+    return steps, windows, dropped, gap
 
 
 def solve_arcs(instance: GeometricInstance) -> Solution:
@@ -99,8 +113,7 @@ def solve_arcs(instance: GeometricInstance) -> Solution:
 
     labels = range(instance.n)
     starts, ends, size = _positions(instance.objects)
-    covering, began, gap = _coverage(starts, ends, size, labels)
-    steps, windows, dropped = _unrolled(starts, ends, size, gap)
+    steps, windows, dropped, _ = _unrolled(starts, ends, size)
 
     best, best_size, masks = 0, 0, None
     sweeps = _window_sweeps(steps, windows)
@@ -114,6 +127,7 @@ def solve_arcs(instance: GeometricInstance) -> Solution:
             # the unrolled sweep did not see
             if candidate & starting and candidate & ending:
                 if masks is None:
+                    covering, began = _coverage(starts, ends, size, labels)
                     masks = _adjacency(starts, ends, covering, began, labels)
                 if _kernels.two_color(masks, candidate)[1] is not None:
                     continue

@@ -7,11 +7,15 @@ Intersection is closed: tangent objects are adjacent.
 
 From parsing on, no ``Fraction`` arithmetic runs on the objects, and
 exactness is kept.  ``_frac`` reads its one text grammar with ``int`` and
-refuses every other text; constructors coerce only fields that are not a
-``Fraction`` yet.  Sorts and sweeps compare ``_key``s ``(float(v), v)``,
-whose correctly rounded float decides a comparison unless the floats tie,
-and then the exact value does.  Object orders, disks and arcs compare
-cross-multiplied ints, one ``as_integer_ratio()`` per value.
+refuses every other text; it builds each value from its numerator and
+denominator reduced by ``math.gcd``, setting the two slots
+``_numerator`` and ``_denominator`` of a bare ``Fraction``, the only
+fields a ``Fraction`` has on every supported Python.  Constructors coerce
+only fields that are not a ``Fraction`` yet.  Sorts and sweeps compare
+``_key``s ``(float(v), v)``, whose correctly rounded float decides a
+comparison unless the floats tie, and then the exact value does.  Object
+orders, disks and arcs compare cross-multiplied ints, one
+``as_integer_ratio()`` per value.
 
 The graph builder makes one pass per kind with no call per pair; the
 public predicates are only the pairwise reference it is tested against.
@@ -22,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import inf, lcm
+from math import gcd, inf, lcm
 from operator import itemgetter, or_
 from typing import Iterable, Optional, Sequence
 
@@ -44,7 +48,12 @@ def _frac(value) -> Fraction:
     """Exact rational from a Fraction, an int or text in the grammar
     ``-?[0-9]+(/[0-9]+)?`` in ASCII with a nonzero denominator, the language
     ``format_rational`` writes; bools, floats and any other text raise
-    ``ValidationError``, on every supported Python alike."""
+    ``ValidationError``, on every supported Python alike.  Text becomes
+    ``object.__new__(Fraction)`` with its slots ``_numerator`` and
+    ``_denominator`` set to p // g and q // g, g = gcd(p, q), as Python
+    3.12's own ``Fraction._from_coprime_ints`` does; that relies on
+    ``Fraction`` keeping exactly these two slots, and a layout without
+    them fails on the first value with ``AttributeError``."""
     if type(value) is Fraction:
         return value
     if isinstance(value, str):  # parsing is the hot path
@@ -52,12 +61,14 @@ def _frac(value) -> Fraction:
         if (value.isascii() and num.removeprefix("-").isdigit()
                 and (den.isdigit() or not slash)):
             try:
-                if not slash:
-                    return Fraction(int(num))
-                if q := int(den):
-                    return Fraction(int(num), q)
+                p, q = int(num), int(den) if slash else 1
             except ValueError as exc:  # beyond the interpreter's digit limit
                 raise ValidationError(f"bad rational {value!r}: {exc}") from exc
+            if q:
+                g = gcd(p, q)
+                f = object.__new__(Fraction)
+                f._numerator, f._denominator = p // g, q // g
+                return f
         raise ValidationError(f"bad rational {value!r}: expected "
                               "-?[0-9]+(/[0-9]+)? with a nonzero denominator")
     if isinstance(value, Fraction):
@@ -329,7 +340,8 @@ def _positions(arcs):
     endpoint values.  Value v sits at position rank(v), ranked on exact
     ``_key``s, so positions keep every order and tie of the angles.  The
     stretches of circle between consecutive values have no position: a
-    cut there is taken at the value before it (see ``_coverage``'s gap)."""
+    cut there is taken at the value before it (see ``arcs._unrolled``'s
+    gap)."""
     n = len(arcs)
     keys = [_key(a.start) for a in arcs] + [_key(a.end) for a in arcs]
     positions = [0] * (2 * n)
@@ -343,13 +355,11 @@ def _positions(arcs):
 
 
 def _coverage(starts, ends, size, labels):
-    """One pass over the positions: ``(covering, began, gap)``, on the bits
-    of the arcs' ``labels``.  ``covering[x]`` is the bitmask of the arcs
+    """One pass over the positions: ``(covering, began)``, on the bits of
+    the arcs' ``labels``.  ``covering[x]`` is the bitmask of the arcs
     containing position x and ``began[x]`` that of the arcs starting at or
     before x: O(D) operations on masks of n bits, n·D bits held in each
-    list.  ``gap`` is the first position x such that no arc covers the open
-    stretch of circle from x to the next position, or None if the arcs
-    cover the circle."""
+    list."""
     at_start, at_end = [0] * size, [0] * size
     wrapping = 0  # arcs through position 0 that do not start there
     for i, s, e in zip(labels, starts, ends):
@@ -358,16 +368,14 @@ def _coverage(starts, ends, size, labels):
         if s > e:
             wrapping |= 1 << i
     covering, began = [], []
-    current, b, gap = wrapping, 0, None
+    current, b = wrapping, 0
     for x in range(size):
         current |= at_start[x]
         covering.append(current)
         current &= ~at_end[x]
-        if gap is None and not current:
-            gap = x
         b |= at_start[x]
         began.append(b)
-    return covering, began, gap
+    return covering, began
 
 
 def _adjacency(starts, ends, covering, began, labels):
@@ -429,7 +437,7 @@ def _graph_over(instance: GeometricInstance, indices) -> IntersectionGraph:
     masks = [0] * instance.n
     if instance.kind == ARCS:
         starts, ends, size = _positions(items)
-        covering, began, _ = _coverage(starts, ends, size, order)
+        covering, began = _coverage(starts, ends, size, order)
         for i, m in zip(order, _adjacency(starts, ends, covering, began, order)):
             masks[i] = m
         return IntersectionGraph(instance.n, tuple(masks))

@@ -26,8 +26,7 @@ from conftest import graph_edges
 def _uncovered_point(instance):
     """The first position after which no arc covers the circle up to the
     next position, or None if the arcs cover the whole circle."""
-    return arcs_module._coverage(*arcs_module._positions(instance.objects),
-                                 range(instance.n))[2]
+    return arcs_module._unrolled(*arcs_module._positions(instance.objects))[3]
 
 
 def arcs(*pairs):
@@ -166,8 +165,7 @@ class TestReference:
         # sweep run alone on that cut's window and floor
         for seed, inst in enumerate(TIE_HEAVY):
             starts, ends, size = arcs_module._positions(inst.objects)
-            gap = _uncovered_point(inst)
-            steps, windows, _ = arcs_module._unrolled(starts, ends, size, gap)
+            steps, windows, _, gap = arcs_module._unrolled(starts, ends, size)
             assert len(windows) == size + (gap is not None)
             lefts = [left for left, _, _ in steps]
             rights = [right for _, right, _ in steps]

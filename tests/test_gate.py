@@ -9,10 +9,11 @@ interval sweeps and graph builds, the disk solvers, the PTAS, the disk
 graph build and the arc solver make no more ``Fraction`` order comparisons
 than there are objects, and all but the interval sweeps no ``Fraction``
 arithmetic.  The arc solver's cuts share one sweep, and it re-checks
-only cuts that improve on its best and hold two arcs meeting at the cut.
-The PTAS pays one component join per 2-colourable box subset.  Parsing a
-document does no ``Fraction`` comparison or arithmetic, and builds each
-object once."""
+only cuts that improve on its best and hold two arcs meeting at the cut,
+building the circular graph's masks only then.  The PTAS pays one
+component join per 2-colourable box subset.  Parsing a document does no
+``Fraction`` comparison or arithmetic, calls no ``Fraction`` constructor
+on text, and builds each object once."""
 import ast
 import importlib
 import os
@@ -353,11 +354,27 @@ def test_arcs_recheck_only_improving_cuts(monkeypatch):
         scene = geombs.generate_instance("arcs", 120, seed)
         starts, ends, size = model._positions(scene.objects)
         assert size == 2 * scene.n, seed
-        gap = model._coverage(starts, ends, size, range(scene.n))[2]
-        cuts = size + (gap is not None)
+        cuts = len(geombs.arcs._unrolled(starts, ends, size)[1])
         calls.clear()
         geombs.solve_arcs(scene)
         assert len(calls) == 1 < cuts, (seed, len(calls), cuts)
+
+
+def test_arcs_build_no_coverage_without_a_recheck(monkeypatch):
+    # memory, not wall clock: the circular graph's n-bit masks per position
+    # are built on a solve's first re-check, and generated endpoints are
+    # distinct, so a solve of a generated scene builds none
+    calls = []
+    coverage = geombs.arcs._coverage
+
+    def counted(*args):
+        calls.append(None)
+        return coverage(*args)
+
+    monkeypatch.setattr(geombs.arcs, "_coverage", counted)
+    for seed in (1, 2, 3):
+        geombs.solve_arcs(geombs.generate_instance("arcs", 120, seed))
+    assert not calls, len(calls)
 
 
 def test_arcs_cuts_share_one_sweep(monkeypatch):
@@ -421,7 +438,8 @@ RECORD_CONSTRUCTORS = {
 @pytest.mark.parametrize("kind", geombs.KINDS)
 def test_parse_does_no_fraction_arithmetic(kind, monkeypatch):
     # work, not wall clock: values are read from their text once per
-    # distinct string, the objects' order checks and the weights' signs
+    # distinct string and built from their reduced ints without
+    # Fraction.__new__, the objects' order checks and the weights' signs
     # compare ints, and each record runs its constructors once
     n = 60
     docs = [serialize.instance_to_dict(
@@ -436,7 +454,7 @@ def test_parse_does_no_fraction_arithmetic(kind, monkeypatch):
             return method(*args, **kwargs)
         return counted
 
-    for name in FRACTION_ARITHMETIC + ("_richcmp",):
+    for name in FRACTION_ARITHMETIC + ("_richcmp", "__new__"):
         monkeypatch.setattr(Fraction, name,
                             counting(calls, name, getattr(Fraction, name)))
     for cls in RECORD_CONSTRUCTORS[kind]:

@@ -1,4 +1,5 @@
 """Geometry predicates, graph construction, and the three subset verifiers."""
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -50,7 +51,8 @@ def disks(centers, r=1):
 # value -> what _frac reads, or None where it must refuse
 RATIONALS = [
     ("3/4", F(3, 4)), ("-3/4", F(-3, 4)), ("-0", F(0)), ("007/4", F(7, 4)),
-    ("6/8", F(3, 4)), (7, F(7)),
+    ("6/8", F(3, 4)), ("-6/4", F(-3, 2)), ("0/5", F(0)), ("-0/7", F(0)),
+    ("10/5", F(2)), ("12" * 30 + "/18", F(int("12" * 30), 18)), (7, F(7)),
 ] + [(text, None) for text in [
     " 3/4", "3/4 ", "3/ 4", "3 / 4", "+3", "1_0", "٣", "²", "3/", "/4", "3/0",
     "1e3", "1.5", "0.5", "--3", "-3/-4", "", "7" * 4301, 0.5, True]]
@@ -115,16 +117,21 @@ class TestObjects:
                                   else f"{type(t).__name__}:{t!r}"
                                   for t, _ in RATIONALS])
     def test_parser_agrees_with_fraction(self, text, want):
-        # text in the grammar reads as Fraction(text) does; every other text,
-        # and every float or bool, is refused on every supported Python
+        # text in the grammar reads as Fraction(text) does, down to its
+        # hash, repr, ratio and pickle; every other text, and every float or
+        # bool, is refused on every supported Python
         if want is None:
             with pytest.raises(ValidationError) as got:
                 _frac(text)
             if isinstance(text, str):
                 assert str(got.value).startswith(f"bad rational {text!r}: ")
         else:
-            got = _frac(text)
-            assert got == want == F(text) and type(got) is F
+            got, ref = _frac(text), F(text)
+            assert got == want == ref and type(got) is F
+            assert hash(got) == hash(ref) and repr(got) == repr(ref)
+            assert got.as_integer_ratio() == ref.as_integer_ratio()
+            back = pickle.loads(pickle.dumps(got))
+            assert type(back) is F and repr(back) == repr(ref)
 
 
 class TestValidation:
