@@ -113,26 +113,30 @@ def bipartite_join(masks, comps, v):
     return rest, na & nb
 
 
-def bipartite_subsets(masks, cand):
+def bipartite_subsets(masks, cand, limit):
     """Every 2-colourable subset of the vertex bitmask ``cand`` as (subset
-    bitmask, components), in ``itertools.combinations`` order.
+    bitmask, components), in ``itertools.combinations`` order, or None if
+    there are more than ``limit`` of them, the empty set included.
 
     Bipartiteness is hereditary, so a depth-first search over ascending
     vertices that extends only with unblocked vertices visits exactly these
-    subsets, at one ``bipartite_join`` per nonempty subset.  Its preorder is
-    lexicographic; a stable sort by size gives the combinations order.
+    subsets, at one ``bipartite_join`` per nonempty subset.  It stops at the
+    subset past ``limit``.  Its preorder is lexicographic; a stable sort by
+    size gives the combinations order.
     """
     out = []
 
     def grow(sel, cand, comps):
         out.append((sel, comps))
-        while cand:
+        while cand and len(out) <= limit:
             v = cand & -cand
             cand ^= v
             joined, blocked = bipartite_join(masks, comps, v)
             grow(sel | v, cand & ~blocked, joined)
 
     grow(0, cand, [])
+    if len(out) > limit:
+        return None
     out.sort(key=lambda entry: entry[0].bit_count())
     return out
 

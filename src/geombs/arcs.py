@@ -20,10 +20,10 @@ at worst, as many as one sweep per cut; generated scenes take about 29n,
 Arcs meeting exactly at a cut lose that adjacency when unrolled, and no
 other edge is lost.  So a candidate is re-checked on the circular graph
 only when it would replace the best so far and holds both an arc starting
-at the cut and one ending there; the gap cut never is.  That graph's masks
-come from ``model._coverage`` and ``model._adjacency``, which build every
-arc graph; the solve builds them on its first re-check, so scenes with
-distinct endpoints (all generated ones) hold no n-bit mask per position.
+at the cut and one ending there; the gap cut never is.  That graph is
+``model._graph_over`` of the whole scene, as every arc graph is, built on
+the solve's first re-check, so scenes with distinct endpoints (all
+generated ones) never build it.
 """
 from itertools import accumulate
 
@@ -36,8 +36,6 @@ from .model import (
     ARCS,
     GeometricInstance,
     Solution,
-    _adjacency,
-    _coverage,
     _expect,
     _graph_over,
     _positions,
@@ -111,7 +109,6 @@ def solve_arcs(instance: GeometricInstance) -> Solution:
     _expect(instance, ARCS)
     validate_instance(instance)
 
-    labels = range(instance.n)
     starts, ends, size = _positions(instance.objects)
     steps, windows, dropped, _ = _unrolled(starts, ends, size)
 
@@ -127,8 +124,7 @@ def solve_arcs(instance: GeometricInstance) -> Solution:
             # the unrolled sweep did not see
             if candidate & starting and candidate & ending:
                 if masks is None:
-                    covering, began = _coverage(starts, ends, size, labels)
-                    masks = _adjacency(starts, ends, covering, began, labels)
+                    masks = _graph_over(instance, range(instance.n)).masks
                 if _kernels.two_color(masks, candidate)[1] is not None:
                     continue
             best, best_size = candidate, count

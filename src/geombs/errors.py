@@ -11,8 +11,8 @@ class ValidationError(GeombsError):
 
 
 class CapacityError(GeombsError):
-    """Input exceeds a configured cap: the oracle's vertex cap or the PTAS
-    box cap."""
+    """Input exceeds a cap: the oracle's vertex cap, or a PTAS box with more
+    than 2^16 2-colorable subsets.  The command line exits 4."""
 
     category = "capacity"
 

@@ -354,44 +354,6 @@ def _positions(arcs):
     return positions[:n], positions[n:], size
 
 
-def _coverage(starts, ends, size, labels):
-    """One pass over the positions: ``(covering, began)``, on the bits of
-    the arcs' ``labels``.  ``covering[x]`` is the bitmask of the arcs
-    containing position x and ``began[x]`` that of the arcs starting at or
-    before x: O(D) operations on masks of n bits, n·D bits held in each
-    list."""
-    at_start, at_end = [0] * size, [0] * size
-    wrapping = 0  # arcs through position 0 that do not start there
-    for i, s, e in zip(labels, starts, ends):
-        at_start[s] |= 1 << i
-        at_end[e] |= 1 << i
-        if s > e:
-            wrapping |= 1 << i
-    covering, began = [], []
-    current, b = wrapping, 0
-    for x in range(size):
-        current |= at_start[x]
-        covering.append(current)
-        current &= ~at_end[x]
-        b |= at_start[x]
-        began.append(b)
-    return covering, began
-
-
-def _adjacency(starts, ends, covering, began, labels):
-    """Neighbour bitmasks of the arcs, in list order, from their positions
-    and the masks of ``_coverage``, in O(n) mask operations.  Arc b meets
-    arc a iff b covers a's start or starts in the circular range
-    (s(a), e(a)]: an arc that meets a but misses its start cannot enter a
-    from outside, so it starts inside."""
-    masks = []
-    for i, s, e in zip(labels, starts, ends):
-        inside = (began[e] & ~began[s] if s < e
-                  else began[e] | began[-1] & ~began[s])
-        masks.append((covering[s] | inside) & ~(1 << i))
-    return masks
-
-
 def _sweep_items(instance: GeometricInstance, indices):
     """What the kind's builder reads of each listed object, in list order:
     an arc itself; else the bounds of its closed x-extent, its index, and
@@ -426,20 +388,44 @@ def _graph_over(instance: GeometricInstance, indices) -> IntersectionGraph:
     """The graph induced by ``indices``, as masks over all n objects with 0
     for every object not listed.  The instance must already be valid.
 
-    Arcs take ``_adjacency``.  The other kinds sort by left x and sweep
-    (Bentley, Stanat & Williams 1977): p can meet only the later q with
-    left(q) <= right(p).  For intervals those are exactly its later
-    neighbours, one run of the sorted list, and its earlier ones are the
-    intervals still open, so no pair is tested.  Rectangles compare their
-    y-extents and disks their integer squared distance, inline."""
+    Arcs are read from coverage masks: one pass over the ``_positions``
+    gives, per position x, the mask of the arcs covering x and of those
+    starting at or before x.  Arc b meets arc a iff b covers a's start or
+    starts in the circular range (s(a), e(a)]: an arc that meets a but
+    misses its start cannot enter a from outside, so it starts inside.
+    That is O(n) operations on n-bit masks.
+
+    The other kinds sort by left x and sweep (Bentley, Stanat & Williams
+    1977): p can meet only the later q with left(q) <= right(p).  For
+    intervals those are exactly its later neighbours, one run of the sorted
+    list, and its earlier ones are the intervals still open, so no pair is
+    tested.  Rectangles compare their y-extents and disks their integer
+    squared distance, inline."""
     order = list(indices)
     items = _sweep_items(instance, order)
     masks = [0] * instance.n
     if instance.kind == ARCS:
         starts, ends, size = _positions(items)
-        covering, began = _coverage(starts, ends, size, order)
-        for i, m in zip(order, _adjacency(starts, ends, covering, began, order)):
-            masks[i] = m
+        at_start, at_end = [0] * size, [0] * size
+        wrapping = 0  # arcs through position 0 that do not start there
+        for i, s, e in zip(order, starts, ends):
+            at_start[s] |= 1 << i
+            at_end[e] |= 1 << i
+            if s > e:
+                wrapping |= 1 << i
+        # covering[x]: the arcs containing x; began[x]: those starting <= x
+        covering, began = [], []
+        current, b = wrapping, 0
+        for x in range(size):
+            current |= at_start[x]
+            covering.append(current)
+            current &= ~at_end[x]
+            b |= at_start[x]
+            began.append(b)
+        for i, s, e in zip(order, starts, ends):
+            inside = (began[e] & ~began[s] if s < e
+                      else began[e] | began[-1] & ~began[s])
+            masks[i] = (covering[s] | inside) & ~(1 << i)
         return IntersectionGraph(instance.n, tuple(masks))
     items.sort(key=itemgetter(0))
     if instance.kind == INTERVALS:

@@ -11,6 +11,9 @@ them all, as an explicit DAG).  A box's subsets come from
 ``_kernels.bipartite_subsets`` at one component join each: a box holds O(k)
 cells of pairwise-intersecting objects, at most 2 per cell in a bipartite
 set, so b objects give b^O(k) subsets, not 2^b (Hochbaum & Maass, JACM 1985).
+A box with more than 2^16 such subsets, the most a 16-object box can have,
+raises ``CapacityError`` (exit 4 on the command line) after listing
+2^16 + 1 of them, so no box costs more than a 16-object one.
 
 The full solver builds the scene's intersection graph once, shifts a grid
 of slab boundaries over k offsets, drops the objects crossing a boundary,
@@ -39,7 +42,7 @@ from .model import (
     is_bipartite,  # unused here, but perfbench/tracing.py patches ptas.is_bipartite
 )
 
-DEFAULT_BOX_CAP = 16
+_BOX_SUBSETS = 1 << 16  # the most subsets a 16-object box can have
 
 
 def _half_extent(instance) -> Fraction:
@@ -134,12 +137,13 @@ def _colorings(comps, boundary):
     return out
 
 
-def _slab_dag(graph, xs, members, box_cap):
+def _slab_dag(graph, xs, members):
     """The boxes of the objects ``members`` (ascending scene indices of
     ``graph``, all inside one slab) by their x positions ``xs``, as
     ascending (box, subsets) pairs: the box's 2-colorable subsets in
     ``itertools.combinations`` order, as (bitmask, its ``_colorings``).
-    Vertex ids count the (subset, coloring) pairs in this order."""
+    Vertex ids count the (subset, coloring) pairs in this order.  A box
+    with more than ``_BOX_SUBSETS`` subsets raises ``CapacityError``."""
     an, am = xs[members[0]]
     for i in members:
         n, m = xs[i]
@@ -155,13 +159,15 @@ def _slab_dag(graph, xs, members, box_cap):
     out = []
     for b in sorted(boxes):
         in_box = boxes[b]
-        if len(in_box) > box_cap:
+        subsets = _kernels.bipartite_subsets(masks, bits[b], _BOX_SUBSETS)
+        if subsets is None:
             raise CapacityError(
-                f"box with {len(in_box)} objects exceeds cap {box_cap}")
+                f"box {b} of {len(in_box)} objects has more than "
+                f"{_BOX_SUBSETS} 2-colorable subsets")
         near = bits.get(b - 1, 0) | bits.get(b + 1, 0)
         boundary = sum(1 << i for i in in_box if masks[i] & near)
-        out.append((b, [(sel, _colorings(comps, boundary)) for sel, comps
-                        in _kernels.bipartite_subsets(masks, bits[b])]))
+        out.append((b, [(sel, _colorings(comps, boundary))
+                        for sel, comps in subsets]))
     return out
 
 
@@ -185,7 +191,7 @@ def _as_dag(boxes) -> SlabDag:
     return SlabDag(vertices, step_edges)
 
 
-def _scene_slab_dag(instance, k, slab_bottom, box_cap):
+def _scene_slab_dag(instance, k, slab_bottom):
     """(graph, slab boxes) of a scene that is one slab, validated once."""
     h = _half_extent(instance)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
@@ -200,23 +206,22 @@ def _scene_slab_dag(instance, k, slab_bottom, box_cap):
     for i, (n, m) in enumerate(ys):
         if n * bd < bn * m or n * bd > (bn + (k - 1) * bd) * m:
             raise ValidationError(f"object {i} crosses the slab boundary")
-    return graph, _slab_dag(graph, xs, range(instance.n), box_cap)
+    return graph, _slab_dag(graph, xs, range(instance.n))
 
 
 def build_slab_dag(
     instance: GeometricInstance,
     k: int,
     slab_bottom=None,
-    box_cap: int = DEFAULT_BOX_CAP,
 ) -> SlabDag:
     """The slab DAG: colored feasible sets per box and their step edges.
 
     The whole scene is one slab of height k diameters starting at
     ``slab_bottom`` (by default the lowest object's bottom); the slab is the
-    index list ``range(n)`` over the scene's intersection graph.  A box of
-    b <= ``box_cap`` objects costs one join per 2-colorable subset.
+    index list ``range(n)`` over the scene's intersection graph.  A box
+    costs one join per 2-colorable subset.
     """
-    return _as_dag(_scene_slab_dag(instance, k, slab_bottom, box_cap)[1])
+    return _as_dag(_scene_slab_dag(instance, k, slab_bottom)[1])
 
 
 def _slab(boxes, wts):
@@ -269,34 +274,24 @@ def solve_slab(
     k: int,
     slab_bottom=None,
     weights=None,
-    box_cap: int = DEFAULT_BOX_CAP,
 ) -> Solution:
     """Exact maximum(-weight) bipartite subset of a slab-confined scene."""
     wts = _check_weights(instance, weights)
-    graph, boxes = _scene_slab_dag(instance, k, slab_bottom, box_cap)
+    graph, boxes = _scene_slab_dag(instance, k, slab_bottom)
     selected, coloring = _slab(boxes, wts)
     return certify(graph, Solution(tuple(selected), coloring))
 
 
-def solve_ptas(
-    instance: GeometricInstance,
-    epsilon,
-    box_cap: int = DEFAULT_BOX_CAP,
-) -> Solution:
-    return solve_ptas_weighted(instance, None, epsilon, box_cap)
+def solve_ptas(instance: GeometricInstance, epsilon) -> Solution:
+    return solve_ptas_weighted(instance, None, epsilon)
 
 
-def solve_ptas_weighted(
-    instance: GeometricInstance,
-    weights,
-    epsilon,
-    box_cap: int = DEFAULT_BOX_CAP,
-) -> Solution:
+def solve_ptas_weighted(instance: GeometricInstance, weights, epsilon) -> Solution:
     """(1 - 1/k)-approximate maximum-weight bipartite subset, k = ceil(1/eps).
 
     One intersection graph serves every offset: each slab is the list of
-    its objects' scene indices over that graph, and a box of
-    b <= ``box_cap`` objects costs one join per 2-colorable subset.
+    its objects' scene indices over that graph, and a box costs one join
+    per 2-colorable subset.
     """
     en, ed = _frac(epsilon).as_integer_ratio()
     if en <= 0:
@@ -322,7 +317,7 @@ def solve_ptas_weighted(
                 slabs.setdefault((cell - s) // k, []).append(i)
         selected, coloring = [], {}
         for t, members in sorted(slabs.items()):
-            sel, col = _slab(_slab_dag(graph, xs, members, box_cap), wts)
+            sel, col = _slab(_slab_dag(graph, xs, members), wts)
             selected += sel
             coloring.update(col)
         total = sum(wts[v] for v in selected)

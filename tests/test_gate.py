@@ -215,15 +215,23 @@ SELECTION_GRAPHS = {
     "solve_arcs": ("arcs", 300),
     "solve_unit_height": ("unit_height_rects", 2000),
 }
+# those seed-1 scenes, and arc scenes of 120 objects at seeds 1 to 3
+SELECTION_SCENES = [
+    *(pytest.param(solver, n, 1, id=solver)
+      for solver, (_, n) in sorted(SELECTION_GRAPHS.items())),
+    *(pytest.param("solve_arcs", 120, seed, id=f"solve_arcs-120-{seed}")
+      for seed in (1, 2, 3)),
+]
 
 
-@pytest.mark.parametrize("solver", sorted(SELECTION_GRAPHS))
-def test_certificate_graph_reads_only_the_selection(solver, monkeypatch):
+@pytest.mark.parametrize("solver, n, seed", SELECTION_SCENES)
+def test_certificate_graph_reads_only_the_selection(solver, n, seed,
+                                                    monkeypatch):
     # the solver builds one graph, over its selection: the whole scene's
     # graph would list every object.  Every graph build passes its index
-    # list through model._sweep_items, for every kind
-    kind, n = SELECTION_GRAPHS[solver]
-    scene = geombs.generate_instance(kind, n, 1)
+    # list through model._sweep_items, for every kind.  Generated arcs have
+    # distinct endpoints, so no cut re-checks on the circular graph
+    scene = geombs.generate_instance(SELECTION_GRAPHS[solver][0], n, seed)
     listed = []
     sweep_items = model._sweep_items
 
@@ -358,23 +366,6 @@ def test_arcs_recheck_only_improving_cuts(monkeypatch):
         calls.clear()
         geombs.solve_arcs(scene)
         assert len(calls) == 1 < cuts, (seed, len(calls), cuts)
-
-
-def test_arcs_build_no_coverage_without_a_recheck(monkeypatch):
-    # memory, not wall clock: the circular graph's n-bit masks per position
-    # are built on a solve's first re-check, and generated endpoints are
-    # distinct, so a solve of a generated scene builds none
-    calls = []
-    coverage = geombs.arcs._coverage
-
-    def counted(*args):
-        calls.append(None)
-        return coverage(*args)
-
-    monkeypatch.setattr(geombs.arcs, "_coverage", counted)
-    for seed in (1, 2, 3):
-        geombs.solve_arcs(geombs.generate_instance("arcs", 120, seed))
-    assert not calls, len(calls)
 
 
 def test_arcs_cuts_share_one_sweep(monkeypatch):

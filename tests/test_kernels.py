@@ -90,8 +90,10 @@ def check_bipartite_subsets(rng, trials):
                 for sub in itertools.combinations(verts, size)
                 if _kernels.two_color(masks, sum(1 << v for v in sub))[0]
                 is not None]
-        got = _kernels.bipartite_subsets(masks, cand)
+        got = _kernels.bipartite_subsets(masks, cand, len(want))
         assert [sel for sel, _ in got] == want, (trial, masks, cand)
+        # a limit one short of the count, the empty set counted, lists none
+        assert _kernels.bipartite_subsets(masks, cand, len(want) - 1) is None
         for sel, comps in got:
             union = 0
             for a, b, na, nb in comps:

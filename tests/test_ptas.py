@@ -65,9 +65,18 @@ class TestSlab:
         assert build_slab_dag(disks([(0, 1), (0, 4)]), 3).vertices
 
     def test_box_capacity(self):
-        inst = disks([(F(i, 10), 1) for i in range(5)])
-        with pytest.raises(CapacityError):
-            solve_slab(inst, 1, slab_bottom=0, box_cap=4)
+        # one box of four pairwise-disjoint stacks of co-located disks: a
+        # stack of s is a clique with 1 + s + s(s-1)/2 bipartite subsets, so
+        # s = 5 gives 16^4 = 2^16 subsets, the most a box may have, and
+        # s = 6 gives 22^4
+        stacks = [(0, 1), (0, F(7, 2)), (F(19, 10), F(9, 4)),
+                  (F(19, 10), F(49, 10))]
+        inst = disks([c for c in stacks for _ in range(5)])
+        sol = solve_slab(inst, 3, slab_bottom=0)
+        assert sol.size == 8 == exact_mbs(build_intersection_graph(inst)).size
+        inst = disks([c for c in stacks for _ in range(6)])
+        with pytest.raises(CapacityError, match="more than 65536"):
+            solve_slab(inst, 3, slab_bottom=0)
 
     def test_slab_bottom_must_be_exact(self):
         with pytest.raises(ValidationError):
