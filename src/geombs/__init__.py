@@ -9,7 +9,7 @@ and a doubling reduction tying bipartite subgraphs to independent sets.
 """
 from .arcs import solve_arcs
 from .bench import BenchReport, BenchRow, bench_instance, run_bench
-from .diskgeneral import SlabAssignment, assign_slabs, solve_3approx, solve_logn
+from .diskgeneral import solve_3approx, solve_logn
 from .diskline import one_sided_mis, solve_one_sided, solve_two_sided
 from .errors import CapacityError, CertificateError, GeombsError, ValidationError
 from .generate import generate_instance, generate_weights
@@ -39,7 +39,7 @@ from .model import (
     validate_instance,
 )
 from .oracle import exact_mbs, exact_mis, exact_mtfs
-from .ptas import SlabDag, build_slab_dag, solve_ptas, solve_ptas_weighted, solve_slab
+from .ptas import solve_ptas, solve_ptas_weighted, solve_slab
 from .rects import solve_unit_height
 from .reductions import double_instance
 from .serialize import (
@@ -72,17 +72,13 @@ __all__ = [
     "Point",
     "RECTS",
     "RectObj",
-    "SlabAssignment",
-    "SlabDag",
     "Solution",
     "UNIT_DISKS",
     "UNIT_HEIGHT_RECTS",
     "UNIT_SQUARES",
     "ValidationError",
-    "assign_slabs",
     "bench_instance",
     "build_intersection_graph",
-    "build_slab_dag",
     "certify",
     "double_instance",
     "exact_mbs",

@@ -121,21 +121,27 @@ def bipartite_subsets(masks, cand, limit):
     Bipartiteness is hereditary, so a depth-first search over ascending
     vertices that extends only with unblocked vertices visits exactly these
     subsets, at one ``bipartite_join`` per nonempty subset.  It stops at the
-    subset past ``limit``.  Its preorder is lexicographic; a stable sort by
-    size gives the combinations order.
+    subset past ``limit``, or at a subset of ``limit.bit_length()`` vertices,
+    whose 2^size subsets alone pass ``limit``; so it recurses no deeper.
+    Its preorder is lexicographic; a stable sort by size gives the
+    combinations order.
     """
-    out = []
+    out, most = [], limit.bit_length()
 
-    def grow(sel, cand, comps):
+    def grow(sel, size, cand, comps):
+        """False iff the search stopped early."""
         out.append((sel, comps))
+        if size == most:
+            return False
         while cand and len(out) <= limit:
             v = cand & -cand
             cand ^= v
             joined, blocked = bipartite_join(masks, comps, v)
-            grow(sel | v, cand & ~blocked, joined)
+            if not grow(sel | v, size + 1, cand & ~blocked, joined):
+                return False
+        return True
 
-    grow(0, cand, [])
-    if len(out) > limit:
+    if not grow(0, 0, cand, []) or len(out) > limit:
         return None
     out.sort(key=lambda entry: entry[0].bit_count())
     return out

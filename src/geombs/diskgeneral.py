@@ -13,10 +13,8 @@ two-sided 2-approximation, giving a max(1, 2 log2 n) factor overall.
 
 Both read the centers as cross-multiplied ints (the line index
 floor((y - base) / r), the band's |x - x_med| <= r) and sort exact
-``_key``s; only the public ``assign_slabs`` computes the lines themselves.
+``_key``s; no line is computed (the line of group t is base + t r).
 """
-from dataclasses import dataclass
-
 from .diskline import (
     _chain,
     _two_sided,
@@ -33,19 +31,7 @@ from .model import (
     build_intersection_graph,
     certify,
     is_bipartite,
-    validate_instance,
 )
-
-
-@dataclass(frozen=True)
-class SlabAssignment:
-    """Stabbing lines spaced one radius apart and the disk -> line map."""
-
-    lines: tuple
-    group: tuple
-
-    def groups(self):
-        return _groups(self.group)
 
 
 def _groups(group):
@@ -56,16 +42,7 @@ def _groups(group):
     return out
 
 
-def assign_slabs(instance: GeometricInstance) -> SlabAssignment:
-    _expect(instance, UNIT_DISKS)
-    validate_instance(instance)
-    base, group = _assign_slabs(instance)
-    r = instance.disk_radius
-    return SlabAssignment(tuple(base + t * r for t in range(max(group) + 1)),
-                          group)
-
-
-def _assign_slabs(instance):
+def _line_groups(instance):
     """``(base, group)`` of a valid scene: the lowest center y and, per
     disk, the line index floor((y - base) / r), on cross-multiplied ints."""
     r = instance.disk_radius
@@ -85,7 +62,7 @@ def solve_3approx(instance: GeometricInstance) -> Solution:
     """Bipartite subset of size at least OPT / 3."""
     _expect(instance, UNIT_DISKS)
     graph = build_intersection_graph(instance)
-    _, group = _assign_slabs(instance)
+    _, group = _line_groups(instance)
     per_group = {
         t: _chain(graph, _x_order(instance, indices))
         for t, indices in _groups(group).items()

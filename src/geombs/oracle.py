@@ -13,12 +13,17 @@ from .errors import CapacityError
 from .model import IntersectionGraph, Solution, certify, is_bipartite
 
 DEFAULT_CAP = 20
+MAX_VERTICES = 512  # the search recurses once per selected vertex
 
 
 def _check_cap(g: IntersectionGraph, cap: Optional[int]):
     cap = DEFAULT_CAP if cap is None else cap
     if g.n > cap:
         raise CapacityError(f"oracle capped at {cap} vertices, got {g.n}")
+    if g.n > MAX_VERTICES:
+        raise CapacityError(
+            f"oracle takes at most {MAX_VERTICES} vertices, whatever the cap: "
+            f"its search recurses once per selected vertex; got {g.n}")
 
 
 def exact_mbs(g: IntersectionGraph, cap: Optional[int] = None) -> Solution:

@@ -6,8 +6,8 @@ partition the slab into diameter-wide boxes and list per box every
 consecutive boxes combine iff no edge across them joins same-colored
 objects; boxes two or more apart never interact.  One DP pass over the
 boxes finds a maximum-weight path, an optimal bipartite set for the slab,
-and builds index lists for its vertices alone (``build_slab_dag`` lists
-them all, as an explicit DAG).  A box's subsets come from
+testing step edges as it goes, never storing them, and turns only the
+chosen path into scene indices.  A box's subsets come from
 ``_kernels.bipartite_subsets`` at one component join each: a box holds O(k)
 cells of pairwise-intersecting objects, at most 2 per cell in a bipartite
 set, so b objects give b^O(k) subsets, not 2^b (Hochbaum & Maass, JACM 1985).
@@ -23,7 +23,6 @@ yields the (1 - 1/k) guarantee.  Weighted objects only change the vertex
 weights.  Geometry and weight sums are exact int arithmetic.
 """
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
@@ -85,28 +84,6 @@ def _check_weights(instance, weights):
         raise ValidationError("weights must be nonnegative")
     scale = math.lcm(*(w.denominator for w in out))
     return [w.numerator * (scale // w.denominator) for w in out]
-
-
-@dataclass(frozen=True)
-class ColoredFeasibleSet:
-    box: int
-    indices: tuple
-    coloring: dict = field(hash=False)
-
-
-@dataclass
-class SlabDag:
-    """Vertex-weighted DAG over per-box colored feasible sets.
-
-    Edges between consecutive boxes are stored explicitly in
-    ``step_edges`` (vertex id -> compatible vertex ids in the next
-    nonempty box); pairs of vertices two or more boxes apart never
-    interact and form implicit unconditional edges, as do the source and
-    target.  All stored edges run from lower to higher box index.
-    """
-
-    vertices: list
-    step_edges: dict
 
 
 def _colorings(comps, boundary):
@@ -171,26 +148,6 @@ def _slab_dag(graph, xs, members):
     return out
 
 
-def _as_dag(boxes) -> SlabDag:
-    """The ``SlabDag`` of ``_slab_dag``'s boxes: u and v in consecutive boxes
-    are compatible iff neither class of v meets the neighbors of u's class
-    of the same color."""
-    vertices, step_edges, prev = [], {}, (None, [])
-    for b, subsets in boxes:
-        ids = []
-        for sel, colorings in subsets:
-            subset = _kernels.mask_to_indices(sel)
-            for cls in colorings:
-                ids.append((len(vertices), cls))
-                vertices.append(ColoredFeasibleSet(
-                    b, subset, {v: cls[1] >> v & 1 for v in subset}))
-        for u, (_, _, n0, n1) in prev[1] if prev[0] == b - 1 else ():
-            step_edges[u] = [v for v, (c0, c1, _, _) in ids
-                             if not (n0 & c0 or n1 & c1)]
-        prev = b, ids
-    return SlabDag(vertices, step_edges)
-
-
 def _scene_slab_dag(instance, k, slab_bottom):
     """(graph, slab boxes) of a scene that is one slab, validated once."""
     h = _half_extent(instance)
@@ -209,19 +166,17 @@ def _scene_slab_dag(instance, k, slab_bottom):
     return graph, _slab_dag(graph, xs, range(instance.n))
 
 
-def build_slab_dag(
-    instance: GeometricInstance,
-    k: int,
-    slab_bottom=None,
-) -> SlabDag:
-    """The slab DAG: colored feasible sets per box and their step edges.
+def build_slab_dag(instance: GeometricInstance, k: int, slab_bottom=None):
+    """The boxes of a scene that is one slab, as the slab DP reads them:
+    ascending (box, subsets) pairs, each subset a (bitmask of scene indices,
+    its colorings), each coloring a tuple of bitmasks (class 0, class 1,
+    their neighborhoods), as ``_slab_dag`` returns them.
 
-    The whole scene is one slab of height k diameters starting at
-    ``slab_bottom`` (by default the lowest object's bottom); the slab is the
-    index list ``range(n)`` over the scene's intersection graph.  A box
-    costs one join per 2-colorable subset.
+    The slab is k diameters high from ``slab_bottom`` (by default the lowest
+    object's bottom).  Not exported: the name stays for
+    ``perfbench/tracing.py``, which traces it.
     """
-    return _as_dag(_scene_slab_dag(instance, k, slab_bottom)[1])
+    return _scene_slab_dag(instance, k, slab_bottom)[1]
 
 
 def _slab(boxes, wts):

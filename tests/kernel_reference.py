@@ -7,7 +7,8 @@ endpoint keys, on which no comparison ties; the arc reference cuts the
 circle in exact ``Fraction`` angles.  The slab DAG reference colours every
 triangle-free box subset by pairwise adjacency tests on a slab's own scene
 (a 2-colourable set holds no triangle); the slab path reference searches
-that DAG's explicit step edges, reversed per vertex.  The chain reference is a
+that reference DAG's own explicit step edges, reversed per vertex, so
+neither depends on the library's compact boxes.  The chain reference is a
 triple-table DP over triangle-free x-ordered chains, O(n^4): an independent
 derivation of the size and the lexicographically first position list that
 ``_kernels.chain_mbs`` returns on one-sided masks.
@@ -359,9 +360,11 @@ def reference_slab_dag(instance):
     return vertices, step_edges
 
 
-def reference_slab_path(dag, wts):
-    """Maximum-weight path of a ``geombs.SlabDag`` respecting box order, as
-    (selected, coloring) in its indices, with ``wts`` indexed by them.
+def reference_slab_path(vertices, step_edges, wts):
+    """Maximum-weight path of ``reference_slab_dag``'s ``(vertices,
+    step_edges)`` respecting box order, as (selected, coloring) in its
+    indices, each subset's colours in its ascending order, with ``wts``
+    indexed by them.
 
     Vertices two or more boxes back are always reachable (implicit edges),
     so a running best over all boxes <= current - 2 replaces them.  A
@@ -370,11 +373,11 @@ def reference_slab_path(dag, wts):
     smallest vertex id.
     """
     by_box = {}
-    for v, cfs in enumerate(dag.vertices):
-        by_box.setdefault(cfs.box, []).append(v)
+    for v, (box, _, _) in enumerate(vertices):
+        by_box.setdefault(box, []).append(v)
 
     in_step = {}
-    for u, outs in dag.step_edges.items():
+    for u, outs in step_edges.items():
         for v in outs:
             in_step.setdefault(v, []).append(u)
 
@@ -387,7 +390,7 @@ def reference_slab_path(dag, wts):
             if best[top] > far_best:
                 far_best, far_v = best[top], top
         for v in by_box[b]:
-            w = sum(wts[i] for i in dag.vertices[v].indices)
+            w = sum(wts[i] for i in vertices[v][1])
             best[v] = w + far_best
             parent[v] = far_v
             for u in in_step.get(v, ()):
@@ -400,8 +403,8 @@ def reference_slab_path(dag, wts):
     end = max(best, key=lambda v: (best[v], -v))
     v = end if best[end] > 0 else None
     while v is not None:
-        path.append(dag.vertices[v])
+        path.append(vertices[v])
         v = parent[v]
     path.reverse()
-    return ([i for cfs in path for i in cfs.indices],
-            {i: c for cfs in path for i, c in cfs.coloring.items()})
+    return ([i for _, subset, _ in path for i in subset],
+            {i: coloring[i] for _, subset, coloring in path for i in subset})

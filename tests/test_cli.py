@@ -125,6 +125,13 @@ def test_capacity_error_exit_code(tmp_path, capsys):
     assert cli("oracle", inst, "--cap", "25") == 0
 
 
+def test_oracle_past_512_vertices_is_a_capacity_error(tmp_path, capsys):
+    # whatever --cap says: the search would recurse once per selected disk
+    inst = gen(tmp_path, "unit_disks", n=1000, seed=1)
+    assert cli("oracle", inst, "--cap", "1000") == 4
+    assert "error:capacity: oracle takes at most 512" in capsys.readouterr().err
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "blobs", "objects": []}')

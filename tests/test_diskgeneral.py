@@ -10,7 +10,6 @@ from geombs import (
     DiskObj,
     GeometricInstance,
     Point,
-    assign_slabs,
     build_intersection_graph,
     exact_mbs,
     generate_instance,
@@ -31,38 +30,40 @@ def disks(centers, r=1):
 
 
 class TestSlabAssignment:
+    # the line of group t lies at base + t r
     def test_every_disk_assigned_to_one_stabbing_line(self):
         for seed in range(100):
             inst = generate_instance(UNIT_DISKS, 1 + seed % 12, seed)
-            a = assign_slabs(inst)
-            assert len(a.group) == inst.n
+            base, group = diskgeneral._line_groups(inst)
+            assert len(group) == inst.n
             r = inst.disk_radius
-            for i, t in enumerate(a.group):
+            for i, t in enumerate(group):
                 c = inst.objects[i].center
                 # stabbed, with the center on or above its line
-                assert 0 <= c.y - a.lines[t] < r
+                assert 0 <= c.y - (base + t * r) < r
 
     def test_no_edges_between_far_groups(self):
         for seed in range(100):
             inst = generate_instance(UNIT_DISKS, 2 + seed % 12, seed)
-            a = assign_slabs(inst)
+            _, group = diskgeneral._line_groups(inst)
             g = build_intersection_graph(inst)
             for u, v in graph_edges(g):
-                assert abs(a.group[u] - a.group[v]) <= 2
+                assert abs(group[u] - group[v]) <= 2
 
     def test_group_sizes_sum_to_at_least_optimum(self):
         # per-group exact optima jointly dominate the global optimum
         for seed in range(60):
             inst = generate_instance(UNIT_DISKS, 2 + seed % 10, seed)
-            a = assign_slabs(inst)
+            base, group = diskgeneral._line_groups(inst)
             total = 0
-            for t, indices in a.groups().items():
+            for t, indices in diskgeneral._groups(group).items():
                 sub = GeometricInstance(
                     UNIT_DISKS,
                     tuple(inst.objects[i] for i in indices),
                     inst.disk_radius,
                 )
-                total += solve_one_sided(sub, line_y=a.lines[t]).size
+                total += solve_one_sided(
+                    sub, line_y=base + t * inst.disk_radius).size
             opt = exact_mbs(build_intersection_graph(inst)).size
             assert total >= opt, seed
 
@@ -77,7 +78,7 @@ class TestThreeApprox:
                   for d in base.objects),
             base.disk_radius,
         )
-        assert len(assign_slabs(inst).groups()) == 1
+        assert set(diskgeneral._line_groups(inst)[1]) == {0}
         assert solve_3approx(inst).size == solve_one_sided(inst).size
 
     def test_two_far_triangles(self):

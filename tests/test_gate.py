@@ -162,10 +162,10 @@ SCENE_SOLVERS = {
     "solve_two_sided": (geombs.solve_two_sided, DISKS),
     "solve_3approx": (geombs.solve_3approx, DISKS),
     "solve_logn": (geombs.solve_logn, DISKS),
-    "assign_slabs": (geombs.assign_slabs, DISKS),
     "solve_slab": (lambda inst: geombs.solve_slab(inst, 1, slab_bottom=0),
                    SHIFTED),
-    "build_slab_dag": (lambda inst: geombs.build_slab_dag(inst, 1), SHIFTED),
+    "build_slab_dag": (lambda inst: geombs.ptas.build_slab_dag(inst, 1),
+                       SHIFTED),
     "solve_ptas": (lambda inst: geombs.solve_ptas(inst, Fraction(1, 2)),
                    SHIFTED),
     "solve_ptas_weighted": (lambda inst: geombs.solve_ptas_weighted(
@@ -198,9 +198,9 @@ MALFORMED = geombs.GeometricInstance("unit_disks", (geombs.IntervalObj(0, 1),), 
 
 @pytest.mark.parametrize("call", [
     geombs.solve_one_sided, geombs.one_sided_mis, geombs.solve_two_sided,
-    geombs.solve_3approx, geombs.solve_logn, geombs.assign_slabs,
+    geombs.solve_3approx, geombs.solve_logn,
     lambda inst: geombs.solve_slab(inst, 1, slab_bottom=0),
-    lambda inst: geombs.build_slab_dag(inst, 1),
+    lambda inst: geombs.ptas.build_slab_dag(inst, 1),
     lambda inst: geombs.solve_ptas(inst, Fraction(1, 2)),
     lambda inst: geombs.solve_ptas_weighted(inst, [1], Fraction(1, 2)),
 ])
@@ -406,12 +406,9 @@ def test_ptas_boxes_join_once_per_feasible_subset(kind, monkeypatch):
         # one slab holding the whole scene, with 8 to 15 objects per box
         scene = geombs.generate_instance(kind, 24, seed, spread=3)
         joins.clear()
-        dag = geombs.build_slab_dag(scene, 40)
-        subsets = {(v.box, v.indices) for v in dag.vertices}
-        boxes = {v.box for v in dag.vertices}
-        assert len(joins) == len(subsets) - len(boxes), seed
-        per_box = [sum(len(i) == 1 for b, i in subsets if b == box)
-                   for box in boxes]
+        boxes = geombs.ptas.build_slab_dag(scene, 40)
+        assert len(joins) == sum(len(s) for _, s in boxes) - len(boxes), seed
+        per_box = [sum(sel.bit_count() == 1 for sel, _ in s) for _, s in boxes]
         assert max(per_box) >= 8, seed
 
 

@@ -76,6 +76,17 @@ def test_two_color_matches_brute_force(rng):
         assert all(coloring[r] == 0 for r in roots), trial
 
 
+class Counted(list):
+    """Adjacency masks that count their reads: ``bipartite_join`` reads one
+    mask per join."""
+
+    count = 0
+
+    def __getitem__(self, i):
+        self.count += 1
+        return list.__getitem__(self, i)
+
+
 def check_bipartite_subsets(rng, trials):
     # the subsets, in order, are the 2-colourable combinations of the
     # candidates; each carries its connected components, as the two sides
@@ -94,6 +105,13 @@ def check_bipartite_subsets(rng, trials):
         assert [sel for sel, _ in got] == want, (trial, masks, cand)
         # a limit one short of the count, the empty set counted, lists none
         assert _kernels.bipartite_subsets(masks, cand, len(want) - 1) is None
+        # an independent set of limit.bit_length() vertices passes the limit
+        # on its own: one descent, one join per vertex, then none
+        most = len(want).bit_length()
+        reads = Counted([0] * most)
+        assert _kernels.bipartite_subsets(reads, (1 << most) - 1,
+                                          len(want)) is None
+        assert reads.count == most, trial
         for sel, comps in got:
             union = 0
             for a, b, na, nb in comps:

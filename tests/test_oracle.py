@@ -103,6 +103,17 @@ class TestProperties:
             exact_mbs(g)
         assert exact_mbs(g, cap=25).size == 21
 
+    def test_capacity_error_past_512_vertices_whatever_the_cap(self):
+        # the search recurses once per selected vertex: 512 pairwise-disjoint
+        # disks solve, and 513 are refused before the search starts
+        def sparse(n):
+            return build_intersection_graph(
+                generate_instance("unit_disks", n, 1, spread=4000))
+
+        assert exact_mbs(sparse(512), cap=1000).size == 512
+        with pytest.raises(CapacityError, match="at most 512"):
+            exact_mbs(sparse(513), cap=1000)
+
 
 @pytest.fixture
 def rng():

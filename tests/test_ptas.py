@@ -1,12 +1,13 @@
 """Shifting PTAS: exact slab solver by one path DP over box subsets,
-checked against the colored-feasible-set DAG, the shifted-grid wrapper, and
-the weighted variant."""
+checked against a reference DAG of colored feasible sets built on each
+slab's own sub-scene, the shifted-grid wrapper, and the weighted variant."""
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import geombs.ptas as ptas
+from geombs import _kernels
 import kernel_reference
 from geombs import (
     CapacityError,
@@ -19,7 +20,6 @@ from geombs import (
     RectObj,
     ValidationError,
     build_intersection_graph,
-    build_slab_dag,
     exact_mbs,
     generate_instance,
     generate_weights,
@@ -42,6 +42,26 @@ def squares(corners):
     )
 
 
+def expand(boxes):
+    """``(vertices, step_edges)`` of the slab boxes in the reference's form:
+    vertices ``(box, indices, coloring)`` numbered in box, subset, coloring
+    order, and u in box b -> v in box b + 1 iff neither class of v meets
+    the neighbors of u's class of the same color."""
+    vertices, step_edges, prev = [], {}, (None, [])
+    for b, subsets in boxes:
+        ids = []
+        for sel, colorings in subsets:
+            subset = _kernels.mask_to_indices(sel)
+            for cls in colorings:
+                ids.append((len(vertices), cls))
+                vertices.append((b, subset, {v: cls[1] >> v & 1 for v in subset}))
+        for u, (_, _, n0, n1) in prev[1] if prev[0] == b - 1 else ():
+            step_edges[u] = [v for v, (c0, c1, _, _) in ids
+                             if not (n0 & c0 or n1 & c1)]
+        prev = b, ids
+    return vertices, step_edges
+
+
 class TestSlab:
     def test_one_box_triangle(self):
         inst = disks([(0, 1), (F(1, 2), 1), (1, 1)])
@@ -61,8 +81,8 @@ class TestSlab:
         # the slab starts at the lowest bottom; a disk 3/2 diameters higher
         # sticks out of a slab one diameter high
         with pytest.raises(ValidationError, match="object 1 crosses"):
-            build_slab_dag(disks([(0, 1), (0, 4)]), 1)
-        assert build_slab_dag(disks([(0, 1), (0, 4)]), 3).vertices
+            ptas.build_slab_dag(disks([(0, 1), (0, 4)]), 1)
+        assert ptas.build_slab_dag(disks([(0, 1), (0, 4)]), 3)
 
     def test_box_capacity(self):
         # one box of four pairwise-disjoint stacks of co-located disks: a
@@ -78,6 +98,16 @@ class TestSlab:
         with pytest.raises(CapacityError, match="more than 65536"):
             solve_slab(inst, 3, slab_bottom=0)
 
+    def test_deep_box_is_a_capacity_error(self):
+        # one box of 1,200 pairwise-disjoint disks: its 2-colorable subsets
+        # are all 2^1200, and the listing stops at a set of 17, not at the
+        # interpreter's recursion limit
+        inst = disks([(0, 3 * i) for i in range(1200)])
+        with pytest.raises(CapacityError, match="more than 65536"):
+            solve_slab(inst, 1800)
+        with pytest.raises(CapacityError, match="more than 65536"):
+            solve_ptas(inst, F(1, 2000))
+
     def test_slab_bottom_must_be_exact(self):
         with pytest.raises(ValidationError):
             solve_slab(disks([(0, 1)]), 1, slab_bottom=0.0)
@@ -88,16 +118,19 @@ class TestSlab:
         with pytest.raises(ValidationError):
             solve_slab(inst, k, slab_bottom=0)
         with pytest.raises(ValidationError):
-            build_slab_dag(inst, k, slab_bottom=0)
+            ptas.build_slab_dag(inst, k, slab_bottom=0)
 
     def test_dag_edges_respect_box_order(self):
         for seed in range(30):
             inst = generate_instance(
                 UNIT_DISKS, 2 + seed % 9, seed, disk_mode="slab", slab_k=2
             )
-            dag = build_slab_dag(inst, 2, slab_bottom=0)
-            assert all(dag.vertices[u].box < dag.vertices[v].box
-                       for u, vs in dag.step_edges.items() for v in vs), seed
+            boxes = ptas.build_slab_dag(inst, 2, slab_bottom=0)
+            order = [b for b, _ in boxes]
+            assert order == sorted(set(order)), seed
+            vertices, step_edges = expand(boxes)
+            assert all(vertices[u][0] + 1 == vertices[v][0]
+                       for u, vs in step_edges.items() for v in vs), seed
 
     def test_matches_oracle_at_k2(self):
         for seed in range(150):
@@ -229,7 +262,7 @@ class TestReference:
 
         def spy(graph, centers, members, *rest):
             boxes = real(graph, centers, members, *rest)
-            built.append((list(members), ptas._as_dag(boxes)))
+            built.append((list(members), expand(boxes)))
             return boxes
 
         monkeypatch.setattr(ptas, "_slab_dag", spy)
@@ -237,16 +270,16 @@ class TestReference:
             built.clear()
             solve_ptas(inst, epsilon)
             assert built, seed
-            for members, dag in built:
+            for members, (vertices, step_edges) in built:
                 sub = GeometricInstance(
                     kind, tuple(inst.objects[i] for i in members),
                     inst.disk_radius)
-                vertices, step_edges = kernel_reference.reference_slab_dag(sub)
-                assert [(v.box, v.indices, v.coloring) for v in dag.vertices] == [
+                ref_vertices, ref_edges = kernel_reference.reference_slab_dag(sub)
+                assert vertices == [
                     (box, tuple(members[j] for j in subset),
                      {members[j]: c for j, c in coloring.items()})
-                    for box, subset, coloring in vertices], seed
-                assert list(dag.step_edges.items()) == list(step_edges.items()), seed
+                    for box, subset, coloring in ref_vertices], seed
+                assert list(step_edges.items()) == list(ref_edges.items()), seed
 
     @pytest.mark.parametrize("kind", [UNIT_DISKS, UNIT_SQUARES])
     @pytest.mark.parametrize("epsilon", [F(1, 2), F(1, 3)])
@@ -254,28 +287,39 @@ class TestReference:
     def test_slab_paths_match_dag_reference(self, kind, epsilon, weighting,
                                             monkeypatch):
         # every slab of every offset: the one-pass DP over the boxes picks
-        # the same path, in value and order, as the search over the
-        # explicit DAG's step edges
-        paths = []
-        real = ptas._slab
+        # the same path, in value and order, as the search over the step
+        # edges of the reference DAG built on the slab's own sub-scene
+        slabs = []
+        real_dag, real_slab = ptas._slab_dag, ptas._slab
 
-        def spy(boxes, wts):
-            out = real(boxes, wts)
-            dag = ptas._as_dag(boxes)
-            paths.append((out, kernel_reference.reference_slab_path(dag, wts)))
+        def spy_dag(graph, xs, members, *rest):
+            slabs.append([list(members)])
+            return real_dag(graph, xs, members, *rest)
+
+        def spy_slab(boxes, wts):
+            out = real_slab(boxes, wts)
+            slabs[-1] += [wts, out]
             return out
 
-        monkeypatch.setattr(ptas, "_slab", spy)
+        monkeypatch.setattr(ptas, "_slab_dag", spy_dag)
+        monkeypatch.setattr(ptas, "_slab", spy_slab)
         for j, (seed, inst) in enumerate(reference_scenes(kind)):
             rng = random.Random(j)
             wts = {"unit": None, "generated": generate_weights(inst.n, j),
                    "zeros": [rng.randint(0, 2) for _ in inst.objects]}[weighting]
-            paths.clear()
+            slabs.clear()
             solve_ptas_weighted(inst, wts, epsilon)
-            assert paths, seed
-            for (selected, coloring), (ref_selected, ref_coloring) in paths:
-                assert selected == ref_selected, seed
-                assert list(coloring.items()) == list(ref_coloring.items()), seed
+            assert slabs, seed
+            for members, scaled, (selected, coloring) in slabs:
+                sub = GeometricInstance(
+                    kind, tuple(inst.objects[i] for i in members),
+                    inst.disk_radius)
+                ref_selected, ref_coloring = kernel_reference.reference_slab_path(
+                    *kernel_reference.reference_slab_dag(sub),
+                    [scaled[i] for i in members])
+                assert selected == [members[i] for i in ref_selected], seed
+                assert list(coloring.items()) == [
+                    (members[i], c) for i, c in ref_coloring.items()], seed
 
 
 class TestWeighted:
