@@ -46,15 +46,15 @@ def _line_groups(instance):
     """``(base, group)`` of a valid scene: the lowest center y and, per
     disk, the line index floor((y - base) / r), on cross-multiplied ints."""
     r = instance.disk_radius
-    rn, rd = r.numerator, r.denominator
+    rn, rd = r._numerator, r._denominator
     base = min((d.center.y for d in instance.objects), key=_key)
-    bn, bd = base.numerator, base.denominator
+    bn, bd = base._numerator, base._denominator
     group = []
     for d in instance.objects:
         y = d.center.y
-        yd = y.denominator
+        yd = y._denominator
         # (y - base) / r = (y - base) * yd * bd * rd / (yd * bd * rn)
-        group.append((y.numerator * bd - bn * yd) * rd // (yd * bd * rn))
+        group.append((y._numerator * bd - bn * yd) * rd // (yd * bd * rn))
     return base, tuple(group)
 
 
@@ -90,7 +90,7 @@ def solve_logn(instance: GeometricInstance) -> Solution:
     graph = build_intersection_graph(instance)
     objs = instance.objects
     r = instance.disk_radius
-    rn, rd = r.numerator, r.denominator
+    rn, rd = r._numerator, r._denominator
     x_keys = [(_key(d.center.x), i) for i, d in enumerate(objs)]
 
     def rec(indices):
@@ -98,12 +98,12 @@ def solve_logn(instance: GeometricInstance) -> Solution:
             return list(indices), {v: c for c, v in enumerate(indices)}
         order = sorted(indices, key=x_keys.__getitem__)
         x_med = objs[order[(len(order) - 1) // 2]].center.x
-        mn, md = x_med.numerator, x_med.denominator
+        mn, md = x_med._numerator, x_med._denominator
         left, mid, right, east = [], [], [], set()
         for i in order:
             x = objs[i].center.x
-            xd = x.denominator
-            dx = x.numerator * md - mn * xd  # (x - x_med) * xd * md
+            xd = x._denominator
+            dx = x._numerator * md - mn * xd  # (x - x_med) * xd * md
             if abs(dx) * rd > rn * xd * md:  # |x - x_med| > r
                 (left if dx < 0 else right).append(i)
             else:

@@ -33,14 +33,14 @@ def _line_sides(instance, line_y):
     above the line y = ``line_y``, or None if the disk misses the line:
     |y - line_y| <= r and y >= line_y, on cross-multiplied ints."""
     line = _frac(line_y)
-    ln, ld = line.numerator, line.denominator
+    ln, ld = line._numerator, line._denominator
     r = instance.disk_radius
-    rn, rd = r.numerator, r.denominator
+    rn, rd = r._numerator, r._denominator
     sides = []
     for d in instance.objects:
         y = d.center.y
-        yd = y.denominator
-        offset = y.numerator * ld - ln * yd  # (y - line_y) * yd * ld
+        yd = y._denominator
+        offset = y._numerator * ld - ln * yd  # (y - line_y) * yd * ld
         sides.append(None if abs(offset) * rd > rn * yd * ld else offset >= 0)
     return sides
 

@@ -10,12 +10,16 @@ exactness is kept.  ``_frac`` reads its one text grammar with ``int`` and
 refuses every other text; it builds each value from its numerator and
 denominator reduced by ``math.gcd``, setting the two slots
 ``_numerator`` and ``_denominator`` of a bare ``Fraction``, the only
-fields a ``Fraction`` has on every supported Python.  Constructors coerce
-only fields that are not a ``Fraction`` yet.  Sorts and sweeps compare
-``_key``s ``(float(v), v)``, whose correctly rounded float decides a
-comparison unless the floats tie, and then the exact value does.  Object
-orders, disks and arcs compare cross-multiplied ints, one
-``as_integer_ratio()`` per value.
+fields a ``Fraction`` has on every supported Python.  Every per-object
+read of a value's ints reads those two slots directly, never
+``as_integer_ratio()`` or the ``numerator``/``denominator`` properties,
+which each cost a Python call.  Constructors coerce only fields that are
+not a ``Fraction`` yet.  Sorts and sweeps compare ``_key``s
+``(float(v), v)``, whose correctly rounded float decides a comparison
+unless the floats tie, and then the exact value does.  Object orders,
+disks and arcs compare cross-multiplied ints.  The objects, scenes, graphs
+and solutions are slotted frozen dataclasses: no instance carries a
+``__dict__``.
 
 The graph builder makes one pass per kind with no call per pair; the
 public predicates are only the pairwise reference it is tested against.
@@ -80,9 +84,7 @@ def _frac(value) -> Fraction:
 
 def _less(a: Fraction, b: Fraction) -> bool:
     """``a < b`` on cross-multiplied ints (denominators are positive)."""
-    an, ad = a.as_integer_ratio()
-    bn, bd = b.as_integer_ratio()
-    return an * bd < bn * ad
+    return a._numerator * b._denominator < b._numerator * a._denominator
 
 
 def _coerce(obj, names):
@@ -91,7 +93,7 @@ def _coerce(obj, names):
         object.__setattr__(obj, name, _frac(getattr(obj, name)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     x: Fraction
     y: Fraction
@@ -101,7 +103,7 @@ class Point:
             _coerce(self, ("x", "y"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalObj:
     left: Fraction
     right: Fraction
@@ -113,7 +115,7 @@ class IntervalObj:
             raise ValidationError(f"interval needs left < right, got {self}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArcObj:
     """Closed arc swept clockwise from ``start`` to ``end``.
 
@@ -128,10 +130,11 @@ class ArcObj:
         if not (type(self.start) is type(self.end) is Fraction):
             _coerce(self, ("start", "end"))
         for a in (self.start, self.end):
-            num, den = a.as_integer_ratio()
-            if not 0 <= num < den:
+            if not 0 <= a._numerator < a._denominator:
                 raise ValidationError(f"arc angle {a} outside [0, 1)")
-        if self.start.as_integer_ratio() == self.end.as_integer_ratio():
+        # lowest terms: equal values have equal ints
+        if (self.start._numerator == self.end._numerator
+                and self.start._denominator == self.end._denominator):
             raise ValidationError("arc needs start != end")
 
     def contains(self, angle: Fraction) -> bool:
@@ -140,20 +143,21 @@ class ArcObj:
 
 def _on_arc(arc: ArcObj, a: Fraction) -> bool:
     """``arc.contains(a)`` for ``a`` in [0, 1), on cross-multiplied ints."""
-    sn, sd = arc.start.as_integer_ratio()
-    en, ed = arc.end.as_integer_ratio()
-    an, ad = a.as_integer_ratio()
+    s, e = arc.start, arc.end
+    sn, sd = s._numerator, s._denominator
+    en, ed = e._numerator, e._denominator
+    an, ad = a._numerator, a._denominator
     from_start = sn * ad <= an * sd
     to_end = an * ed <= en * ad
     return from_start and to_end if sn * ed < en * sd else from_start or to_end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiskObj:
     center: Point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RectObj:
     x_min: Fraction
     x_max: Fraction
@@ -168,7 +172,7 @@ class RectObj:
             raise ValidationError(f"degenerate rectangle {self}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeometricInstance:
     """A scene of objects of one kind plus global parameters."""
 
@@ -199,9 +203,8 @@ _OBJECT_TYPES = {
 def _unit_apart(lo: Fraction, hi: Fraction) -> bool:
     """hi == lo + 1, read off the lowest terms: lo + 1 keeps lo's
     denominator."""
-    ln, d = lo.as_integer_ratio()
-    hn, hd = hi.as_integer_ratio()
-    return hd == d and hn - ln == d
+    d = lo._denominator
+    return hi._denominator == d and hi._numerator - lo._numerator == d
 
 
 def validate_instance(instance: GeometricInstance):
@@ -269,15 +272,16 @@ def disks_intersect(a: DiskObj, b: DiskObj, radius: Fraction) -> bool:
 
 def _disk_ints(d: DiskObj):
     """A disk's center as ``(X, Y, D)`` ints with x = X/D and y = Y/D."""
-    xn, xd = d.center.x.as_integer_ratio()
-    yn, yd = d.center.y.as_integer_ratio()
+    c = d.center
+    x, y = c.x, c.y
+    xd, yd = x._denominator, y._denominator
     den = lcm(xd, yd)
-    return xn * (den // xd), yn * (den // yd), den
+    return x._numerator * (den // xd), y._numerator * (den // yd), den
 
 
 def _diameter_sq(radius):
     """(2r)^2 as ``(P, Q)`` ints with (2r)^2 = P/Q."""
-    return (2 * radius.numerator) ** 2, radius.denominator ** 2
+    return (2 * radius._numerator) ** 2, radius._denominator ** 2
 
 
 def rects_intersect(a: RectObj, b: RectObj) -> bool:
@@ -289,7 +293,7 @@ def rects_intersect(a: RectObj, b: RectObj) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntersectionGraph:
     """Vertex-indexed adjacency; ``masks[i]`` is the neighbor bitmask of i."""
 
@@ -329,9 +333,13 @@ def _ratio(num: int, den: int) -> float:
 
 
 def _key(v: Fraction):
-    """Exact sort key of a rational: ``(_ratio of v, v)``.  The float
-    decides most comparisons; equal floats fall back to the exact values."""
-    return _ratio(*v.as_integer_ratio()), v
+    """Exact sort key of a rational: ``(_ratio of v, v)``, read off its two
+    slots.  The float decides most comparisons; equal floats fall back to
+    the exact values."""
+    try:
+        return v._numerator / v._denominator, v
+    except OverflowError:
+        return (inf if v._numerator > 0 else -inf), v
 
 
 def _positions(arcs):
@@ -369,7 +377,7 @@ def _sweep_items(instance: GeometricInstance, indices):
         return [objs[i] for i in indices]
     if instance.kind == UNIT_DISKS:
         r = instance.disk_radius
-        reach, rd = 2 * r.numerator, r.denominator
+        reach, rd = 2 * r._numerator, r._denominator
         items = []
         for i in indices:
             x, y, d = _disk_ints(objs[i])
@@ -508,7 +516,7 @@ def is_independent(g: IntersectionGraph, subset: Iterable[int]):
     return None if w is None else _kernels.mask_to_indices(w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Solution:
     """A selected index subset plus an optional 2-coloring certificate."""
 

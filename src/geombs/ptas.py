@@ -60,15 +60,14 @@ def _units(instance, h):
         anchors = [(o.center.x, o.center.y) for o in instance.objects]
     else:
         anchors = [(o.x_min, o.y_min) for o in instance.objects]
-    hn, hd = h.as_integer_ratio()  # a diameter is 2 hn / hd
+    hn, hd = h._numerator, h._denominator  # a diameter is 2 hn / hd
     lo = min((y for _, y in anchors), key=_key)
-    ln, ld = lo.as_integer_ratio()
+    ln, ld = lo._numerator, lo._denominator
     xs, ys = [], []
     for x, y in anchors:
-        xn, xd = x.as_integer_ratio()
-        yn, yd = y.as_integer_ratio()
-        xs.append((xn * hd, 2 * xd * hn))
-        ys.append(((yn * ld - ln * yd) * hd, 2 * yd * ld * hn))
+        yd = y._denominator
+        xs.append((x._numerator * hd, 2 * x._denominator * hn))
+        ys.append(((y._numerator * ld - ln * yd) * hd, 2 * yd * ld * hn))
     return xs, ys, lo
 
 
@@ -80,10 +79,10 @@ def _check_weights(instance, weights):
     if len(weights) != instance.n:
         raise ValidationError("one weight per object required")
     out = [_frac(w) for w in weights]
-    if any(w.numerator < 0 for w in out):
+    if any(w._numerator < 0 for w in out):
         raise ValidationError("weights must be nonnegative")
-    scale = math.lcm(*(w.denominator for w in out))
-    return [w.numerator * (scale // w.denominator) for w in out]
+    scale = math.lcm(*(w._denominator for w in out))
+    return [w._numerator * (scale // w._denominator) for w in out]
 
 
 def _colorings(comps, boundary):

@@ -30,12 +30,13 @@ def group_rects(instance: GeometricInstance) -> dict:
     """Group index -> rectangle indices, by unit bands above the lowest y_min."""
     ys = [o.y_min for o in instance.objects]
     a = min(ys, key=_key)
-    an, ad = a.as_integer_ratio()
+    an, ad = a._numerator, a._denominator
     groups = {}
     for i, y in enumerate(ys):
         # floor(y - a) on the cross-multiplied numerator and denominator
-        yn, yd = y.as_integer_ratio()
-        groups.setdefault((yn * ad - an * yd) // (yd * ad), []).append(i)
+        yd = y._denominator
+        groups.setdefault((y._numerator * ad - an * yd) // (yd * ad),
+                          []).append(i)
     return groups
 
 

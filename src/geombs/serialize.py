@@ -44,7 +44,7 @@ def format_rational(value) -> str:
     """``"p/q"`` text, or ``"p"`` for an integer, of what ``_frac`` accepts;
     bools and floats are a ``ValidationError``, never coerced."""
     f = _frac(value)
-    num, den = f.numerator, f.denominator
+    num, den = f._numerator, f._denominator
     return str(num) if den == 1 else f"{num}/{den}"
 
 
@@ -158,7 +158,7 @@ def instance_from_dict(doc: dict):
     )
     if weights is not None:
         weights = values[len(values) - len(weights):]
-        if any(w.numerator < 0 for w in weights):
+        if any(w._numerator < 0 for w in weights):
             raise ValidationError("weights must be nonnegative")
     return instance, weights
 

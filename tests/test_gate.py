@@ -8,7 +8,10 @@ graph alone.  The interval and arc graph builds run no pair test.  The
 interval sweeps and graph builds, the disk solvers, the PTAS, the disk
 graph build and the arc solver make no more ``Fraction`` order comparisons
 than there are objects, and all but the interval sweeps no ``Fraction``
-arithmetic.  The arc solver's cuts share one sweep, and it re-checks
+arithmetic.  The graph build and every scene solver read a value's ints
+off its two slots, calling ``as_integer_ratio()`` or the
+``numerator``/``denominator`` properties a constant number of times per
+solve, whatever n.  The arc solver's cuts share one sweep, and it re-checks
 only cuts that improve on its best and hold two arcs meeting at the cut,
 building the circular graph's masks only then.  The PTAS pays one
 component join per 2-colourable box subset.  Parsing a document does no
@@ -343,6 +346,68 @@ def test_disk_and_arc_solvers_do_no_fraction_arithmetic(call, monkeypatch):
         compares = calls.pop("_richcmp", 0)
         assert not calls, (seed, calls)
         assert compares <= n, (seed, compares)
+
+
+# call -> (scene kind, generator options, the call on a scene); the graph
+# build runs on every kind
+INT_READ_CALLS = {
+    "solve_intervals": ("intervals", {}, geombs.solve_intervals),
+    "solve_arcs": ("arcs", {}, geombs.solve_arcs),
+    "solve_unit_height": ("unit_height_rects", {}, geombs.solve_unit_height),
+    "solve_one_sided": ("unit_disks", {"disk_mode": "one_sided"},
+                        geombs.solve_one_sided),
+    "one_sided_mis": ("unit_disks", {"disk_mode": "one_sided"},
+                      geombs.one_sided_mis),
+    "solve_two_sided": ("unit_disks", {"disk_mode": "two_sided"},
+                        geombs.solve_two_sided),
+    "solve_3approx": ("unit_disks", {}, geombs.solve_3approx),
+    "solve_logn": ("unit_disks", {}, geombs.solve_logn),
+    "solve_slab": ("unit_disks", {"disk_mode": "slab", "slab_k": 1},
+                   lambda inst: geombs.solve_slab(inst, 1, slab_bottom=0)),
+    "solve_ptas": ("unit_squares", {},
+                   lambda inst: geombs.solve_ptas(inst, Fraction(1, 2))),
+    "solve_ptas_weighted": ("unit_disks", {}, lambda inst:
+                            geombs.solve_ptas_weighted(
+                                inst, geombs.generate_weights(inst.n, 1),
+                                Fraction(1, 2))),
+    **{f"build_intersection_graph-{kind}": (
+        kind, {}, geombs.build_intersection_graph) for kind in geombs.KINDS},
+}
+
+
+@pytest.mark.parametrize("call", sorted(INT_READ_CALLS))
+def test_ints_are_read_off_the_slots(call, monkeypatch):
+    # work, not wall clock: every per-object read of a value's ints takes
+    # its _numerator/_denominator slots, so the library's calls of
+    # as_integer_ratio() and of the numerator/denominator properties stay at
+    # a constant few per solve, the same at n = 60 and n = 120.  Only calls
+    # from the library count: Fraction's own methods read the properties of
+    # their other operand, e.g. when two equal values tie in a sort key
+    kind, options, solve = INT_READ_CALLS[call]
+    reads = []
+
+    def counting(name, read):
+        def counted(self):
+            if sys._getframe(1).f_globals.get("__name__", "").startswith(
+                    "geombs"):
+                reads.append(name)
+            return read(self)
+        return counted
+
+    monkeypatch.setattr(Fraction, "as_integer_ratio",
+                        counting("as_integer_ratio", Fraction.as_integer_ratio))
+    for name in ("numerator", "denominator"):
+        monkeypatch.setattr(Fraction, name, property(
+            counting(name, getattr(Fraction, name).fget)))
+    per_n = {}
+    for n in (60, 120):
+        for seed in (1, 2, 3):
+            scene = geombs.generate_instance(kind, n, seed, **options)
+            reads.clear()
+            solve(scene)
+            per_n.setdefault(n, []).append(len(reads))
+    assert per_n[60] == per_n[120], per_n
+    assert max(per_n[120]) <= 2, per_n
 
 
 def test_arcs_recheck_only_improving_cuts(monkeypatch):

@@ -1,6 +1,8 @@
-"""Geometry predicates, graph construction, and the three subset verifiers."""
+"""Geometry predicates, graph construction, the three subset verifiers,
+and the slotted model dataclasses."""
 import pickle
 import random
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +18,7 @@ from geombs import (
     CertificateError,
     DiskObj,
     GeometricInstance,
+    IntersectionGraph,
     IntervalObj,
     Point,
     RectObj,
@@ -27,6 +30,15 @@ from geombs import (
     is_bipartite,
     is_independent,
     is_triangle_free,
+    one_sided_mis,
+    solve_3approx,
+    solve_arcs,
+    solve_intervals,
+    solve_logn,
+    solve_one_sided,
+    solve_ptas,
+    solve_two_sided,
+    solve_unit_height,
     translate_instance,
     validate_instance,
 )
@@ -134,6 +146,71 @@ class TestObjects:
             assert type(back) is F and repr(back) == repr(ref)
 
 
+# one object of each model dataclass, some built from fields the
+# constructors coerce; the coloured solution is the one unhashable object
+SLOTTED = {
+    "IntervalObj": IntervalObj("1/3", 2),
+    "ArcObj": ArcObj(F(3, 4), F(1, 4)),
+    "Point": Point(F(-1, 2), 5),
+    "DiskObj": DiskObj(Point(1, F(2, 3))),
+    "RectObj": RectObj(0, 1, F(1, 7), F(8, 7)),
+    "GeometricInstance": GeometricInstance(
+        UNIT_DISKS, [DiskObj(Point(0, 0)), DiskObj(Point(1, 1))], "1/2"),
+    "IntersectionGraph": IntersectionGraph(3, (2, 0, 1)),
+    "Solution": Solution((2, 0)),
+    "Solution, coloured": Solution((2, 0), {0: 0, 2: 1}),
+}
+
+
+class TestSlots:
+    @pytest.mark.parametrize("name", sorted(SLOTTED))
+    def test_no_instance_dict(self, name):
+        obj = SLOTTED[name]
+        assert not hasattr(obj, "__dict__")
+        assert type(obj).__slots__ == tuple(f.name for f in fields(obj))
+
+    @pytest.mark.parametrize("name", sorted(SLOTTED))
+    def test_equality_hash_and_repr(self, name):
+        # as a frozen dataclass without slots: equal fields compare equal,
+        # the hash is the fields' tuple's, and the repr lists the fields
+        obj = SLOTTED[name]
+        cls, values = type(obj), [getattr(obj, f.name) for f in fields(obj)]
+        twin = cls(*values)
+        assert twin == obj and twin is not obj and obj != values
+        assert all(obj != other for other in SLOTTED.values() if other is not obj)
+        assert repr(obj) == f"{cls.__name__}(" + ", ".join(
+            f"{f.name}={v!r}" for f, v in zip(fields(obj), values)) + ")"
+        if name == "Solution, coloured":
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(obj)
+        else:
+            assert hash(obj) == hash(twin) == hash(tuple(values))
+
+    @pytest.mark.parametrize("name", sorted(SLOTTED))
+    def test_pickle_round_trip(self, name):
+        obj = SLOTTED[name]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(obj, protocol))
+            assert type(back) is type(obj) and back == obj, protocol
+            assert repr(back) == repr(obj), protocol
+
+    @pytest.mark.parametrize("name", sorted(SLOTTED))
+    def test_assignment_is_refused(self, name):
+        # a field is frozen; a new name is refused too, as a TypeError on
+        # the Pythons whose slotted frozen __setattr__ calls super() on the
+        # class the slots replaced
+        obj = SLOTTED[name]
+        first = fields(obj)[0].name
+        before = getattr(obj, first)
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, first, before)
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, first)
+        with pytest.raises((FrozenInstanceError, TypeError)):
+            obj.extra = 1
+        assert getattr(obj, first) is before and not hasattr(obj, "extra")
+
+
 class TestValidation:
     def test_kind_payload_mismatch(self):
         inst = GeometricInstance(INTERVALS, (DiskObj(Point(0, 0)),))
@@ -231,6 +308,27 @@ class TestValidation:
                 or on_arc(b.start, b.end, a.end)), (a, b)
 
 
+# solver -> (scene kind, generator options, the call on a scene, whether the
+# scene may move in y); line-stabbed disks shift in x only
+TRANSLATED_SOLVERS = {
+    "solve_intervals": (INTERVALS, {}, solve_intervals, False),
+    "solve_arcs": (ARCS, {}, solve_arcs, False),
+    "solve_unit_height": (UNIT_HEIGHT_RECTS, {}, solve_unit_height, True),
+    "solve_one_sided": (UNIT_DISKS, {"disk_mode": "one_sided"},
+                        solve_one_sided, False),
+    "one_sided_mis": (UNIT_DISKS, {"disk_mode": "one_sided"},
+                      lambda inst: Solution(one_sided_mis(inst)), False),
+    "solve_two_sided": (UNIT_DISKS, {"disk_mode": "two_sided"},
+                        solve_two_sided, False),
+    "solve_3approx": (UNIT_DISKS, {}, solve_3approx, True),
+    "solve_logn": (UNIT_DISKS, {}, solve_logn, True),
+    "solve_ptas-disks": (UNIT_DISKS, {},
+                         lambda inst: solve_ptas(inst, F(1, 2)), True),
+    "solve_ptas-squares": (UNIT_SQUARES, {},
+                           lambda inst: solve_ptas(inst, F(1, 3)), True),
+}
+
+
 class TestPredicates:
     def test_interval_overlap_edge(self):
         inst = GeometricInstance(
@@ -289,6 +387,23 @@ class TestPredicates:
             moved = translate_instance(inst, dx, dy)
             assert (build_intersection_graph(inst).masks
                     == build_intersection_graph(moved).masks)
+
+    @pytest.mark.parametrize("solver", sorted(TRANSLATED_SOLVERS))
+    def test_solver_translation_invariance(self, solver):
+        # shifts by thirds, sevenths and tenths leave most float keys
+        # inexact, so equal values tie as floats and the exact tie-break
+        # decides; every solver reads positions relative to the scene
+        kind, options, solve, y_shift = TRANSLATED_SOLVERS[solver]
+        rng = random.Random(solver)
+        for seed in range(60):
+            inst = generate_instance(kind, 1 + seed % 24, seed,
+                                     spread=1 + seed % 6, **options)
+            den = (3, 7, 10)[seed % 3]
+            dx = F(rng.randrange(-50 * den, 50 * den), den)
+            dy = F(rng.randrange(-50 * den, 50 * den), den) if y_shift else 0
+            want, got = solve(inst), solve(translate_instance(inst, dx, dy))
+            assert (got.selected, got.coloring) == (
+                want.selected, want.coloring), (seed, dx, dy)
 
 
 def _all_pairs_masks(inst):
