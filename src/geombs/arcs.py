@@ -10,12 +10,13 @@ The cuts run on the integer positions of ``model._positions``, the ranks
 of the distinct endpoint angles, which keep every order and tie of the
 exact angles.  The circle is unrolled once to twice its positions, so a cut
 is a window of one list presorted by right endpoint, and consecutive cuts
-slide along it.  They share one sweep (``intervals._window_sweeps``): a cut
-sweeps from its window's start only until its markers equal the last cut's
-at the same step, which on generated scenes is a few dozen steps, and then
-sweeps only the entries past the last cut's window.  That is O(n^2) steps
-at worst, as many as one sweep per cut; generated scenes take about 29n,
-52n and 99n in all at n = 120, 500 and 2,000.
+slide along it.  They share one sweep (``intervals._window_sweeps``, which
+``test_shared_sweep_matches_one_sweep_per_cut`` holds equal to
+``intervals._sweep`` run on each cut alone): a cut sweeps from its window's
+start only until its markers equal the last cut's at the same step, on
+generated scenes a few dozen steps, and then only past the last cut's
+window.  That is O(n^2) steps at worst, as for one sweep per cut; generated
+scenes take about 29n, 52n and 99n in all at n = 120, 500 and 2,000.
 
 Arcs meeting exactly at a cut lose that adjacency when unrolled, and no
 other edge is lost.  So a candidate is re-checked on the circular graph

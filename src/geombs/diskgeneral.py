@@ -11,7 +11,7 @@ bipartite set and the best one is within factor 3 of the optimum.
 middle band is stabbed by the median vertical line and handled by the
 two-sided 2-approximation, giving a max(1, 2 log2 n) factor overall.
 
-Both read the centers as cross-multiplied ints (the line index
+Both read the centers' ``model._offsets`` as int pairs (the line index
 floor((y - base) / r), the band's |x - x_med| <= r) and sort exact
 ``_key``s; no line is computed (the line of group t is base + t r).
 """
@@ -28,6 +28,7 @@ from .model import (
     Solution,
     _expect,
     _key,
+    _offsets,
     build_intersection_graph,
     certify,
     is_bipartite,
@@ -44,18 +45,11 @@ def _groups(group):
 
 def _line_groups(instance):
     """``(base, group)`` of a valid scene: the lowest center y and, per
-    disk, the line index floor((y - base) / r), on cross-multiplied ints."""
-    r = instance.disk_radius
-    rn, rd = r._numerator, r._denominator
-    base = min((d.center.y for d in instance.objects), key=_key)
-    bn, bd = base._numerator, base._denominator
-    group = []
-    for d in instance.objects:
-        y = d.center.y
-        yd = y._denominator
-        # (y - base) / r = (y - base) * yd * bd * rd / (yd * bd * rn)
-        group.append((y._numerator * bd - bn * yd) * rd // (yd * bd * rn))
-    return base, tuple(group)
+    disk, the line index floor((y - base) / r) of its ``_offsets``."""
+    ys = [d.center.y for d in instance.objects]
+    base = min(ys, key=_key)
+    offsets = _offsets(ys, base, instance.disk_radius)
+    return base, tuple(p // q for p, q in offsets)
 
 
 def solve_3approx(instance: GeometricInstance) -> Solution:
@@ -88,27 +82,21 @@ def solve_logn(instance: GeometricInstance) -> Solution:
     """Divide-and-conquer bipartite subset, factor max(1, 2 log2 n)."""
     _expect(instance, UNIT_DISKS)
     graph = build_intersection_graph(instance)
-    objs = instance.objects
-    r = instance.disk_radius
-    rn, rd = r._numerator, r._denominator
-    x_keys = [(_key(d.center.x), i) for i, d in enumerate(objs)]
+    objs, r = instance.objects, instance.disk_radius
 
     def rec(indices):
+        """``indices`` in (x, index) order, as ``left`` and ``right`` keep."""
         if len(indices) <= 2:
             return list(indices), {v: c for c, v in enumerate(indices)}
-        order = sorted(indices, key=x_keys.__getitem__)
-        x_med = objs[order[(len(order) - 1) // 2]].center.x
-        mn, md = x_med._numerator, x_med._denominator
+        x_med = objs[indices[(len(indices) - 1) // 2]].center.x
         left, mid, right, east = [], [], [], set()
-        for i in order:
-            x = objs[i].center.x
-            xd = x._denominator
-            dx = x._numerator * md - mn * xd  # (x - x_med) * xd * md
-            if abs(dx) * rd > rn * xd * md:  # |x - x_med| > r
-                (left if dx < 0 else right).append(i)
+        xs = [objs[i].center.x for i in indices]
+        for i, (p, q) in zip(indices, _offsets(xs, x_med, r)):
+            if abs(p) > q:  # |x - x_med| > r
+                (left if p < 0 else right).append(i)
             else:
                 mid.append(i)
-                if dx >= 0:
+                if p >= 0:
                     east.add(i)
         # the median vertical line stabs the band: its sides are the disks
         # right and left of it, each in y order (ties keep mid's order)
@@ -131,5 +119,7 @@ def solve_logn(instance: GeometricInstance) -> Solution:
         col_l.update(col_r)
         return sel_l + sel_r, col_l
 
-    selected, coloring = rec(list(range(instance.n)))
+    # a scene of at most two disks keeps index order, as its colours do
+    order = _x_order(instance, range(instance.n))
+    selected, coloring = rec(order if instance.n > 2 else sorted(order))
     return certify(graph, Solution(tuple(selected), coloring))

@@ -10,7 +10,7 @@ independent set per side (longest chain in x-order, O(n^2) adjacency tests)
 gives a 2-approximation whose side labels are the 2-coloring.
 
 Which side of the line a center lies on, and whether its disk meets the
-line, is read off cross-multiplied ints (``_line_sides``, which the command
+line, is read off ``model._offsets`` (``_line_sides``, which the command
 line's algorithm choice also asks); the x-order sorts exact ``_key``s.
 """
 from . import _kernels
@@ -20,8 +20,8 @@ from .model import (
     GeometricInstance,
     Solution,
     _expect,
-    _frac,
     _key,
+    _offsets,
     build_intersection_graph,
     certify,
     is_bipartite,
@@ -31,18 +31,10 @@ from .model import (
 def _line_sides(instance, line_y):
     """Per disk of a valid unit-disk scene, whether its center lies on or
     above the line y = ``line_y``, or None if the disk misses the line:
-    |y - line_y| <= r and y >= line_y, on cross-multiplied ints."""
-    line = _frac(line_y)
-    ln, ld = line._numerator, line._denominator
-    r = instance.disk_radius
-    rn, rd = r._numerator, r._denominator
-    sides = []
-    for d in instance.objects:
-        y = d.center.y
-        yd = y._denominator
-        offset = y._numerator * ld - ln * yd  # (y - line_y) * yd * ld
-        sides.append(None if abs(offset) * rd > rn * yd * ld else offset >= 0)
-    return sides
+    |y - line_y| <= r and y >= line_y, on the ``_offsets`` (y - line_y) / r."""
+    ys = [d.center.y for d in instance.objects]
+    return [None if abs(p) > q else p >= 0
+            for p, q in _offsets(ys, line_y, instance.disk_radius)]
 
 
 def _stabbed(instance, line_y, one_sided):

@@ -16,9 +16,12 @@ the sweep compare the exact ``(float(v), v)`` endpoint keys, on which floats
 decide all but float ties.  Right endpoints of equal value are visited by
 increasing index, and shared endpoints are valid input.
 
-``_window_sweeps`` runs the same sweep over windows that slide along one
-presorted list, as the arc solver's cuts do, sharing the steps on which
-consecutive windows agree.
+Two sweeps write this rule once each: ``_sweep`` over one index list, for
+``solve_intervals`` and ``rects.solve_unit_height``, and ``_window_sweeps``
+over windows sliding along one presorted list, as the arc solver's cuts
+do, sharing the steps on which consecutive windows agree.  The test
+``test_window_sweeps_match_one_sweep_per_window`` holds each window's mask
+equal to ``_sweep`` run on that window alone.
 """
 from .model import (
     INTERVALS,
@@ -40,8 +43,8 @@ def _sweep(lefts, rights, order, floor=None):
     Both markers start at ``floor``, so no interval starting at or before a
     given ``floor`` is taken.
 
-    This is the one place that decides endpoint ties, by closed semantics:
-    an interval is disjoint from the frontier only if it starts strictly
+    Endpoint ties follow closed semantics, as in ``_window_sweeps``: an
+    interval is disjoint from the frontier only if it starts strictly
     beyond ``y``, and may stack only if it starts strictly beyond ``x``.
     """
     selected = []
@@ -66,21 +69,21 @@ def _window_sweeps(steps, windows):
     one list and share one sweep, with the tie rule of ``_sweep``.
 
     The state after a step is the marker pair ``(x, y)``, kept per step
-    with the step's pick for the latest window that reached it.  The sweep
-    from a state on is fixed, so a window sweeps from its start only until
-    its state equals the kept one at the same step, keeps the kept steps
-    after it, and sweeps on from the last kept state to its stop.  Its mask
-    is the last one XORed with the entries that left and the picks that
-    changed or were added."""
+    with the step's pick for the latest window that reached it; past the
+    last window's stop ``hi`` no state is kept and every pick is 0.  The
+    sweep from a state on is fixed, so once a window's state equals the
+    kept one at the same step, it keeps the kept steps up to ``hi`` and
+    sweeps on from there to its stop.  Its mask is the last one XORed with
+    the entries that left and the picks that changed or were added."""
     xs, ys, picks = [None] * len(steps), [None] * len(steps), [0] * len(steps)
     mask = lo = hi = 0  # the last window's mask and extent
     for start, stop, floor in windows:
-        if lo < start:
-            for j in range(lo, start if start < hi else hi):
-                mask ^= picks[j]
-            lo = start
+        for j in range(lo, start):
+            mask ^= picks[j]
+        lo = start
         x = y = floor
-        for j in range(start, hi):
+        j = start
+        while j < stop:
             left, right, bit = steps[j]
             if left > y:
                 y = right
@@ -93,21 +96,11 @@ def _window_sweeps(steps, windows):
                 picks[j] = bit
             if x == xs[j] and y == ys[j]:
                 # the kept steps up to hi are this window's too
-                x, y = xs[hi - 1], ys[hi - 1]
-                break
-            xs[j], ys[j] = x, y
-        if hi < stop:
-            for j in range(hi if hi > start else start, stop):
-                left, right, bit = steps[j]
-                if left > y:
-                    y = right
-                elif x < left:
-                    x, y = y, right
-                else:
-                    bit = 0
-                mask ^= bit
-                xs[j], ys[j], picks[j] = x, y, bit
-            hi = stop
+                j, x, y = hi, xs[hi - 1], ys[hi - 1]
+            else:
+                xs[j], ys[j] = x, y
+                j += 1
+        hi = stop
         yield mask
 
 

@@ -13,8 +13,11 @@ denominator reduced by ``math.gcd``, setting the two slots
 fields a ``Fraction`` has on every supported Python.  Every per-object
 read of a value's ints reads those two slots directly, never
 ``as_integer_ratio()`` or the ``numerator``/``denominator`` properties,
-which each cost a Python call.  Constructors coerce only fields that are
-not a ``Fraction`` yet.  Sorts and sweeps compare ``_key``s
+which each cost a Python call.  ``_offsets`` is the one reader of offsets
+(v - origin) / unit, as int pairs that the solvers floor into bands, cells
+and boxes or compare into sides; outside this module only ``serialize``
+names the slots.  Constructors coerce only fields that are not a
+``Fraction`` yet.  Sorts and sweeps compare ``_key``s
 ``(float(v), v)``, whose correctly rounded float decides a comparison
 unless the floats tie, and then the exact value does.  Object orders,
 disks and arcs compare cross-multiplied ints.  The objects, scenes, graphs
@@ -27,7 +30,7 @@ public predicates are only the pairwise reference it is tested against.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, inf, lcm
@@ -82,9 +85,35 @@ def _frac(value) -> Fraction:
     raise ValidationError(f"expected an exact rational, got {value!r}")
 
 
+def _offsets(values, origin, unit):
+    """Per rational v of ``values``, ints ``(p, q)`` with q > 0 and
+    p/q = (v - origin) / unit, for a positive ``unit``; ``origin`` and
+    ``unit`` may be anything ``_frac`` reads.  The one reader of offsets:
+    bands, cells, boxes and sides are int floors and compares of these."""
+    origin, unit = _frac(origin), _frac(unit)
+    on, od = origin._numerator, origin._denominator
+    un, ud = unit._numerator, unit._denominator
+    return [((v._numerator * od - on * v._denominator) * ud,
+             v._denominator * od * un) for v in values]
+
+
 def _less(a: Fraction, b: Fraction) -> bool:
     """``a < b`` on cross-multiplied ints (denominators are positive)."""
     return a._numerator * b._denominator < b._numerator * a._denominator
+
+
+def _refuse(self, name, *value):
+    raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+
+def _frozen(cls):
+    """``dataclass(frozen=True, slots=True)`` refusing to set or delete any
+    name with ``FrozenInstanceError``.  On Python 3.10-3.13 the generated
+    methods test the class the slots replaced, and raise ``TypeError`` from
+    ``super()`` for a name that is not a field."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
 
 
 def _coerce(obj, names):
@@ -93,7 +122,7 @@ def _coerce(obj, names):
         object.__setattr__(obj, name, _frac(getattr(obj, name)))
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Point:
     x: Fraction
     y: Fraction
@@ -103,7 +132,7 @@ class Point:
             _coerce(self, ("x", "y"))
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class IntervalObj:
     left: Fraction
     right: Fraction
@@ -115,7 +144,7 @@ class IntervalObj:
             raise ValidationError(f"interval needs left < right, got {self}")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class ArcObj:
     """Closed arc swept clockwise from ``start`` to ``end``.
 
@@ -152,12 +181,12 @@ def _on_arc(arc: ArcObj, a: Fraction) -> bool:
     return from_start and to_end if sn * ed < en * sd else from_start or to_end
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class DiskObj:
     center: Point
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class RectObj:
     x_min: Fraction
     x_max: Fraction
@@ -172,7 +201,7 @@ class RectObj:
             raise ValidationError(f"degenerate rectangle {self}")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class GeometricInstance:
     """A scene of objects of one kind plus global parameters."""
 
@@ -293,7 +322,7 @@ def rects_intersect(a: RectObj, b: RectObj) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class IntersectionGraph:
     """Vertex-indexed adjacency; ``masks[i]`` is the neighbor bitmask of i."""
 
@@ -516,7 +545,7 @@ def is_independent(g: IntersectionGraph, subset: Iterable[int]):
     return None if w is None else _kernels.mask_to_indices(w)
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Solution:
     """A selected index subset plus an optional 2-coloring certificate."""
 

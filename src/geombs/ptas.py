@@ -36,6 +36,7 @@ from .model import (
     _expect,
     _frac,
     _key,
+    _offsets,
     build_intersection_graph,
     certify,
     is_bipartite,  # unused here, but perfbench/tracing.py patches ptas.is_bipartite
@@ -52,23 +53,16 @@ def _half_extent(instance) -> Fraction:
 
 
 def _units(instance, h):
-    """(xs, ys, lowest anchor y): each object's position in diameters, ys
-    above the lowest, as int pairs (numerator, positive denominator), read
-    at an anchor, the centre moved by one fixed vector (a disk's centre, a
-    square's lower-left corner), with no Fraction arithmetic."""
+    """(xs, ys, lowest anchor y): each object's ``_offsets`` in half extents
+    h, ys above the lowest, read at an anchor, the centre moved by one fixed
+    vector (a disk's centre, a square's lower-left corner)."""
+    objs = instance.objects
     if instance.kind == UNIT_DISKS:
-        anchors = [(o.center.x, o.center.y) for o in instance.objects]
+        xs, ys = [o.center.x for o in objs], [o.center.y for o in objs]
     else:
-        anchors = [(o.x_min, o.y_min) for o in instance.objects]
-    hn, hd = h._numerator, h._denominator  # a diameter is 2 hn / hd
-    lo = min((y for _, y in anchors), key=_key)
-    ln, ld = lo._numerator, lo._denominator
-    xs, ys = [], []
-    for x, y in anchors:
-        yd = y._denominator
-        xs.append((x._numerator * hd, 2 * x._denominator * hn))
-        ys.append(((y._numerator * ld - ln * yd) * hd, 2 * yd * ld * hn))
-    return xs, ys, lo
+        xs, ys = [o.x_min for o in objs], [o.y_min for o in objs]
+    lo = min(ys, key=_key)
+    return _offsets(xs, 0, h), _offsets(ys, lo, h), lo
 
 
 def _check_weights(instance, weights):
@@ -78,11 +72,11 @@ def _check_weights(instance, weights):
         return [1] * instance.n
     if len(weights) != instance.n:
         raise ValidationError("one weight per object required")
-    out = [_frac(w) for w in weights]
-    if any(w._numerator < 0 for w in out):
+    out = _offsets([_frac(w) for w in weights], 0, 1)
+    if any(p < 0 for p, _ in out):
         raise ValidationError("weights must be nonnegative")
-    scale = math.lcm(*(w._denominator for w in out))
-    return [w._numerator * (scale // w._denominator) for w in out]
+    scale = math.lcm(*(q for _, q in out))
+    return [p * (scale // q) for p, q in out]
 
 
 def _colorings(comps, boundary):
@@ -115,9 +109,10 @@ def _colorings(comps, boundary):
 
 def _slab_dag(graph, xs, members):
     """The boxes of the objects ``members`` (ascending scene indices of
-    ``graph``, all inside one slab) by their x positions ``xs``, as
-    ascending (box, subsets) pairs: the box's 2-colorable subsets in
-    ``itertools.combinations`` order, as (bitmask, its ``_colorings``).
+    ``graph``, all inside one slab) by their x positions ``xs`` in half
+    extents, two to a box, as ascending (box, subsets) pairs: the box's
+    2-colorable subsets in ``itertools.combinations`` order, as (bitmask,
+    its ``_colorings``).
     Vertex ids count the (subset, coloring) pairs in this order.  A box
     with more than ``_BOX_SUBSETS`` subsets raises ``CapacityError``."""
     an, am = xs[members[0]]
@@ -128,7 +123,7 @@ def _slab_dag(graph, xs, members):
     boxes = {}
     for i in members:
         n, m = xs[i]
-        boxes.setdefault((n * am - an * m) // (m * am), []).append(i)
+        boxes.setdefault((n * am - an * m) // (2 * m * am), []).append(i)
 
     masks = graph.masks
     bits = {b: sum(1 << i for i in in_box) for b, in_box in boxes.items()}
@@ -155,12 +150,15 @@ def _scene_slab_dag(instance, k, slab_bottom):
             f"slab height multiplier k must be an int >= 1, got {k!r}")
     graph = build_intersection_graph(instance)
     xs, ys, lo = _units(instance, h)
-    # every bottom must lie in [b, b + k - 1], in diameters above the lowest
-    lift = h if instance.kind == UNIT_DISKS else 0  # anchor above bottom
-    bn, bd = (0, 1) if slab_bottom is None else (
-        (_frac(slab_bottom) + lift - lo) / (2 * h)).as_integer_ratio()
+    # every anchor must lie in [b, b + 2k - 2], in half extents above the
+    # lowest; by default b = 0, the lowest anchor
+    bn, bd = 0, 1
+    if slab_bottom is not None:
+        (bn, bd), = _offsets([_frac(slab_bottom)], lo, h)
+        if instance.kind == UNIT_DISKS:
+            bn += bd  # a disk's anchor, its centre, is h above its bottom
     for i, (n, m) in enumerate(ys):
-        if n * bd < bn * m or n * bd > (bn + (k - 1) * bd) * m:
+        if n * bd < bn * m or n * bd > (bn + 2 * (k - 1) * bd) * m:
             raise ValidationError(f"object {i} crosses the slab boundary")
     return graph, _slab_dag(graph, xs, range(instance.n))
 
@@ -257,11 +255,11 @@ def solve_ptas_weighted(instance: GeometricInstance, weights, epsilon) -> Soluti
     xs, ys, _ = _units(instance, h)
 
     # Grid line j lies j diameters above the lowest bottom, and an object
-    # spans [z, z + 1].  A slab owns its bottom line, so the offset of the
-    # line floor(z) + 1 in (z, z + 1] drops the object, and kept objects of
-    # different slabs are strictly separated.  Its centre's cell is
-    # floor(z + 1/2).
-    cells = [((2 * n + m) // (2 * m), (n // m + 1) % k) for n, m in ys]
+    # spans [z, z + 1], z = n / 2m diameters.  A slab owns its bottom line,
+    # so the offset of the line floor(z) + 1 in (z, z + 1] drops the
+    # object, and kept objects of different slabs are strictly separated.
+    # Its centre's cell is floor(z + 1/2).
+    cells = [((n + m) // (2 * m), (n // (2 * m) + 1) % k) for n, m in ys]
 
     best = None
     for s in range(k):

@@ -20,6 +20,7 @@ from .model import (
     _expect,
     _graph_over,
     _key,
+    _offsets,
     certify,
     is_bipartite,
     validate_instance,
@@ -29,14 +30,9 @@ from .model import (
 def group_rects(instance: GeometricInstance) -> dict:
     """Group index -> rectangle indices, by unit bands above the lowest y_min."""
     ys = [o.y_min for o in instance.objects]
-    a = min(ys, key=_key)
-    an, ad = a._numerator, a._denominator
     groups = {}
-    for i, y in enumerate(ys):
-        # floor(y - a) on the cross-multiplied numerator and denominator
-        yd = y._denominator
-        groups.setdefault((y._numerator * ad - an * yd) // (yd * ad),
-                          []).append(i)
+    for i, (p, q) in enumerate(_offsets(ys, min(ys, key=_key), 1)):
+        groups.setdefault(p // q, []).append(i)  # floor(y - lowest)
     return groups
 
 

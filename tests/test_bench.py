@@ -57,3 +57,8 @@ def test_tsv_shape():
 def test_unknown_algorithm_rejected():
     with pytest.raises(ValidationError):
         run_bench("intervals", 1, 4, seed=0, algorithms=["magic"])
+
+
+def test_no_instances_rejected():
+    with pytest.raises(ValidationError, match="count >= 1"):
+        run_bench("intervals", 0, 4, seed=0)

@@ -104,6 +104,12 @@ class TestLogN:
     def test_single_disk(self):
         assert solve_logn(disks([(0, 0)])).selected == (0,)
 
+    def test_two_disks_colour_in_index_order(self):
+        # larger scenes split in x order; two disks are coloured by index
+        # whatever their x order
+        sol = solve_logn(disks([(1, 0), (0, 0)]))
+        assert sol.selected == (0, 1) and sol.coloring == {0: 0, 1: 1}
+
     def test_pairwise_disjoint(self):
         inst = disks([(0, 0), (5, 0), (10, 0), (15, 0), (20, 0)])
         assert solve_logn(inst).size == 5

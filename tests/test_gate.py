@@ -5,13 +5,15 @@ validates its scene exactly once, before reading an object.  One graph per
 solve: no solver module builds a scene or a graph object of its own, and
 the interval, arc and unit-height solvers certify on their selection's
 graph alone.  The interval and arc graph builds run no pair test.  The
-interval sweeps and graph builds, the disk solvers, the PTAS, the disk
-graph build and the arc solver make no more ``Fraction`` order comparisons
-than there are objects, and all but the interval sweeps no ``Fraction``
-arithmetic.  The graph build and every scene solver read a value's ints
-off its two slots, calling ``as_integer_ratio()`` or the
-``numerator``/``denominator`` properties a constant number of times per
-solve, whatever n.  The arc solver's cuts share one sweep, and it re-checks
+interval sweeps and graph builds, the disk solvers, the PTAS and its
+slab solver from a given bottom, the disk graph build and the arc solver
+make no more ``Fraction`` order comparisons than there are objects, and
+all but the interval sweeps no ``Fraction`` arithmetic.  The graph build
+and every scene solver read a value's ints off its two slots, calling
+``as_integer_ratio()`` or the ``numerator``/``denominator`` properties a
+constant number of times per solve, whatever n; only ``model`` and
+``serialize`` name the slots, and the other modules read offsets through
+``model._offsets``.  The arc solver's cuts share one sweep, and it re-checks
 only cuts that improve on its best and hold two arcs meeting at the cut,
 building the circular graph's masks only then.  The PTAS pays one
 component join per 2-colourable box subset.  Parsing a document does no
@@ -39,6 +41,21 @@ def test_library_has_no_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def test_only_model_and_serialize_name_the_slots():
+    # the solvers take offsets from model._offsets, so a Fraction's two
+    # slots are named, as an attribute or as text, in two modules only
+    slots = ("_numerator", "_denominator")
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("model.py", "serialize.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in slots
+                  or isinstance(node, ast.Constant) and node.value in slots]
     assert not found, found
 
 
@@ -311,6 +328,7 @@ DISK_AND_ARC_CALLS = {
     "solve_arcs": ("arcs", {}, ()),
     "build_intersection_graph": ("unit_disks", {}, ()),
     "solve_ptas": ("unit_squares", {}, (Fraction(1, 2),)),
+    "solve_slab": ("unit_disks", {"disk_mode": "slab"}, (2, 0)),
     "solve_ptas_weighted": ("unit_disks", {},
                             (geombs.generate_weights(GATE_N, 1), Fraction(1, 2))),
 }

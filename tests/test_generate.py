@@ -99,6 +99,10 @@ def test_parameter_validation():
         generate_instance(UNIT_DISKS, 3, 0, radius=0)
     with pytest.raises(ValidationError):
         generate_instance(UNIT_DISKS, 3, 0, spread=0)
+    with pytest.raises(ValidationError, match="slab_k must be >= 1"):
+        generate_instance(UNIT_DISKS, 3, 0, disk_mode="slab", slab_k=0)
+    with pytest.raises(ValidationError, match="n >= 1 weights"):
+        generate_weights(0, 1)
 
 
 @pytest.mark.parametrize("radius", [0.5, True, " 1", "+1", "1.5"])

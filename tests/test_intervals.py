@@ -126,3 +126,39 @@ class TestReference:
             sol = solve_intervals(inst)
             assert ((sol.selected, sol.coloring)
                     == kernel_reference.reference_intervals(inst)), seed
+
+
+def tie_heavy_windows(seed):
+    """``(steps, windows)`` for ``_window_sweeps``: up to 24 steps on a grid
+    of 6 int endpoints, by right endpoint, each bit repeating with a period
+    p; up to 16 windows of at most p steps whose starts and stops never
+    decrease, some empty, repeated or starting past the last stop, with
+    floors from below every endpoint to above them all."""
+    rng = random.Random(seed)
+    m, p = rng.randint(0, 24), rng.randint(1, 8)
+    pairs = sorted((sorted(rng.sample(range(6), 2)) for _ in range(m)),
+                   key=lambda pair: pair[1])
+    steps = [(a, b, 1 << (j % p)) for j, (a, b) in enumerate(pairs)]
+    w = rng.randint(1, 16)
+    starts = sorted(rng.randint(0, m) for _ in range(w))
+    stops = sorted(rng.randint(0, m) for _ in range(w))
+    windows = []
+    for start, stop in zip(starts, stops):
+        window = (start, min(max(start, stop), start + p), rng.randint(-1, 6))
+        windows += [window] * rng.choice((1, 1, 1, 2))
+    return steps, windows
+
+
+def test_window_sweeps_match_one_sweep_per_window():
+    # the shared sweep, whose windows reuse the kept steps of the last one,
+    # against the interval sweep run alone on each window and its floor
+    for seed in range(3000):
+        steps, windows = tie_heavy_windows(seed)
+        lefts = [left for left, _, _ in steps]
+        rights = [right for _, right, _ in steps]
+        shared = list(intervals_module._window_sweeps(steps, windows))
+        assert len(shared) == len(windows), seed
+        for (start, stop, floor), mask in zip(windows, shared):
+            alone = intervals_module._sweep(lefts, rights, range(start, stop),
+                                            floor)
+            assert mask == sum(steps[j][2] for j in alone), (seed, start, stop)

@@ -102,6 +102,10 @@ def test_solution_document_validation():
         solution_from_dict({"selected": [0], "mode": "maximal"})
     with pytest.raises(ValidationError):
         solution_from_dict({"selected": [0], "coloring": {"0": 2}})
+    with pytest.raises(ValidationError, match="must be a mapping"):
+        solution_from_dict([0])
+    with pytest.raises(ValidationError, match="'coloring' must map"):
+        solution_from_dict({"selected": [0], "coloring": [0]})
     sol, mode = solution_from_dict(
         solution_to_dict(Solution((1,), {1: 1}), mode="triangle_free")
     )
@@ -109,6 +113,15 @@ def test_solution_document_validation():
 
 
 def test_instance_document_validation():
+    with pytest.raises(ValidationError, match="must be a mapping"):
+        instance_from_dict([{"left": "0", "right": "1"}])
+    with pytest.raises(ValidationError, match="needs an 'objects' list"):
+        instance_from_dict({"kind": "intervals"})
+    with pytest.raises(ValidationError, match="needs an 'objects' list"):
+        instance_from_dict({"kind": "intervals", "objects": {"left": "0"}})
+    with pytest.raises(ValidationError, match="one weight per object"):
+        instance_to_dict(generate_instance("intervals", 3, 1),
+                         generate_weights(2, 1))
     with pytest.raises(ValidationError):
         instance_from_dict({"kind": "polygons", "objects": []})
     with pytest.raises(ValidationError):
