@@ -3,7 +3,10 @@
 All coordinates come out on a quarter-unit grid (eighth of a turn for
 arcs), so tangencies and shared endpoints occur with useful frequency
 while staying exactly representable.  Interval and arc endpoints are drawn
-without replacement, so they are pairwise distinct by construction.
+without replacement, so they are pairwise distinct by construction.  Values
+are built from their ints by ``model._from_ints``, one object per distinct
+value of a scene, as a parsed document has them: equal coordinates are one
+object, so a tie between two of them never reaches ``Fraction.__eq__``.
 """
 import random
 from fractions import Fraction
@@ -23,6 +26,7 @@ from .model import (
     Point,
     RectObj,
     _frac,
+    _from_ints,
 )
 
 DISK_MODES = ("general", "one_sided", "two_sided", "slab")
@@ -32,6 +36,13 @@ GRID = 4  # coordinate denominator
 def _grid_units(rng, lo_units, hi_units) -> int:
     """Uniform grid point in [lo_units, hi_units], in quarter-units."""
     return rng.randrange(lo_units, hi_units + 1)
+
+
+def _values(units, num=1, den=GRID):
+    """The rationals u * num / den of the ints ``units``, in order, one
+    object per distinct value."""
+    value = {u: _from_ints(u * num, den) for u in set(units)}
+    return [value[u] for u in units]
 
 
 def generate_instance(
@@ -72,19 +83,19 @@ def generate_instance(
 
     if kind == INTERVALS:
         pool = max(GRID * spread, 2 * n)
-        values = [Fraction(v, GRID) for v in rng.sample(range(pool + 1), 2 * n)]
-        rng.shuffle(values)
-        objs = tuple(
-            IntervalObj(min(a, b), max(a, b))
-            for a, b in zip(values[::2], values[1::2])
-        )
+        units = rng.sample(range(pool + 1), 2 * n)
+        rng.shuffle(units)
+        ends = _values([u for a, b in zip(units[::2], units[1::2])
+                        for u in (min(a, b), max(a, b))])
+        objs = tuple(map(IntervalObj, ends[::2], ends[1::2]))
         return GeometricInstance(INTERVALS, objs)
 
     if kind == ARCS:
         den = max(2 * GRID * n, 8)
-        values = [Fraction(v, den) for v in rng.sample(range(den), 2 * n)]
-        rng.shuffle(values)
-        objs = tuple(ArcObj(a, b) for a, b in zip(values[::2], values[1::2]))
+        units = rng.sample(range(den), 2 * n)
+        rng.shuffle(units)
+        values = _values(units, den=den)
+        objs = tuple(map(ArcObj, values[::2], values[1::2]))
         return GeometricInstance(ARCS, objs)
 
     if kind == UNIT_DISKS:
@@ -94,23 +105,25 @@ def generate_instance(
                   "slab": (GRID, GRID * (2 * slab_k - 1))
                   }.get(disk_mode, (0, GRID * spread))
         rn, rd = radius.as_integer_ratio()
-        objs = []
+        units = []
         for _ in range(n):
-            x = _grid_units(rng, 0, GRID * spread)
-            y = _grid_units(rng, lo, hi)
-            objs.append(DiskObj(Point(Fraction(rn * x, rd * GRID),
-                                      Fraction(rn * y, rd * GRID))))
-        return GeometricInstance(UNIT_DISKS, tuple(objs), radius)
+            units += (_grid_units(rng, 0, GRID * spread), _grid_units(rng, lo, hi))
+        values = _values(units, rn, rd * GRID)
+        objs = tuple(DiskObj(Point(x, y))
+                     for x, y in zip(values[::2], values[1::2]))
+        return GeometricInstance(UNIT_DISKS, objs, radius)
 
-    objs = []
+    units = []
     for _ in range(n):
         x0 = _grid_units(rng, 0, GRID * spread)
         y0 = _grid_units(rng, 0, GRID * spread)
         w = GRID if kind == UNIT_SQUARES else _grid_units(rng, 1, 2 * GRID)
         h = _grid_units(rng, 1, 2 * GRID) if kind == RECTS else GRID
-        objs.append(RectObj(Fraction(x0, GRID), Fraction(x0 + w, GRID),
-                            Fraction(y0, GRID), Fraction(y0 + h, GRID)))
-    return GeometricInstance(kind, tuple(objs))
+        units += (x0, x0 + w, y0, y0 + h)
+    values = _values(units)
+    objs = tuple(map(RectObj, values[::4], values[1::4], values[2::4],
+                     values[3::4]))
+    return GeometricInstance(kind, objs)
 
 
 def generate_weights(n: int, seed: int):
@@ -118,4 +131,4 @@ def generate_weights(n: int, seed: int):
     if n < 1:
         raise ValidationError("need n >= 1 weights")
     rng = random.Random(seed)
-    return [Fraction(rng.randrange(1, 4 * GRID + 1), GRID) for _ in range(n)]
+    return _values([rng.randrange(1, 4 * GRID + 1) for _ in range(n)])

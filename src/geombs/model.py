@@ -6,18 +6,29 @@ compare squared distances, so there is no tolerance parameter anywhere.
 Intersection is closed: tangent objects are adjacent.
 
 From parsing on, no ``Fraction`` arithmetic runs on the objects, and
-exactness is kept.  ``_frac`` reads its one text grammar with ``int`` and
-refuses every other text; it builds each value from its numerator and
-denominator reduced by ``math.gcd``, setting the two slots
-``_numerator`` and ``_denominator`` of a bare ``Fraction``, the only
-fields a ``Fraction`` has on every supported Python.  Every per-object
+exactness is kept.  The grammar's step per text, ``_read_texts``, is
+written once: on ASCII text of the characters ``0-9``, ``-`` and ``/``
+only, where ``int`` accepts exactly ``-?[0-9]+``, it splits at the first
+``/``, reads each side with ``int`` and refuses a denominator that is not
+positive.  ``_frac`` reads one value with it; ``_rationals`` reads a
+document's value list, taking its distinct texts once and checking their
+characters together, with one ``isascii()`` and one ``str.translate``.  On
+any fault, or a value that is not text, ``_rationals`` reads the values one
+at a time in order, so the first fault and its message are ``_frac``'s.
+``_from_ints`` builds each value from its numerator and denominator reduced
+by ``math.gcd``, setting the two slots ``_numerator`` and ``_denominator``
+of a bare ``Fraction``, the only fields a ``Fraction`` has on every
+supported Python; ``generate`` builds its values through it too, one object
+per distinct value of a scene.  Every per-object
 read of a value's ints reads those two slots directly, never
 ``as_integer_ratio()`` or the ``numerator``/``denominator`` properties,
 which each cost a Python call.  ``_offsets`` is the one reader of offsets
 (v - origin) / unit, as int pairs that the solvers floor into bands, cells
 and boxes or compare into sides; outside this module only ``serialize``
-names the slots.  Constructors coerce only fields that are not a
-``Fraction`` yet.  Sorts and sweeps compare ``_key``s
+names the slots.  Constructors write their fields through the slots'
+member descriptors and coerce only fields that are not a ``Fraction``
+yet; the interval and rectangle order checks compare cross-multiplied
+slot ints.  Sorts and sweeps compare ``_key``s
 ``(float(v), v)``, whose correctly rounded float decides a comparison
 unless the floats tie, and then the exact value does.  Object orders,
 disks and arcs compare cross-multiplied ints.  The objects, scenes, graphs
@@ -29,8 +40,9 @@ public predicates are only the pairwise reference it is tested against.
 """
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, inf, lcm
@@ -51,38 +63,96 @@ RECTS = "rects"
 KINDS = (INTERVALS, ARCS, UNIT_DISKS, UNIT_SQUARES, UNIT_HEIGHT_RECTS, RECTS)
 
 
+# The grammar of rational text, and a table that ``str.translate`` uses to
+# delete its characters: ASCII text holds only those iff nothing is left.
+_GRAMMAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_GRAMMAR_CHARS = str.maketrans("", "", "0123456789-/")
+
+
+def _from_ints(p: int, q: int) -> Fraction:
+    """The rational p/q of ints with q > 0: ``object.__new__(Fraction)``
+    with its slots ``_numerator`` and ``_denominator`` set to the pair
+    reduced by g = gcd(p, q), as Python 3.12's own
+    ``Fraction._from_coprime_ints`` does.  That relies on ``Fraction``
+    keeping exactly these two slots; a layout without them fails on the
+    first value with ``AttributeError``."""
+    g = gcd(p, q)
+    if g != 1:
+        p, q = p // g, q // g
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = p, q
+    return f
+
+
+def _read_texts(memo: dict) -> bool:
+    """The grammar's step per text, written once: sets each key of
+    ``memo``, ASCII text of the characters ``0-9``, ``-`` and ``/`` only, to
+    its rational.  Within that set ``int`` accepts exactly ``-?[0-9]+``, so
+    each text is split at its first ``/`` and each side read by ``int``.  A
+    ``ValueError`` means a side outside the grammar or past the
+    interpreter's int digit limit; False, a denominator that is not
+    positive."""
+    for text in memo:
+        num, slash, den = text.partition("/")
+        p, q = int(num), int(den) if slash else 1
+        if q <= 0:
+            return False
+        memo[text] = _from_ints(p, q)
+    return True
+
+
 def _frac(value) -> Fraction:
     """Exact rational from a Fraction, an int or text in the grammar
     ``-?[0-9]+(/[0-9]+)?`` in ASCII with a nonzero denominator, the language
     ``format_rational`` writes; bools, floats and any other text raise
-    ``ValidationError``, on every supported Python alike.  Text becomes
-    ``object.__new__(Fraction)`` with its slots ``_numerator`` and
-    ``_denominator`` set to p // g and q // g, g = gcd(p, q), as Python
-    3.12's own ``Fraction._from_coprime_ints`` does; that relies on
-    ``Fraction`` keeping exactly these two slots, and a layout without
-    them fails on the first value with ``AttributeError``."""
+    ``ValidationError``, on every supported Python alike.  Text passes the
+    character check of ``_GRAMMAR_CHARS`` and is read by ``_read_texts``.
+    Text in the grammar but past the int digit limit is refused with
+    ``int``'s message."""
     if type(value) is Fraction:
         return value
-    if isinstance(value, str):  # parsing is the hot path
-        num, slash, den = value.partition("/")
-        if (value.isascii() and num.removeprefix("-").isdigit()
-                and (den.isdigit() or not slash)):
+    if isinstance(value, str):
+        if value.isascii() and not value.translate(_GRAMMAR_CHARS):
+            memo = {value: None}
             try:
-                p, q = int(num), int(den) if slash else 1
-            except ValueError as exc:  # beyond the interpreter's digit limit
-                raise ValidationError(f"bad rational {value!r}: {exc}") from exc
-            if q:
-                g = gcd(p, q)
-                f = object.__new__(Fraction)
-                f._numerator, f._denominator = p // g, q // g
-                return f
+                if _read_texts(memo):
+                    return memo[value]
+            except ValueError as exc:
+                if _GRAMMAR.fullmatch(value):  # beyond the digit limit
+                    raise ValidationError(f"bad rational {value!r}: {exc}") from exc
         raise ValidationError(f"bad rational {value!r}: expected "
-                              "-?[0-9]+(/[0-9]+)? with a nonzero denominator")
+                              f"{_GRAMMAR.pattern} with a nonzero denominator")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(int(value))
     raise ValidationError(f"expected an exact rational, got {value!r}")
+
+
+def _rationals(values) -> list:
+    """``[_frac(v) for v in values]``, each distinct text read once.  When
+    every value is a ``str``, the distinct texts pass one character check
+    together and one ``_read_texts`` reads them; on any fault, or when a
+    value is not a ``str``, the values are read one at a time in order,
+    texts through a memo, so the first fault and its message are those of
+    that order.  Nothing is kept from one call to the next, and a JSON int
+    or bool never shares a text's value."""
+    try:
+        memo = dict.fromkeys(values)
+    except TypeError:  # an unhashable value
+        memo = None
+    if memo and set(map(type, memo)) == {str}:
+        texts = "".join(memo)
+        if texts.isascii() and not texts.translate(_GRAMMAR_CHARS):
+            try:
+                if _read_texts(memo):
+                    return list(map(memo.__getitem__, values))
+            except ValueError:
+                pass
+    memo = {}
+    return [_frac(v) if type(v) is not str
+            else memo[v] if v in memo else memo.setdefault(v, _frac(v))
+            for v in values]
 
 
 def _offsets(values, origin, unit):
@@ -97,11 +167,6 @@ def _offsets(values, origin, unit):
              v._denominator * od * un) for v in values]
 
 
-def _less(a: Fraction, b: Fraction) -> bool:
-    """``a < b`` on cross-multiplied ints (denominators are positive)."""
-    return a._numerator * b._denominator < b._numerator * a._denominator
-
-
 def _refuse(self, name, *value):
     raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
 
@@ -110,26 +175,41 @@ def _frozen(cls):
     """``dataclass(frozen=True, slots=True)`` refusing to set or delete any
     name with ``FrozenInstanceError``.  On Python 3.10-3.13 the generated
     methods test the class the slots replaced, and raise ``TypeError`` from
-    ``super()`` for a name that is not a field."""
+    ``super()`` for a name that is not a field.
+
+    Its ``__init__``, of the dataclass's signature and defaults, writes each
+    field through its slot's member descriptor, where the dataclass's calls
+    ``object.__setattr__``.  Unless every field annotated ``Fraction``
+    already holds a ``Fraction``, those fields are first read by ``_frac``,
+    in field order; the class's ``__post_init__``, if any, runs last."""
     cls = dataclass(frozen=True, slots=True)(cls)
     cls.__setattr__ = cls.__delattr__ = _refuse
+    names = [f.name for f in fields(cls)]
+    exact = [f.name for f in fields(cls) if f.type in ("Fraction", Fraction)]
+    lines = [f"def __init__(self, {', '.join(names)}):"]
+    if exact:
+        lines += [f"    if not ({' is '.join(map('type({})'.format, exact))}"
+                  " is Fraction):",
+                  f"        {', '.join(exact)} = "
+                  f"{', '.join(map('_frac({})'.format, exact))}"]
+    lines += [f"    _set_{name}(self, {name})" for name in names]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    scope = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    scope.update(Fraction=Fraction, _frac=_frac)
+    exec("\n".join(lines), scope)
+    init, generated = scope["__init__"], cls.__init__
+    for attr in ("__defaults__", "__annotations__", "__module__",
+                 "__qualname__"):
+        setattr(init, attr, getattr(generated, attr))
+    cls.__init__ = init
     return cls
-
-
-def _coerce(obj, names):
-    """Replace the named fields of a frozen object by their ``_frac``."""
-    for name in names:
-        object.__setattr__(obj, name, _frac(getattr(obj, name)))
 
 
 @_frozen
 class Point:
     x: Fraction
     y: Fraction
-
-    def __post_init__(self):
-        if not (type(self.x) is type(self.y) is Fraction):
-            _coerce(self, ("x", "y"))
 
 
 @_frozen
@@ -138,9 +218,8 @@ class IntervalObj:
     right: Fraction
 
     def __post_init__(self):
-        if not (type(self.left) is type(self.right) is Fraction):
-            _coerce(self, ("left", "right"))
-        if not _less(self.left, self.right):
+        a, b = self.left, self.right
+        if not a._numerator * b._denominator < b._numerator * a._denominator:
             raise ValidationError(f"interval needs left < right, got {self}")
 
 
@@ -156,8 +235,6 @@ class ArcObj:
     end: Fraction
 
     def __post_init__(self):
-        if not (type(self.start) is type(self.end) is Fraction):
-            _coerce(self, ("start", "end"))
         for a in (self.start, self.end):
             if not 0 <= a._numerator < a._denominator:
                 raise ValidationError(f"arc angle {a} outside [0, 1)")
@@ -194,10 +271,10 @@ class RectObj:
     y_max: Fraction
 
     def __post_init__(self):
-        if not (type(self.x_min) is type(self.x_max) is type(self.y_min)
-                is type(self.y_max) is Fraction):
-            _coerce(self, ("x_min", "x_max", "y_min", "y_max"))
-        if not (_less(self.x_min, self.x_max) and _less(self.y_min, self.y_max)):
+        a, b, c, d = self.x_min, self.x_max, self.y_min, self.y_max
+        if not (a._numerator * b._denominator < b._numerator * a._denominator
+                and c._numerator * d._denominator
+                < d._numerator * c._denominator):
             raise ValidationError(f"degenerate rectangle {self}")
 
 
@@ -210,9 +287,9 @@ class GeometricInstance:
     disk_radius: Optional[Fraction] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
+        GeometricInstance.objects.__set__(self, tuple(self.objects))
         if self.disk_radius is not None:
-            object.__setattr__(self, "disk_radius", _frac(self.disk_radius))
+            GeometricInstance.disk_radius.__set__(self, _frac(self.disk_radius))
 
     @property
     def n(self) -> int:
@@ -556,7 +633,7 @@ class Solution:
         selected = tuple(sorted(self.selected))
         if len(set(selected)) != len(selected):
             raise ValidationError(f"repeated indices in selection {selected}")
-        object.__setattr__(self, "selected", selected)
+        Solution.selected.__set__(self, selected)
 
     @property
     def size(self) -> int:

@@ -6,16 +6,22 @@ in the one grammar ``-?[0-9]+(/[0-9]+)?`` (ASCII, nonzero denominator) that
 ``format_rational`` writes; other text, a float, a bool or a key the format
 does not define is a ``ValidationError``, never coerced.
 
-``instance_from_dict`` reads a document's records into one value list, each
-distinct string once per document, and builds the objects column-wise
-through their constructors.  Of several faults it reports the earliest in
-this order, and in document order within each: the document's keys, kind and
-``objects`` list; a record that is not exactly the kind's fields; a
-``weights`` list of the wrong length; a value that is not an exact rational
-(each record's in the kind's field order, then ``disk_radius``, then
-``weights``); an object its constructor refuses; a negative weight.
-Solution files carry the 2-coloring certificate, which keeps verification
-linear in the graph size and independent of whichever solver produced them.
+``instance_from_dict`` reads a document's records into one value list and
+reads that list in one batch (``model._rationals``): when every value is a
+string, the distinct strings pass one character check together and each is
+read once by ``int``; otherwise, or on any fault, the values are read one at
+a time in document order, so the first fault and its message are those a
+value-by-value read reports.  Nothing is kept from one document to the next.
+It then builds the objects column-wise through their constructors, which
+write each field through its slot's member descriptor.  Of several faults
+it reports the earliest in this order, and in document order within each:
+the document's keys, kind and ``objects`` list; a record that is not
+exactly the kind's fields; a ``weights`` list of the wrong length; a value
+that is not an exact rational (each record's in the kind's field order, then
+``disk_radius``, then ``weights``); an object its constructor refuses; a
+negative weight.  Solution files carry the 2-coloring certificate, which
+keeps verification linear in the graph size and independent of whichever
+solver produced them.
 """
 import json
 from functools import partial
@@ -35,6 +41,7 @@ from .model import (
     RectObj,
     Solution,
     _frac,
+    _rationals,
 )
 
 FORMAT_VERSION = 1
@@ -147,10 +154,7 @@ def instance_from_dict(doc: dict):
         if not isinstance(weights, list) or len(weights) != len(objects):
             raise ValidationError("'weights' must list one rational per object")
         values += weights
-    memo = {}  # text -> Fraction, for this document only
-    values = [_frac(v) if type(v) is not str  # JSON true must never alias 1
-              else memo[v] if v in memo else memo.setdefault(v, _frac(v))
-              for v in values]
+    values = _rationals(values)
     instance = GeometricInstance(
         kind,
         tuple(make(*[values[i:m:width] for i in range(width)])),

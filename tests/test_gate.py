@@ -8,7 +8,10 @@ graph alone.  The interval and arc graph builds run no pair test.  The
 interval sweeps and graph builds, the disk solvers, the PTAS and its
 slab solver from a given bottom, the disk graph build and the arc solver
 make no more ``Fraction`` order comparisons than there are objects, and
-all but the interval sweeps no ``Fraction`` arithmetic.  The graph build
+all but the interval sweeps no ``Fraction`` arithmetic.  On generated
+rectangle scenes, whose equal coordinates are one object each, the graph
+build, the unit-height solver and the square PTAS make no ``Fraction``
+comparison at all, ``__eq__`` included.  The graph build
 and every scene solver read a value's ints off its two slots, calling
 ``as_integer_ratio()`` or the ``numerator``/``denominator`` properties a
 constant number of times per solve, whatever n; only ``model`` and
@@ -364,6 +367,41 @@ def test_disk_and_arc_solvers_do_no_fraction_arithmetic(call, monkeypatch):
         compares = calls.pop("_richcmp", 0)
         assert not calls, (seed, calls)
         assert compares <= n, (seed, compares)
+
+
+# call -> (scene kind, the call on a generated scene)
+KEY_TIE_CALLS = {
+    **{f"build_intersection_graph-{kind}": (
+        kind, geombs.build_intersection_graph)
+       for kind in ("unit_height_rects", "unit_squares", "rects")},
+    "solve_unit_height": ("unit_height_rects", geombs.solve_unit_height),
+    "solve_ptas": ("unit_squares",
+                   lambda inst: geombs.solve_ptas(inst, Fraction(1, 2))),
+}
+
+
+@pytest.mark.parametrize("call", sorted(KEY_TIE_CALLS))
+def test_generated_key_ties_compare_no_fraction(call, monkeypatch):
+    # work, not wall clock: the generator builds one object per distinct
+    # value of a scene, so two _keys whose floats tie hold the same object,
+    # and the tuple comparison settles them by identity
+    kind, solve = KEY_TIE_CALLS[call]
+    calls = []
+
+    def counting(name, method):
+        def counted(*args):
+            calls.append(name)
+            return method(*args)
+        return counted
+
+    for name in ("__eq__", "_richcmp"):
+        monkeypatch.setattr(Fraction, name,
+                            counting(name, getattr(Fraction, name)))
+    for seed in (1, 2, 3):
+        scene = geombs.generate_instance(kind, GATE_N, seed)
+        calls.clear()
+        solve(scene)
+        assert not calls, (seed, len(calls))
 
 
 # call -> (scene kind, generator options, the call on a scene); the graph

@@ -1,8 +1,10 @@
 """Geometry predicates, graph construction, the three subset verifiers,
 and the slotted model dataclasses."""
+import copy
+import inspect
 import pickle
 import random
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -193,6 +195,8 @@ class TestSlots:
             back = pickle.loads(pickle.dumps(obj, protocol))
             assert type(back) is type(obj) and back == obj, protocol
             assert repr(back) == repr(obj), protocol
+            assert [type(getattr(back, f.name)) for f in fields(obj)] == [
+                type(getattr(obj, f.name)) for f in fields(obj)], protocol
 
     @pytest.mark.parametrize("name", sorted(SLOTTED))
     def test_assignment_is_refused(self, name):
@@ -210,6 +214,102 @@ class TestSlots:
         with pytest.raises(FrozenInstanceError):
             del obj.extra
         assert getattr(obj, first) is before and not hasattr(obj, "extra")
+
+
+class Ratio(F):
+    """A ``Fraction`` subclass, which the constructors keep as it is."""
+
+
+# class -> its signature, which the member-descriptor __init__ keeps
+SIGNATURES = {
+    Point: "(x: 'Fraction', y: 'Fraction') -> None",
+    IntervalObj: "(left: 'Fraction', right: 'Fraction') -> None",
+    ArcObj: "(start: 'Fraction', end: 'Fraction') -> None",
+    DiskObj: "(center: 'Point') -> None",
+    RectObj: "(x_min: 'Fraction', x_max: 'Fraction', y_min: 'Fraction', "
+             "y_max: 'Fraction') -> None",
+    GeometricInstance: "(kind: 'str', objects: 'tuple', "
+                       "disk_radius: 'Optional[Fraction]' = None) -> None",
+    IntersectionGraph: "(n: 'int', masks: 'tuple') -> None",
+    Solution: "(selected: 'tuple', coloring: 'Optional[dict]' = None) -> None",
+}
+
+# example name -> a change that ``replace`` must refuse, and the message
+REFUSED_CHANGES = {
+    "Point": ({"x": 0.5}, "expected an exact rational"),
+    "IntervalObj": ({"right": F(1, 3)}, "interval needs left < right"),
+    "ArcObj": ({"end": F(3, 4)}, "arc needs start != end"),
+    "RectObj": ({"x_max": 0}, "degenerate rectangle"),  # x_max = x_min
+    "GeometricInstance": ({"disk_radius": "1/0"}, "bad rational '1/0'"),
+    "Solution": ({"selected": (2, 2)}, "repeated indices"),
+}
+
+
+class TestConstructors:
+    @pytest.mark.parametrize("cls", list(SIGNATURES), ids=lambda c: c.__name__)
+    def test_signature_and_defaults(self, cls):
+        assert str(inspect.signature(cls)) == SIGNATURES[cls]
+        assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+
+    def test_defaults_apply(self):
+        assert GeometricInstance(INTERVALS, ()).disk_radius is None
+        assert Solution((1,)).coloring is None
+        assert GeometricInstance(INTERVALS, (), disk_radius=None).disk_radius is None
+
+    @pytest.mark.parametrize("name", sorted(SLOTTED))
+    def test_replace_rebuilds_through_the_checks(self, name):
+        obj = SLOTTED[name]
+        first = fields(obj)[0].name
+        assert replace(obj) == obj
+        assert replace(obj, **{first: getattr(obj, first)}) == obj
+        change, message = REFUSED_CHANGES.get(name.split(",")[0], (None, None))
+        if change is not None:
+            with pytest.raises(ValidationError, match=message):
+                replace(obj, **change)
+
+    @pytest.mark.parametrize("cls, names", [
+        (Point, ("x", "y")), (IntervalObj, ("left", "right")),
+        (ArcObj, ("start", "end")),
+        (RectObj, ("x_min", "x_max", "y_min", "y_max"))])
+    def test_ints_and_texts_are_coerced_subclasses_kept(self, cls, names):
+        values = [F(1, 8), F(3, 4), F(1, 4), F(7, 8)][:len(names)]
+        if cls is ArcObj:
+            values = [F(3, 4), F(1, 8)]
+        for spell in (str, lambda v: v, Ratio):
+            args = [spell(v) for v in values]
+            if cls is not ArcObj:
+                args[-1] = 1  # a JSON int
+            obj = cls(*args)
+            for name, arg in zip(names, args):
+                got = getattr(obj, name)
+                assert got == F(arg) and isinstance(got, F)
+                if isinstance(arg, F):
+                    assert got is arg
+                else:
+                    assert type(got) is F
+        with pytest.raises(ValidationError, match="bad rational '1_0'"):
+            cls(*(["1_0"] + [str(v) for v in values[1:]]))
+
+    def test_scene_and_solution_fields_are_normalised(self):
+        disks = [DiskObj(Point(0, 0)), DiskObj(Point(1, 1))]
+        scene = GeometricInstance(UNIT_DISKS, disks, "3/6")
+        assert scene.objects == tuple(disks) and type(scene.objects) is tuple
+        assert scene.disk_radius == F(1, 2) and type(scene.disk_radius) is F
+        radius = Ratio(1, 2)
+        assert GeometricInstance(UNIT_DISKS, disks, radius).disk_radius is radius
+        assert Solution([3, 1, 2]).selected == (1, 2, 3)
+        center = Point(1, 2)
+        assert DiskObj(center).center is center
+        masks = [0, 1]
+        assert IntersectionGraph(2, masks).masks is masks  # taken as given
+
+    @pytest.mark.parametrize("name", sorted(SLOTTED))
+    def test_copy_and_deepcopy(self, name):
+        obj = SLOTTED[name]
+        for twin in (copy.copy(obj), copy.deepcopy(obj)):
+            assert type(twin) is type(obj) and twin == obj
+            assert repr(twin) == repr(obj)
+        assert copy.copy(obj) is not obj
 
 
 class TestValidation:

@@ -1,9 +1,10 @@
-"""Property tests of the model's slot readers: ``_key``, ``_less``,
-``_unit_apart`` and ``_disk_ints`` read a value's ints off its
-``_numerator``/``_denominator`` slots and agree with ``Fraction``'s own
-comparisons and arithmetic, on negative values, values beyond float range
-(whose keys are infinities of their sign), pairs whose floats tie, and
-instances of a ``Fraction`` subclass, which ``_frac`` passes through."""
+"""Property tests of the model's slot readers: ``_key``, ``_unit_apart``,
+``_disk_ints`` and the order checks of ``IntervalObj`` and ``RectObj`` read
+a value's ints off its ``_numerator``/``_denominator`` slots and agree with
+``Fraction``'s own comparisons and arithmetic, on negative values, values
+beyond float range (whose keys are infinities of their sign), pairs whose
+floats tie, and instances of a ``Fraction`` subclass, which ``_frac`` passes
+through."""
 import math
 from fractions import Fraction as F
 
@@ -13,12 +14,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from geombs import DiskObj, Point  # noqa: E402
+from geombs import DiskObj, IntervalObj, Point, RectObj  # noqa: E402
+from geombs import ValidationError  # noqa: E402
 from geombs.model import (  # noqa: E402
     _disk_ints,
     _frac,
     _key,
-    _less,
     _unit_apart,
 )
 
@@ -80,11 +81,23 @@ def test_key_orders_as_fraction(pair):
     assert (ka > kb) == (a > b)
 
 
+def _accepts(build):
+    try:
+        build()
+    except ValidationError:
+        return False
+    return True
+
+
 @given(pairs())
 def test_less_is_fraction_less(pair):
+    # the constructors compare cross-multiplied slot ints inline
     a, b = pair
-    assert _less(a, b) == (a < b)
-    assert _less(b, a) == (b < a)
+    lo, hi = F(-10 ** 500), F(10 ** 500)
+    for x, y in ((a, b), (b, a)):
+        assert _accepts(lambda: IntervalObj(x, y)) == (x < y)
+        assert _accepts(lambda: RectObj(x, y, lo, hi)) == (x < y)
+        assert _accepts(lambda: RectObj(lo, hi, x, y)) == (x < y)
 
 
 @given(pairs())

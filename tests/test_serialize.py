@@ -21,7 +21,7 @@ from geombs import (
     save_instance,
     save_solution,
 )
-from geombs import serialize
+from geombs import model
 from geombs.serialize import (
     format_rational,
     instance_from_dict,
@@ -272,17 +272,17 @@ def test_solution_format_must_be_1(fmt):
 
 
 def _counted_reader(monkeypatch):
-    """Patch the string reader behind ``instance_from_dict``; returns the
-    list of the strings it is given."""
+    """Patch the grammar's step per text, which the batch read behind
+    ``instance_from_dict`` and ``_frac`` both call; returns the list of the
+    texts it is given."""
     read = []
-    frac = serialize._frac
+    step = model._read_texts
 
-    def counted(value):
-        if isinstance(value, str):
-            read.append(value)
-        return frac(value)
+    def counted(memo):
+        read.extend(memo)
+        return step(memo)
 
-    monkeypatch.setattr(serialize, "_frac", counted)
+    monkeypatch.setattr(model, "_read_texts", counted)
     return read
 
 

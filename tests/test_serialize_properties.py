@@ -1,9 +1,12 @@
 """Property tests of the instance parser: on generated documents
 ``instance_from_dict`` equals a per-value ``Fraction(str)`` parse of the
-rational grammar's texts and refuses every other spelling, a document with
-one fault is a ``ValidationError``, and instance and solution documents
-read back exactly what the writer wrote."""
+rational grammar's texts and refuses every other spelling, the batch read
+of a value list equals ``parse_rational`` of each value down to the first
+fault's message, a document with one fault is a ``ValidationError``, and
+instance and solution documents read back exactly what the writer
+wrote."""
 import json
+import math
 import re
 from fractions import Fraction as F
 
@@ -23,9 +26,11 @@ from geombs import (  # noqa: E402
     Solution,
     ValidationError,
 )
+from geombs.model import _rationals  # noqa: E402
 from geombs.serialize import (  # noqa: E402
     instance_from_dict,
     instance_to_dict,
+    parse_rational,
     solution_from_dict,
     solution_to_dict,
 )
@@ -175,6 +180,48 @@ def broken_documents(draw):
 def test_one_fault_is_a_validation_error(doc):
     with pytest.raises(ValidationError):
         instance_from_dict(doc)
+
+
+# texts int accepts but the grammar refuses, grammar edge cases, and a text
+# past the interpreter's int digit limit
+ODD_TEXTS = ["+1", " 1", "1_0", "\uff11", "1/-2", "-0", "007", "0/0", "1/",
+             "/2", "1//2", "--1", "7" * 4301]
+
+mixed_values = st.one_of(
+    st.builds("{}/{}".format, st.integers(-6, 6), st.integers(1, 4)),
+    st.integers(-6, 6).map(str),
+    st.integers(-6, 6),
+    st.sampled_from([True, False, None, [1]]),
+    st.floats(allow_nan=False),
+    st.sampled_from(ODD_TEXTS),
+)
+
+
+def _per_value(values):
+    """``parse_rational`` of each value in order, or the first refusal's
+    message."""
+    try:
+        return [parse_rational(v) for v in values]
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(mixed_values, max_size=10)
+       | st.lists(st.sampled_from(ODD_TEXTS[5:7]) | mixed_values.filter(
+           lambda v: type(v) is str), max_size=10))
+def test_batch_read_equals_per_value_read(values):
+    # the second family is all text, so it takes the one character check
+    want = _per_value(values)
+    try:
+        got = _rationals(values)
+    except ValidationError as exc:
+        assert str(exc) == want
+        return
+    assert got == want
+    for value in got:
+        assert type(value) is F and value._denominator > 0
+        assert math.gcd(value._numerator, value._denominator) == 1
 
 
 def exact(lo=None):
