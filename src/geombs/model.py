@@ -401,10 +401,19 @@ def rects_intersect(a: RectObj, b: RectObj) -> bool:
 
 @_frozen
 class IntersectionGraph:
-    """Vertex-indexed adjacency; ``masks[i]`` is the neighbor bitmask of i."""
+    """Vertex-indexed adjacency; ``masks[i]`` is the neighbor bitmask of i.
+    The masks are kept as a tuple, one per vertex."""
 
     n: int
     masks: tuple
+
+    def __post_init__(self):
+        masks = tuple(self.masks)
+        if len(masks) != self.n:
+            raise ValidationError(
+                f"graph of {self.n} vertices needs {self.n} masks, "
+                f"got {len(masks)}")
+        IntersectionGraph.masks.__set__(self, masks)
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.masks[i] >> j & 1)

@@ -15,11 +15,22 @@ A box with more than 2^16 such subsets, the most a 16-object box can have,
 raises ``CapacityError`` (exit 4 on the command line) after listing
 2^16 + 1 of them, so no box costs more than a 16-object one.
 
+A box none of whose objects meets an object of box b - 1 or b + 1 enters
+the DP as one vertex, its heaviest subset (the first listed on a tie) with
+its one coloring: every vertex of such a box is compatible with every
+vertex of both neighbors, so the DP would read no other.  A lone such
+object is listed without a search: itself if its weight is positive,
+otherwise the empty set.
+
 The full solver builds the scene's intersection graph once, shifts a grid
 of slab boundaries over k offsets, drops the objects crossing a boundary,
-solves each slab as a list of scene indices over that one graph, and keeps
-the best offset; each object is dropped for exactly one offset, which
-yields the (1 - 1/k) guarantee.  Weighted objects only change the vertex
+and keeps the best offset; each object is dropped for exactly one offset,
+which yields the (1 - 1/k) guarantee.  An offset's slabs are lists of scene
+indices over that one graph, and one DP pass runs over all their boxes in
+slab order, each slab's box numbers starting two past the previous slab's
+last: objects of different slabs never meet, so the running best carries
+across a slab border as across a gap inside one slab, and the path is the
+slabs' optimal paths joined.  Weighted objects only change the vertex
 weights.  Geometry and weight sums are exact int arithmetic.
 """
 import math
@@ -100,49 +111,76 @@ def _colorings(comps, boundary):
         else:
             c0, c1, n0, n1 = c0 | a, c1 | b, n0 | na, n1 | nb
     out = [(c0, c1, n0, n1)]
-    for _, a, b, na, nb in sorted(flips):
-        out = [x for c0, c1, n0, n1 in out
-               for x in ((c0 | a, c1 | b, n0 | na, n1 | nb),
-                         (c0 | b, c1 | a, n0 | nb, n1 | na))]
+    if flips:
+        flips.sort()
+        for _, a, b, na, nb in flips:
+            out = [x for c0, c1, n0, n1 in out
+                   for x in ((c0 | a, c1 | b, n0 | na, n1 | nb),
+                             (c0 | b, c1 | a, n0 | nb, n1 | na))]
     return out
 
 
-def _slab_dag(graph, xs, members):
+def _slab_dag(graph, xs, members, wts, first=0):
     """The boxes of the objects ``members`` (ascending scene indices of
     ``graph``, all inside one slab) by their x positions ``xs`` in half
-    extents, two to a box, as ascending (box, subsets) pairs: the box's
-    2-colorable subsets in ``itertools.combinations`` order, as (bitmask,
-    its ``_colorings``).
-    Vertex ids count the (subset, coloring) pairs in this order.  A box
-    with more than ``_BOX_SUBSETS`` subsets raises ``CapacityError``."""
+    extents, two to a box, as ascending (box, subsets) pairs, the boxes
+    numbered from ``first``: the box's 2-colorable subsets in
+    ``itertools.combinations`` order, as (bitmask, its weight by ``wts``,
+    its ``_colorings``).  Vertex ids count the (subset, coloring) pairs in
+    this order.
+
+    A box none of whose objects meets a neighboring box's lists only its
+    heaviest subset, the first on a tie, and a lone such object is not
+    searched at all (see the module docstring).  A box with more than
+    ``_BOX_SUBSETS`` subsets raises ``CapacityError``."""
     an, am = xs[members[0]]
     for i in members:
         n, m = xs[i]
         if n * am < an * m:
             an, am = n, m
-    boxes = {}
+    boxes = {}  # box -> bitmask of its objects
     for i in members:
         n, m = xs[i]
-        boxes.setdefault((n * am - an * m) // (2 * m * am), []).append(i)
+        b = (n * am - an * m) // (2 * m * am)
+        boxes[b] = boxes.get(b, 0) | 1 << i
 
     masks = graph.masks
-    bits = {b: sum(1 << i for i in in_box) for b, in_box in boxes.items()}
     out = []
     for b in sorted(boxes):
-        in_box = boxes[b]
-        subsets = _kernels.bipartite_subsets(masks, bits[b], _BOX_SUBSETS)
+        box = boxes[b]
+        near = boxes.get(b - 1, 0) | boxes.get(b + 1, 0)
+        boundary, rest = 0, box
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            if masks[v.bit_length() - 1] & near:
+                boundary |= v
+        if not (boundary or box & (box - 1)):  # a lone object
+            i = box.bit_length() - 1
+            top = ((box, wts[i], [(box, 0, masks[i], 0)]) if wts[i]
+                   else (0, 0, [(0, 0, 0, 0)]))
+            out.append((first + b, [top]))
+            continue
+        subsets = _kernels.bipartite_subsets(masks, box, _BOX_SUBSETS)
         if subsets is None:
             raise CapacityError(
-                f"box {b} of {len(in_box)} objects has more than "
+                f"box {b} of {box.bit_count()} objects has more than "
                 f"{_BOX_SUBSETS} 2-colorable subsets")
-        near = bits.get(b - 1, 0) | bits.get(b + 1, 0)
-        boundary = sum(1 << i for i in in_box if masks[i] & near)
-        out.append((b, [(sel, _colorings(comps, boundary))
-                        for sel, comps in subsets]))
+        weight, ws = {0: 0}, []
+        for sel, _ in subsets:
+            low = sel & -sel  # sel less low is a smaller subset, seen before
+            w = weight[sel] = (weight[sel ^ low] + wts[low.bit_length() - 1]
+                               if sel else 0)
+            ws.append(w)
+        if not boundary:
+            top = ws.index(max(ws))
+            subsets, ws = [subsets[top]], [ws[top]]
+        out.append((first + b, [(sel, w, _colorings(comps, boundary))
+                                for (sel, comps), w in zip(subsets, ws)]))
     return out
 
 
-def _scene_slab_dag(instance, k, slab_bottom):
+def _scene_slab_dag(instance, k, slab_bottom, wts):
     """(graph, slab boxes) of a scene that is one slab, validated once."""
     h = _half_extent(instance)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
@@ -160,23 +198,25 @@ def _scene_slab_dag(instance, k, slab_bottom):
     for i, (n, m) in enumerate(ys):
         if n * bd < bn * m or n * bd > (bn + 2 * (k - 1) * bd) * m:
             raise ValidationError(f"object {i} crosses the slab boundary")
-    return graph, _slab_dag(graph, xs, range(instance.n))
+    return graph, _slab_dag(graph, xs, range(instance.n), wts)
 
 
 def build_slab_dag(instance: GeometricInstance, k: int, slab_bottom=None):
-    """The boxes of a scene that is one slab, as the slab DP reads them:
-    ascending (box, subsets) pairs, each subset a (bitmask of scene indices,
-    its colorings), each coloring a tuple of bitmasks (class 0, class 1,
-    their neighborhoods), as ``_slab_dag`` returns them.
+    """The boxes of a scene that is one slab, as the slab DP reads them,
+    under unit weights: ascending (box, subsets) pairs, each subset a
+    (bitmask of scene indices, its size, its colorings), each coloring a
+    tuple of bitmasks (class 0, class 1, their neighborhoods), as
+    ``_slab_dag`` returns them.  A box none of whose objects meets a
+    neighboring box's lists one subset, its largest, the first on a tie.
 
     The slab is k diameters high from ``slab_bottom`` (by default the lowest
     object's bottom).  Not exported: the name stays for
     ``perfbench/tracing.py``, which traces it.
     """
-    return _scene_slab_dag(instance, k, slab_bottom)[1]
+    return _scene_slab_dag(instance, k, slab_bottom, [1] * instance.n)[1]
 
 
-def _slab(boxes, wts):
+def _slab(boxes):
     """Maximum-weight path through ``_slab_dag``'s boxes, as (selected,
     coloring) in scene indices.  A vertex adds its subset's weight to the
     running best over boxes two or more back (always compatible), unless
@@ -184,18 +224,17 @@ def _slab(boxes, wts):
     The path ends at the largest best, smallest vertex id."""
     best, links = [], []  # per vertex id: best, (parent, subset, class 1)
     far_best, far_v = 0, None  # best over boxes <= current - 2
-    tops, ranked = [], []  # (box, best, top vertex); box b - 1's, best first
+    tops, t = [], 0  # (box, best, top vertex) per box; tops[t:] not yet far
+    ranked = []  # box b - 1's vertices, best first
     for b, subsets in boxes:
-        while tops and b - tops[0][0] >= 2:
-            _, top_best, top = tops.pop(0)
+        while t < len(tops) and b - tops[t][0] >= 2:
+            _, top_best, top = tops[t]
+            t += 1
             if top_best > far_best:
                 far_best, far_v = top_best, top
-        ranked = ranked if tops else []  # tops holds box b - 1 alone
-        weight, box = {0: 0}, []
-        for sel, colorings in subsets:
-            low = sel & -sel  # sel less low is a smaller subset, seen before
-            w = weight[sel] = (weight[sel ^ low] + wts[low.bit_length() - 1]
-                               if sel else 0)
+        ranked = ranked if t < len(tops) else []  # tops[t:] is box b - 1
+        box = []
+        for sel, w, colorings in subsets:
             for c0, c1, n0, n1 in colorings:
                 value, par = far_best, far_v
                 for bu, u, un0, un1 in ranked:
@@ -211,8 +250,8 @@ def _slab(boxes, wts):
         ranked = box
         tops.append((b, *box[0][:2]))
 
-    end = best.index(max(best))
-    v, path = (end if best[end] > 0 else None), []
+    most = max(best, default=0)
+    v, path = (best.index(most) if most > 0 else None), []
     while v is not None:
         v, sel, c1 = links[v]
         path.append((sel, c1))
@@ -229,8 +268,8 @@ def solve_slab(
 ) -> Solution:
     """Exact maximum(-weight) bipartite subset of a slab-confined scene."""
     wts = _check_weights(instance, weights)
-    graph, boxes = _scene_slab_dag(instance, k, slab_bottom)
-    selected, coloring = _slab(boxes, wts)
+    graph, boxes = _scene_slab_dag(instance, k, slab_bottom, wts)
+    selected, coloring = _slab(boxes)
     return certify(graph, Solution(tuple(selected), coloring))
 
 
@@ -242,8 +281,8 @@ def solve_ptas_weighted(instance: GeometricInstance, weights, epsilon) -> Soluti
     """(1 - 1/k)-approximate maximum-weight bipartite subset, k = ceil(1/eps).
 
     One intersection graph serves every offset: each slab is the list of
-    its objects' scene indices over that graph, and a box costs one join
-    per 2-colorable subset.
+    its objects' scene indices over that graph, a box costs one join per
+    2-colorable subset, and one DP pass covers all of an offset's slabs.
     """
     en, ed = _frac(epsilon).as_integer_ratio()
     if en <= 0:
@@ -267,11 +306,11 @@ def solve_ptas_weighted(instance: GeometricInstance, weights, epsilon) -> Soluti
         for i, (cell, drop_s) in enumerate(cells):
             if drop_s != s:
                 slabs.setdefault((cell - s) // k, []).append(i)
-        selected, coloring = [], {}
-        for t, members in sorted(slabs.items()):
-            sel, col = _slab(_slab_dag(graph, xs, members), wts)
-            selected += sel
-            coloring.update(col)
+        boxes = []
+        for _, members in sorted(slabs.items()):
+            boxes += _slab_dag(graph, xs, members, wts,
+                               boxes[-1][0] + 2 if boxes else 0)
+        selected, coloring = _slab(boxes)
         total = sum(wts[v] for v in selected)
         if best is None or total > best[0]:
             best = (total, selected, coloring)

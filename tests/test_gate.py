@@ -19,7 +19,8 @@ constant number of times per solve, whatever n; only ``model`` and
 ``model._offsets``.  The arc solver's cuts share one sweep, and it re-checks
 only cuts that improve on its best and hold two arcs meeting at the cut,
 building the circular graph's masks only then.  The PTAS pays one
-component join per 2-colourable box subset.  Parsing a document does no
+component join per 2-colourable box subset, and lists no subsets for a box
+of one object that meets no object of either neighbouring box.  Parsing a document does no
 ``Fraction`` comparison or arithmetic, calls no ``Fraction`` constructor
 on text, and builds each object once."""
 import ast
@@ -515,22 +516,77 @@ def test_arcs_cuts_share_one_sweep(monkeypatch):
 def test_ptas_boxes_join_once_per_feasible_subset(kind, monkeypatch):
     # work, not wall clock: a box's subsets grow one join at a time from the
     # empty set, and no infeasible subset is ever joined
-    joins = []
+    joins, listed = [], []
     join = geombs._kernels.bipartite_join
+    search = geombs._kernels.bipartite_subsets
 
     def counted(*args):
         joins.append(None)
         return join(*args)
 
+    def listing(*args):
+        out = search(*args)
+        listed.append(out)
+        return out
+
     monkeypatch.setattr(geombs._kernels, "bipartite_join", counted)
+    monkeypatch.setattr(geombs._kernels, "bipartite_subsets", listing)
     for seed in range(4):
         # one slab holding the whole scene, with 8 to 15 objects per box
         scene = geombs.generate_instance(kind, 24, seed, spread=3)
         joins.clear()
-        boxes = geombs.ptas.build_slab_dag(scene, 40)
-        assert len(joins) == sum(len(s) for _, s in boxes) - len(boxes), seed
-        per_box = [sum(sel.bit_count() == 1 for sel, _ in s) for _, s in boxes]
+        listed.clear()
+        geombs.ptas.build_slab_dag(scene, 40)
+        assert len(joins) == sum(len(s) - 1 for s in listed), seed
+        per_box = [sum(sel.bit_count() == 1 for sel, _ in s) for s in listed]
         assert max(per_box) >= 8, seed
+
+
+@pytest.mark.parametrize("kind", ["unit_disks", "unit_squares"])
+def test_ptas_searches_no_lone_box_apart_from_its_neighbours(kind,
+                                                             monkeypatch):
+    # work, not wall clock: on sparse scenes most boxes hold one object that
+    # meets no object of either neighbouring box; the DP reads only such a
+    # box's heaviest subset, so no subset search runs for it, and exactly
+    # one runs for every other box
+    searched, expected, lone = [], [], []
+    search = geombs._kernels.bipartite_subsets
+    real_dag = geombs.ptas._slab_dag
+
+    def counted(masks, cand, limit):
+        searched.append(cand)
+        return search(masks, cand, limit)
+
+    def spy(graph, xs, members, *rest):
+        # boxes one diameter wide from the slab's leftmost anchor
+        lo = min(anchors[i] for i in members)
+        boxes = {}
+        for i in members:
+            boxes.setdefault((anchors[i] - lo) // width, []).append(i)
+        for b in sorted(boxes):
+            near = boxes.get(b - 1, []) + boxes.get(b + 1, [])
+            if len(boxes[b]) == 1 and not any(
+                    graph.adjacent(boxes[b][0], j) for j in near):
+                lone.append(b)
+            else:
+                expected.append(sum(1 << i for i in boxes[b]))
+        return real_dag(graph, xs, members, *rest)
+
+    monkeypatch.setattr(geombs._kernels, "bipartite_subsets", counted)
+    monkeypatch.setattr(geombs.ptas, "_slab_dag", spy)
+    for seed in range(1, 4):
+        scene = geombs.generate_instance(kind, 80, seed)
+        if kind == "unit_disks":
+            anchors = [o.center.x for o in scene.objects]
+            width = 2 * scene.disk_radius
+        else:
+            anchors, width = [o.x_min for o in scene.objects], 1
+        searched.clear()
+        expected.clear()
+        lone.clear()
+        geombs.solve_ptas(scene, Fraction(1, 2))
+        assert searched == expected, seed
+        assert len(lone) > len(expected), seed
 
 
 # kind -> the constructors a record of that kind runs, once each

@@ -300,8 +300,20 @@ class TestConstructors:
         assert Solution([3, 1, 2]).selected == (1, 2, 3)
         center = Point(1, 2)
         assert DiskObj(center).center is center
-        masks = [0, 1]
-        assert IntersectionGraph(2, masks).masks is masks  # taken as given
+        masks = (0, 1)
+        assert IntersectionGraph(2, masks).masks is masks  # already a tuple
+
+    def test_graph_copies_a_mask_list(self):
+        masks = [2, 1]
+        graph = IntersectionGraph(2, masks)
+        masks[0] = 0
+        assert graph.masks == (2, 1) and type(graph.masks) is tuple
+        assert hash(graph) == hash(IntersectionGraph(2, (2, 1)))
+
+    @pytest.mark.parametrize("n, masks", [(2, [0]), (1, (0, 0)), (0, [1])])
+    def test_graph_needs_one_mask_per_vertex(self, n, masks):
+        with pytest.raises(ValidationError, match=f"needs {n} masks"):
+            IntersectionGraph(n, masks)
 
     @pytest.mark.parametrize("name", sorted(SLOTTED))
     def test_copy_and_deepcopy(self, name):

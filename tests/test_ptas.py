@@ -42,15 +42,17 @@ def squares(corners):
     )
 
 
-def expand(boxes):
+def expand(boxes, first=0):
     """``(vertices, step_edges)`` of the slab boxes in the reference's form:
     vertices ``(box, indices, coloring)`` numbered in box, subset, coloring
-    order, and u in box b -> v in box b + 1 iff neither class of v meets
-    the neighbors of u's class of the same color."""
+    order, boxes counted from ``first``, and u in box b -> v in box b + 1
+    iff neither class of v meets the neighbors of u's class of the same
+    color."""
     vertices, step_edges, prev = [], {}, (None, [])
     for b, subsets in boxes:
+        b -= first
         ids = []
-        for sel, colorings in subsets:
+        for sel, _, colorings in subsets:
             subset = _kernels.mask_to_indices(sel)
             for cls in colorings:
                 ids.append((len(vertices), cls))
@@ -60,6 +62,32 @@ def expand(boxes):
                              if not (n0 & c0 or n1 & c1)]
         prev = b, ids
     return vertices, step_edges
+
+
+def as_the_dp_reads_it(instance, vertices, step_edges, wts):
+    """``kernel_reference.reference_slab_dag``'s ``(vertices, step_edges)``
+    of the one-slab scene ``instance`` as the slab DP lists them: a box none
+    of whose objects meets an object of box b - 1 or b + 1 keeps only its
+    heaviest vertex under ``wts``, the first on a tie, and the kept
+    vertices are numbered afresh, their step edges with them."""
+    graph = build_intersection_graph(instance)
+    by_box = {}
+    for v, (box, _, _) in enumerate(vertices):
+        by_box.setdefault(box, []).append(v)
+    objects = {box: {i for v in ids for i in vertices[v][1]}
+               for box, ids in by_box.items()}
+    kept = []
+    for box, ids in by_box.items():
+        near = objects.get(box - 1, set()) | objects.get(box + 1, set())
+        if any(graph.adjacent(i, j) for i in objects[box] for j in near):
+            kept += ids
+        else:
+            kept.append(max(ids, key=lambda v: sum(wts[i]
+                                                   for i in vertices[v][1])))
+    new_id = {v: new for new, v in enumerate(kept)}
+    return ([vertices[v] for v in kept],
+            {new_id[u]: [new_id[v] for v in vs if v in new_id]
+             for u, vs in step_edges.items() if u in new_id})
 
 
 class TestSlab:
@@ -255,26 +283,36 @@ class TestReference:
     @pytest.mark.parametrize("epsilon", [F(1, 2), F(1, 3)])
     def test_slab_dags_match_sub_scene_reference(self, kind, epsilon,
                                                  monkeypatch):
-        # every slab of every offset: the DAG over the scene's graph equals
-        # the one built on the slab's own sub-scene, indices mapped back
+        # every slab of every offset, under unit weights and under weights
+        # with zeros: the DAG over the scene's graph equals the one built on
+        # the slab's own sub-scene, indices mapped back: vertex by vertex in
+        # a box that meets a neighboring box, its heaviest vertex alone in
+        # one that meets neither
         built = []
         real = ptas._slab_dag
 
-        def spy(graph, centers, members, *rest):
-            boxes = real(graph, centers, members, *rest)
-            built.append((list(members), expand(boxes)))
+        def spy(graph, xs, members, wts, first=0):
+            boxes = real(graph, xs, members, wts, first)
+            assert all(w == sum(wts[i] for i in _kernels.mask_to_indices(sel))
+                       for _, subsets in boxes for sel, w, _ in subsets)
+            built.append((list(members), wts, expand(boxes, first)))
             return boxes
 
         monkeypatch.setattr(ptas, "_slab_dag", spy)
-        for seed, inst in reference_scenes(kind):
+        for j, (seed, inst) in enumerate(reference_scenes(kind)):
+            rng = random.Random(j)
             built.clear()
             solve_ptas(inst, epsilon)
+            solve_ptas_weighted(
+                inst, [rng.randint(0, 2) for _ in inst.objects], epsilon)
             assert built, seed
-            for members, (vertices, step_edges) in built:
+            for members, wts, (vertices, step_edges) in built:
                 sub = GeometricInstance(
                     kind, tuple(inst.objects[i] for i in members),
                     inst.disk_radius)
-                ref_vertices, ref_edges = kernel_reference.reference_slab_dag(sub)
+                ref_vertices, ref_edges = as_the_dp_reads_it(
+                    sub, *kernel_reference.reference_slab_dag(sub),
+                    [wts[i] for i in members])
                 assert vertices == [
                     (box, tuple(members[j] for j in subset),
                      {members[j]: c for j, c in coloring.items()})
@@ -286,19 +324,21 @@ class TestReference:
     @pytest.mark.parametrize("weighting", ["unit", "generated", "zeros"])
     def test_slab_paths_match_dag_reference(self, kind, epsilon, weighting,
                                             monkeypatch):
-        # every slab of every offset: the one-pass DP over the boxes picks
-        # the same path, in value and order, as the search over the step
-        # edges of the reference DAG built on the slab's own sub-scene
-        slabs = []
+        # every offset: the one DP pass over all its slabs' boxes picks the
+        # same path, in value and order, as the searches over the step edges
+        # of the reference DAGs built on each slab's own sub-scene, joined
+        # in slab order
+        slabs, offsets = [], []
         real_dag, real_slab = ptas._slab_dag, ptas._slab
 
-        def spy_dag(graph, xs, members, *rest):
-            slabs.append([list(members)])
-            return real_dag(graph, xs, members, *rest)
+        def spy_dag(graph, xs, members, wts, *rest):
+            slabs.append((list(members), wts))
+            return real_dag(graph, xs, members, wts, *rest)
 
-        def spy_slab(boxes, wts):
-            out = real_slab(boxes, wts)
-            slabs[-1] += [wts, out]
+        def spy_slab(boxes):
+            out = real_slab(boxes)
+            offsets.append((slabs[:], out))
+            slabs.clear()
             return out
 
         monkeypatch.setattr(ptas, "_slab_dag", spy_dag)
@@ -307,19 +347,24 @@ class TestReference:
             rng = random.Random(j)
             wts = {"unit": None, "generated": generate_weights(inst.n, j),
                    "zeros": [rng.randint(0, 2) for _ in inst.objects]}[weighting]
-            slabs.clear()
+            offsets.clear()
             solve_ptas_weighted(inst, wts, epsilon)
-            assert slabs, seed
-            for members, scaled, (selected, coloring) in slabs:
-                sub = GeometricInstance(
-                    kind, tuple(inst.objects[i] for i in members),
-                    inst.disk_radius)
-                ref_selected, ref_coloring = kernel_reference.reference_slab_path(
-                    *kernel_reference.reference_slab_dag(sub),
-                    [scaled[i] for i in members])
-                assert selected == [members[i] for i in ref_selected], seed
-                assert list(coloring.items()) == [
-                    (members[i], c) for i, c in ref_coloring.items()], seed
+            assert len(offsets) == int(1 / epsilon), seed
+            for offset_slabs, (selected, coloring) in offsets:
+                want_selected, want_coloring = [], []
+                for members, scaled in offset_slabs:
+                    sub = GeometricInstance(
+                        kind, tuple(inst.objects[i] for i in members),
+                        inst.disk_radius)
+                    ref_selected, ref_coloring = (
+                        kernel_reference.reference_slab_path(
+                            *kernel_reference.reference_slab_dag(sub),
+                            [scaled[i] for i in members]))
+                    want_selected += [members[i] for i in ref_selected]
+                    want_coloring += [(members[i], c)
+                                      for i, c in ref_coloring.items()]
+                assert selected == want_selected, seed
+                assert list(coloring.items()) == want_coloring, seed
 
 
 class TestWeighted:
