@@ -43,7 +43,6 @@ from .model import (
     build_intersection_graph,  # unused here, but perfbench/tracing.py patches arcs.build_intersection_graph
     certify,
     is_bipartite,
-    validate_instance,
 )
 
 
@@ -108,7 +107,6 @@ def solve_arcs(instance: GeometricInstance) -> Solution:
     at its cut; and a certificate on the graph of the k selected arcs alone,
     O(k log k) plus O(k) mask operations."""
     _expect(instance, ARCS)
-    validate_instance(instance)
 
     starts, ends, size = _positions(instance.objects)
     steps, windows, dropped, _ = _unrolled(starts, ends, size)

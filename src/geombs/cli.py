@@ -20,7 +20,6 @@ from .model import (
     _subset_mask,
     build_intersection_graph,
     certify,
-    validate_instance,
 )
 from .oracle import exact_mbs, exact_mis, exact_mtfs
 from .ptas import solve_ptas, solve_ptas_weighted
@@ -52,7 +51,6 @@ def _pick_algorithm(instance, weights):
     if weights and instance.kind in _WEIGHTED_KINDS:
         return "ptas"
     if instance.kind == UNIT_DISKS:
-        validate_instance(instance)
         sides = _line_sides(instance, 0)
         if None in sides:
             return "3approx"
@@ -112,7 +110,6 @@ def _cmd_oracle(args):
 def _cmd_verify(args):
     instance, _ = load_instance(args.instance)
     solution, mode = load_solution(args.solution)
-    validate_instance(instance)
     _subset_mask(instance.n, solution.selected)  # before the graph indexes them
     try:
         # the selection's graph holds every edge the certificate can name

@@ -12,8 +12,9 @@ middle band is stabbed by the median vertical line and handled by the
 two-sided 2-approximation, giving a max(1, 2 log2 n) factor overall.
 
 Both read the centers' ``model._offsets`` as int pairs (the line index
-floor((y - base) / r), the band's |x - x_med| <= r) and sort exact
-``_key``s; no line is computed (the line of group t is base + t r).
+floor((y - base) / r) of ``model._bands``, the band's |x - x_med| <= r) and
+sort exact ``_key``s; no line is computed (the line of group t is
+base + t r, base the lowest center y).
 """
 from .diskline import (
     _chain,
@@ -26,6 +27,7 @@ from .model import (
     UNIT_DISKS,
     GeometricInstance,
     Solution,
+    _bands,
     _expect,
     _key,
     _offsets,
@@ -35,31 +37,14 @@ from .model import (
 )
 
 
-def _groups(group):
-    """Line index -> the ascending indices of the disks assigned to it."""
-    out = {}
-    for i, t in enumerate(group):
-        out.setdefault(t, []).append(i)
-    return out
-
-
-def _line_groups(instance):
-    """``(base, group)`` of a valid scene: the lowest center y and, per
-    disk, the line index floor((y - base) / r) of its ``_offsets``."""
-    ys = [d.center.y for d in instance.objects]
-    base = min(ys, key=_key)
-    offsets = _offsets(ys, base, instance.disk_radius)
-    return base, tuple(p // q for p, q in offsets)
-
-
 def solve_3approx(instance: GeometricInstance) -> Solution:
     """Bipartite subset of size at least OPT / 3."""
     _expect(instance, UNIT_DISKS)
     graph = build_intersection_graph(instance)
-    _, group = _line_groups(instance)
+    ys = [d.center.y for d in instance.objects]
     per_group = {
         t: _chain(graph, _x_order(instance, indices))
-        for t, indices in _groups(group).items()
+        for t, indices in _bands(ys, instance.disk_radius).items()
     }
 
     # groups of one residue are pairwise non-adjacent, so each union is

@@ -33,7 +33,6 @@ from .model import (
     build_intersection_graph,  # unused here, but perfbench/tracing.py patches intervals.build_intersection_graph
     certify,
     is_bipartite,
-    validate_instance,
 )
 
 
@@ -112,7 +111,6 @@ def solve_intervals(instance: GeometricInstance, perturb: bool = False) -> Solut
     Shared endpoint values are valid input.  ``perturb`` does nothing; it is
     kept only for callers that still pass it."""
     _expect(instance, INTERVALS)
-    validate_instance(instance)
     lefts = [_key(o.left) for o in instance.objects]
     rights = [_key(o.right) for o in instance.objects]
     selected = _sweep(lefts, rights, sorted(range(instance.n), key=rights.__getitem__))

@@ -167,6 +167,16 @@ def _offsets(values, origin, unit):
              v._denominator * od * un) for v in values]
 
 
+def _bands(values, unit):
+    """``{band: ascending indices}`` of a nonempty list of rationals, index
+    i in band floor((v_i - lowest) / unit) for a positive ``unit``: the one
+    grouping into unit bands, read off ``_offsets``."""
+    bands = {}
+    for i, (p, q) in enumerate(_offsets(values, min(values, key=_key), unit)):
+        bands.setdefault(p // q, []).append(i)
+    return bands
+
+
 def _refuse(self, name, *value):
     raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
 
@@ -280,7 +290,9 @@ class RectObj:
 
 @_frozen
 class GeometricInstance:
-    """A scene of objects of one kind plus global parameters."""
+    """A scene of objects of one kind plus global parameters, valid for its
+    kind once built: construction runs ``validate_instance`` last, so no
+    solver, builder or command checks a scene again."""
 
     kind: str
     objects: tuple
@@ -290,6 +302,7 @@ class GeometricInstance:
         GeometricInstance.objects.__set__(self, tuple(self.objects))
         if self.disk_radius is not None:
             GeometricInstance.disk_radius.__set__(self, _frac(self.disk_radius))
+        validate_instance(self)
 
     @property
     def n(self) -> int:
@@ -314,7 +327,8 @@ def _unit_apart(lo: Fraction, hi: Fraction) -> bool:
 
 
 def validate_instance(instance: GeometricInstance):
-    """Check kind/payload consistency and per-kind invariants."""
+    """Check kind/payload consistency and per-kind invariants: the one
+    check, which every ``GeometricInstance`` runs when it is built."""
     if instance.kind not in KINDS:
         raise ValidationError(f"unknown kind {instance.kind!r}")
     want = _OBJECT_TYPES[instance.kind]
@@ -324,7 +338,8 @@ def validate_instance(instance: GeometricInstance):
                 f"kind {instance.kind!r} holds a {type(obj).__name__}"
             )
     if instance.kind == UNIT_DISKS:
-        if instance.disk_radius is None or instance.disk_radius <= 0:
+        r = instance.disk_radius
+        if r is None or r._numerator <= 0:
             raise ValidationError("unit_disks scene needs disk_radius > 0")
     elif instance.disk_radius is not None:
         raise ValidationError("disk_radius only applies to unit_disks scenes")
@@ -340,8 +355,7 @@ def validate_instance(instance: GeometricInstance):
 
 
 def _expect(instance: GeometricInstance, *kinds):
-    """Reject a scene of a kind outside ``kinds``, then an empty scene,
-    without reading an object: the solver's one validation reads them."""
+    """Reject a scene of a kind outside ``kinds``, then an empty scene."""
     if instance.kind not in kinds:
         wanted = " or ".join(map(repr, kinds))
         raise ValidationError(
@@ -509,7 +523,7 @@ def _sweep_items(instance: GeometricInstance, indices):
 
 def _graph_over(instance: GeometricInstance, indices) -> IntersectionGraph:
     """The graph induced by ``indices``, as masks over all n objects with 0
-    for every object not listed.  The instance must already be valid.
+    for every object not listed.
 
     Arcs are read from coverage masks: one pass over the ``_positions``
     gives, per position x, the mask of the arcs covering x and of those
@@ -597,8 +611,8 @@ def _graph_over(instance: GeometricInstance, indices) -> IntersectionGraph:
 def build_intersection_graph(instance: GeometricInstance) -> IntersectionGraph:
     """O(n log n) plus O(n) operations on n-bit masks for intervals and
     arcs, whose coverage masks hold O(n^2) bits; O(n log n) plus one exact
-    test per pair whose x-extents overlap for disks and rectangles."""
-    validate_instance(instance)
+    test per pair whose x-extents overlap for disks and rectangles.  The
+    scene was validated when it was built."""
     return _graph_over(instance, range(instance.n))
 
 

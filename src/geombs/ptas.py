@@ -57,8 +57,7 @@ _BOX_SUBSETS = 1 << 16  # the most subsets a 16-object box can have
 
 
 def _half_extent(instance) -> Fraction:
-    """Half the object diameter of a nonempty disk or square scene, read
-    without touching the objects: the solver's graph build validates them."""
+    """Half the object diameter of a nonempty disk or square scene."""
     _expect(instance, UNIT_DISKS, UNIT_SQUARES)
     return instance.disk_radius if instance.kind == UNIT_DISKS else Fraction(1, 2)
 
@@ -181,7 +180,7 @@ def _slab_dag(graph, xs, members, wts, first=0):
 
 
 def _scene_slab_dag(instance, k, slab_bottom, wts):
-    """(graph, slab boxes) of a scene that is one slab, validated once."""
+    """(graph, slab boxes) of a scene that is one slab."""
     h = _half_extent(instance)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValidationError(
@@ -278,7 +277,9 @@ def solve_ptas(instance: GeometricInstance, epsilon) -> Solution:
 
 
 def solve_ptas_weighted(instance: GeometricInstance, weights, epsilon) -> Solution:
-    """(1 - 1/k)-approximate maximum-weight bipartite subset, k = ceil(1/eps).
+    """(1 - 1/k)-approximate maximum-weight bipartite subset, with
+    k = max(2, ceil(1/eps)) offsets, so (1 - 1/k) >= 1 - eps: at k = 1 the
+    one offset would drop every object.
 
     One intersection graph serves every offset: each slab is the list of
     its objects' scene indices over that graph, a box costs one join per
@@ -290,7 +291,7 @@ def solve_ptas_weighted(instance: GeometricInstance, weights, epsilon) -> Soluti
     h = _half_extent(instance)
     graph = build_intersection_graph(instance)
     wts = _check_weights(instance, weights)
-    k = -(-ed // en)  # ceil(1 / epsilon)
+    k = max(2, -(-ed // en))  # ceil(1 / epsilon), at least two offsets
     xs, ys, _ = _units(instance, h)
 
     # Grid line j lies j diameters above the lowest bottom, and an object

@@ -1,9 +1,9 @@
 """2-approximation for unit-height rectangles.
 
 Rectangles are grouped by ``floor(y_min - a)`` with ``a`` the global
-minimum; every group is stabbed by one horizontal line, so within a group
-the intersection graph is the interval graph of the x-projections and the
-interval sweep solves it exactly.  Groups of equal parity are vertically
+minimum (``model._bands``); every group is stabbed by one horizontal line,
+so within a group the intersection graph is the interval graph of the
+x-projections and the interval sweep solves it exactly.  Groups of equal parity are vertically
 disjoint, so each parity class unions its per-group optima into one
 bipartite set; the larger class has at least half the optimum.  Groups are
 swept on exact x-projection keys, and the graph of the chosen union alone,
@@ -17,33 +17,22 @@ from .model import (
     UNIT_HEIGHT_RECTS,
     GeometricInstance,
     Solution,
+    _bands,
     _expect,
     _graph_over,
     _key,
-    _offsets,
     certify,
     is_bipartite,
-    validate_instance,
 )
-
-
-def group_rects(instance: GeometricInstance) -> dict:
-    """Group index -> rectangle indices, by unit bands above the lowest y_min."""
-    ys = [o.y_min for o in instance.objects]
-    groups = {}
-    for i, (p, q) in enumerate(_offsets(ys, min(ys, key=_key), 1)):
-        groups.setdefault(p // q, []).append(i)  # floor(y - lowest)
-    return groups
 
 
 def solve_unit_height(instance: GeometricInstance) -> Solution:
     """Best parity class of per-group interval optima (parity 0 on a tie)."""
     _expect(instance, UNIT_HEIGHT_RECTS)
-    validate_instance(instance)
     lefts = [_key(o.x_min) for o in instance.objects]
     rights = [_key(o.x_max) for o in instance.objects]
     unions = [[], []]
-    for g, indices in group_rects(instance).items():
+    for g, indices in _bands([o.y_min for o in instance.objects], 1).items():
         order = sorted(indices, key=rights.__getitem__)
         unions[g % 2] += _sweep(lefts, rights, order)
 

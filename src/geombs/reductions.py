@@ -5,12 +5,11 @@ original and everything the original intersects, so the doubled scene's
 graph is the two-copy construction whose maximum bipartite subgraph has
 exactly twice the size of the original's maximum independent set.
 """
-from .model import GeometricInstance, validate_instance
+from .model import GeometricInstance
 
 
 def double_instance(instance: GeometricInstance) -> GeometricInstance:
     """Scene with each object duplicated; index n + i is the copy of i."""
-    validate_instance(instance)
     return GeometricInstance(
         instance.kind,
         instance.objects + instance.objects,

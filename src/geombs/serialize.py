@@ -19,9 +19,12 @@ the document's keys, kind and ``objects`` list; a record that is not
 exactly the kind's fields; a ``weights`` list of the wrong length; a value
 that is not an exact rational (each record's in the kind's field order, then
 ``disk_radius``, then ``weights``); an object its constructor refuses; a
-negative weight.  Solution files carry the 2-coloring certificate, which
-keeps verification linear in the graph size and independent of whichever
-solver produced them.
+scene its kind refuses, in the order of ``model.validate_instance``, which
+the scene's constructor runs (a ``disk_radius`` missing, not positive or on
+another kind, then a square or a height that is not one unit); a negative
+weight.  Solution files carry the 2-coloring certificate, which keeps
+verification linear in the graph size and independent of whichever solver
+produced them.
 """
 import json
 from functools import partial

@@ -226,7 +226,7 @@ def test_criterion_08_weighted_ptas_parity(announce):
 
 
 def test_criterion_09_unit_height_rectangles(announce):
-    from geombs.rects import group_rects
+    from geombs.model import _bands
 
     count = 500
     for seed in range(count):
@@ -235,7 +235,7 @@ def test_criterion_09_unit_height_rectangles(announce):
         sol = solve_unit_height(inst)
         assert 2 * sol.size >= exact_mbs(g).size, seed
         assert is_bipartite(g, sol.selected) is not None, seed
-        groups = group_rects(inst)
+        groups = _bands([o.y_min for o in inst.objects], 1)
         where = {i: t for t, members in groups.items() for i in members}
         for t, members in groups.items():
             for a in members:

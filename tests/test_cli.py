@@ -139,6 +139,22 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "error:validation:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle", "verify", "reduce"])
+def test_scene_invalid_for_its_kind_is_refused_on_load(tmp_path, capsys,
+                                                       command):
+    path = gen(tmp_path, "unit_squares")
+    sol = tmp_path / "sol.json"
+    assert cli("solve", path, "-o", sol) == 0
+    doc = json.loads(path.read_text())
+    doc["objects"][0]["x_max"] = "1000"  # a side of more than one unit
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = {"verify": (path, sol), "reduce": (path, "-o", tmp_path / "d.json")}
+    assert cli(command, *argv.get(command, (path,))) == 3
+    assert capsys.readouterr().err.startswith(
+        "error:validation: non-unit square")
+
+
 def test_options_read_the_rational_grammar(tmp_path, capsys):
     # --epsilon and --radius read only the grammar of the files
     path = gen(tmp_path, "unit_squares")

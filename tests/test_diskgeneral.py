@@ -20,6 +20,7 @@ from geombs import (
 )
 from geombs import diskgeneral
 from geombs.diskline import one_sided_mis
+from geombs.model import _bands, _key
 from conftest import graph_edges
 
 
@@ -29,12 +30,24 @@ def disks(centers, r=1):
     )
 
 
+def line_groups(inst):
+    """``(base, group)``: the lowest center y and each disk's line index,
+    from the radius-wide bands that ``solve_3approx`` groups by."""
+    ys = [d.center.y for d in inst.objects]
+    group = [None] * inst.n
+    for t, indices in _bands(ys, inst.disk_radius).items():
+        assert indices == sorted(indices)
+        for i in indices:
+            group[i] = t
+    return min(ys, key=_key), group
+
+
 class TestSlabAssignment:
     # the line of group t lies at base + t r
     def test_every_disk_assigned_to_one_stabbing_line(self):
         for seed in range(100):
             inst = generate_instance(UNIT_DISKS, 1 + seed % 12, seed)
-            base, group = diskgeneral._line_groups(inst)
+            base, group = line_groups(inst)
             assert len(group) == inst.n
             r = inst.disk_radius
             for i, t in enumerate(group):
@@ -45,7 +58,7 @@ class TestSlabAssignment:
     def test_no_edges_between_far_groups(self):
         for seed in range(100):
             inst = generate_instance(UNIT_DISKS, 2 + seed % 12, seed)
-            _, group = diskgeneral._line_groups(inst)
+            _, group = line_groups(inst)
             g = build_intersection_graph(inst)
             for u, v in graph_edges(g):
                 assert abs(group[u] - group[v]) <= 2
@@ -54,9 +67,10 @@ class TestSlabAssignment:
         # per-group exact optima jointly dominate the global optimum
         for seed in range(60):
             inst = generate_instance(UNIT_DISKS, 2 + seed % 10, seed)
-            base, group = diskgeneral._line_groups(inst)
+            base, _ = line_groups(inst)
+            ys = [d.center.y for d in inst.objects]
             total = 0
-            for t, indices in diskgeneral._groups(group).items():
+            for t, indices in _bands(ys, inst.disk_radius).items():
                 sub = GeometricInstance(
                     UNIT_DISKS,
                     tuple(inst.objects[i] for i in indices),
@@ -78,7 +92,7 @@ class TestThreeApprox:
                   for d in base.objects),
             base.disk_radius,
         )
-        assert set(diskgeneral._line_groups(inst)[1]) == {0}
+        assert set(line_groups(inst)[1]) == {0}
         assert solve_3approx(inst).size == solve_one_sided(inst).size
 
     def test_two_far_triangles(self):

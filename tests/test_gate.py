@@ -1,7 +1,8 @@
 """The certificate gate holds without ``assert``: no module uses one, a
 wrong solver result is still refused under ``python -O``, and every public
-solver returns through exactly one ``certify`` call.  Every scene solver
-validates its scene exactly once, before reading an object.  One graph per
+solver returns through exactly one ``certify`` call.  A scene is validated
+once, when it is built: only ``GeometricInstance`` calls
+``validate_instance``, and a solve calls it zero times.  One graph per
 solve: no solver module builds a scene or a graph object of its own, and
 the interval, arc and unit-height solvers certify on their selection's
 graph alone.  The interval and arc graph builds run no pair test.  The
@@ -156,23 +157,33 @@ def test_every_solver_returns_through_certify(solver, monkeypatch):
     assert [s.selected for s in calls] == [selected]
 
 
+def test_only_the_scene_constructor_validates():
+    # a scene is valid once built, so nothing else in the package checks it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  == "validate_instance"]
+    assert len(found) == 1 and found[0].startswith("model.py:"), found
+
+
 @pytest.mark.parametrize(
     "solver", sorted(s for s in SOLVER_CALLS if not s.startswith("exact_")))
 def test_every_scene_solver_validates_once(solver, monkeypatch):
-    # the solver's own check or its graph build validates the scene, never
-    # both; the oracle solvers take a graph and are left out
+    # the one check runs when the scene is built, and the solve makes zero
+    # calls; the oracle solvers take a graph and are left out
     calls = []
     validate = model.validate_instance
 
     def spy(instance):
-        calls.append(instance)
+        calls.append(sys._getframe(1).f_code)
         return validate(instance)
 
-    for name in ("model",) + SOLVER_MODULES:
-        monkeypatch.setattr(importlib.import_module(f"geombs.{name}"),
-                            "validate_instance", spy, raising=False)
+    monkeypatch.setattr(model, "validate_instance", spy)
     SOLVER_CALLS[solver]()
-    assert len(calls) == 1, len(calls)
+    assert calls == [model.GeometricInstance.__post_init__.__code__], calls
 
 
 # public scene solver -> (a call on a scene, the kinds it solves)
@@ -197,12 +208,23 @@ SCENE_SOLVERS = {
 }
 
 
+# kind -> one valid object of it
+ONE_OBJECT = {
+    "intervals": geombs.IntervalObj(0, 1),
+    "arcs": geombs.ArcObj(0, Fraction(1, 2)),
+    "unit_disks": geombs.DiskObj(geombs.Point(0, 0)),
+    "unit_squares": geombs.RectObj(0, 1, 0, 1),
+    "unit_height_rects": geombs.RectObj(0, 3, 0, 1),
+    "rects": geombs.RectObj(0, 3, 0, 2),
+}
+
+
 @pytest.mark.parametrize("solver", sorted(SCENE_SOLVERS))
 def test_every_scene_solver_refuses_other_kinds_and_empty_scenes(solver):
-    # the kind first, then emptiness, each before an object is read: the
-    # placeholder object None has nothing a solver could read
+    # the kind first, then emptiness; a kind that is none of the scene
+    # kinds is refused when its scene is built
     call, kinds = SCENE_SOLVERS[solver]
-    for kind in geombs.KINDS + ("hexagons",):
+    for kind in geombs.KINDS:
         radius = 1 if kind == "unit_disks" else None
         empty = geombs.GeometricInstance(kind, (), radius)
         if kind in kinds:
@@ -211,13 +233,12 @@ def test_every_scene_solver_refuses_other_kinds_and_empty_scenes(solver):
             wanted = " or ".join(map(repr, kinds))
             message = f"expected a scene of kind {wanted}, got '{kind}'"
             with pytest.raises(geombs.ValidationError, match=message):
-                call(geombs.GeometricInstance(kind, (None,), radius))
+                call(geombs.GeometricInstance(kind, (ONE_OBJECT[kind],),
+                                              radius))
         with pytest.raises(geombs.ValidationError, match=message):
             call(empty)
-
-
-# a unit-disk scene holding an interval, which has no centre to read
-MALFORMED = geombs.GeometricInstance("unit_disks", (geombs.IntervalObj(0, 1),), 1)
+    with pytest.raises(geombs.ValidationError, match="unknown kind 'hexagons'"):
+        call(geombs.GeometricInstance("hexagons", ()))
 
 
 @pytest.mark.parametrize("call", [
@@ -229,8 +250,11 @@ MALFORMED = geombs.GeometricInstance("unit_disks", (geombs.IntervalObj(0, 1),), 
     lambda inst: geombs.solve_ptas_weighted(inst, [1], Fraction(1, 2)),
 ])
 def test_malformed_scene_rejected_before_its_objects_are_read(call):
+    # a unit-disk scene holding an interval is refused when it is built, so
+    # no solver is handed it
     with pytest.raises(geombs.ValidationError, match="holds a IntervalObj"):
-        call(MALFORMED)
+        call(geombs.GeometricInstance(
+            "unit_disks", (geombs.IntervalObj(0, 1),), 1))
 
 
 # solver -> (scene kind, n) of a scene whose selection leaves objects out

@@ -325,30 +325,24 @@ class TestConstructors:
 
 
 class TestValidation:
+    # a scene is validated when it is built, so an invalid one never exists
     def test_kind_payload_mismatch(self):
-        inst = GeometricInstance(INTERVALS, (DiskObj(Point(0, 0)),))
         with pytest.raises(ValidationError):
-            validate_instance(inst)
+            GeometricInstance(INTERVALS, (DiskObj(Point(0, 0)),))
         with pytest.raises(ValidationError, match="unknown kind 'hexagons'"):
-            validate_instance(GeometricInstance("hexagons", ()))
+            GeometricInstance("hexagons", ())
 
     def test_disk_radius_required(self):
-        inst = GeometricInstance(UNIT_DISKS, (DiskObj(Point(0, 0)),))
         with pytest.raises(ValidationError):
-            validate_instance(inst)
-        inst = GeometricInstance(INTERVALS, (IntervalObj(0, 1),), F(1))
+            GeometricInstance(UNIT_DISKS, (DiskObj(Point(0, 0)),))
         with pytest.raises(ValidationError):
-            validate_instance(inst)
+            GeometricInstance(INTERVALS, (IntervalObj(0, 1),), F(1))
 
     def test_unit_spans_enforced(self):
         with pytest.raises(ValidationError):
-            validate_instance(
-                GeometricInstance(UNIT_SQUARES, (RectObj(0, 2, 0, 1),))
-            )
+            GeometricInstance(UNIT_SQUARES, (RectObj(0, 2, 0, 1),))
         with pytest.raises(ValidationError):
-            validate_instance(
-                GeometricInstance(UNIT_HEIGHT_RECTS, (RectObj(0, 1, 0, 2),))
-            )
+            GeometricInstance(UNIT_HEIGHT_RECTS, (RectObj(0, 1, 0, 2),))
         validate_instance(GeometricInstance(RECTS, (RectObj(0, 3, 0, 2),)))
 
     def test_unit_spans_are_exact(self, rng):
@@ -361,12 +355,11 @@ class TestValidation:
             for kind, rect in [(UNIT_HEIGHT_RECTS, RectObj(0, 5, lo, hi)),
                                (UNIT_SQUARES, RectObj(lo, hi, 0, 1)),
                                (UNIT_SQUARES, RectObj(0, 1, lo, hi))]:
-                inst = GeometricInstance(kind, (rect,))
                 if unit:
-                    validate_instance(inst)
+                    validate_instance(GeometricInstance(kind, (rect,)))
                 else:
                     with pytest.raises(ValidationError):
-                        validate_instance(inst)
+                        GeometricInstance(kind, (rect,))
 
     def test_object_orders_are_exact(self, rng):
         # the constructors compare cross-multiplied ints; the reference is

@@ -20,6 +20,7 @@ from geombs import (
     RectObj,
     ValidationError,
     build_intersection_graph,
+    certify,
     exact_mbs,
     generate_instance,
     generate_weights,
@@ -215,6 +216,22 @@ class TestPtas:
             g = build_intersection_graph(inst)
             assert 2 * sol.size >= exact_mbs(g).size, (kind, seed)
             assert is_bipartite(g, sol.selected) is not None
+
+    @pytest.mark.parametrize("kind", [UNIT_DISKS, UNIT_SQUARES])
+    def test_coarse_epsilon_shifts_as_half(self, kind):
+        # an epsilon of 1 or more still shifts over k = 2 offsets: the one
+        # offset of k = 1 drops every object
+        for seed in range(1, 41):
+            inst = generate_instance(kind, 1 + seed % 30, seed)
+            wts = generate_weights(inst.n, seed)
+            want = solve_ptas(inst, F(1, 2))
+            heavy = solve_ptas_weighted(inst, wts, F(1, 2))
+            g = build_intersection_graph(inst)
+            for epsilon in (1, 2):
+                sol = solve_ptas(inst, epsilon)
+                assert sol == want and sol.selected, (kind, seed, epsilon)
+                assert certify(g, sol) == want
+                assert solve_ptas_weighted(inst, wts, epsilon) == heavy
 
     @pytest.mark.parametrize("kind", [UNIT_DISKS, UNIT_SQUARES])
     def test_finer_epsilon_ratio(self, kind):

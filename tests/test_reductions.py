@@ -3,6 +3,7 @@ the independent-set optimum of the original."""
 from fractions import Fraction as F
 
 from geombs import (
+    KINDS,
     UNIT_DISKS,
     DiskObj,
     GeometricInstance,
@@ -44,9 +45,12 @@ def test_copy_degree_identity():
 
 
 def test_doubled_bipartite_optimum_is_twice_independent_optimum():
+    # every kind, at the generator's default spread and at a dense spread 2
     for seed in range(150):
-        for kind in ("unit_disks", "intervals", "rects"):
-            inst = generate_instance(kind, 1 + seed % 8, seed)
-            mis = exact_mis(build_intersection_graph(inst)).size
-            mbs = exact_mbs(build_intersection_graph(double_instance(inst))).size
-            assert mbs == 2 * mis, (kind, seed)
+        for kind in KINDS:
+            for spread in (None, 2):
+                inst = generate_instance(kind, 1 + seed % 10, seed,
+                                         spread=spread)
+                mis = exact_mis(build_intersection_graph(inst)).size
+                doubled = build_intersection_graph(double_instance(inst))
+                assert exact_mbs(doubled).size == 2 * mis, (kind, seed, spread)

@@ -162,7 +162,7 @@ def test_object_record_reports_missing_before_unknown():
 
 # Documents with two faults each, and the one reported: the record shapes
 # first, then the weights list, then the values in document order, then the
-# objects' own checks, then the weights' signs.
+# objects' own checks, then the scene's, then the weights' signs.
 TWO_FAULTS = [
     # a bad value in record 1, a missing field in record 3
     ({"kind": "intervals", "objects": [{"left": "1/x", "right": "1"},
@@ -190,6 +190,14 @@ TWO_FAULTS = [
     ({"kind": "intervals", "objects": [{"left": "1", "right": "0"}],
       "weights": ["-1"]},
      "interval needs left < right"),
+    # a square of side 2, a negative weight
+    ({"kind": "unit_squares",
+      "objects": [{"x_min": "0", "x_max": "2", "y_min": "0", "y_max": "2"}],
+      "weights": ["-1"]},
+     "non-unit square"),
+    ({"kind": "unit_disks", "objects": [{"x": "0", "y": "0"}],
+      "weights": ["-1"]},
+     "unit_disks scene needs disk_radius > 0"),
 ]
 
 

@@ -91,7 +91,9 @@ def object_values(draw, kind):
 
 @st.composite
 def documents(draw, min_n=0):
-    """A valid instance document of up to 8 objects, every value spelled."""
+    """An instance document of up to 8 valid objects, every value spelled;
+    a square side or a height need not be one unit, so the scene's kind may
+    refuse it."""
     kind = draw(st.sampled_from(sorted(FIELDS)))
     objects = []
     for _ in range(draw(st.integers(min_n, 8))):
@@ -116,7 +118,8 @@ def _read(value):
 
 
 def _fraction_parse(doc):
-    """The document read one value at a time by ``_read``."""
+    """The document read one value at a time by ``_read``, every value
+    before the scene is built."""
     kind = doc["kind"]
     objects = []
     for rec in doc["objects"]:
@@ -142,6 +145,11 @@ def test_parse_equals_fraction_parse_on_generated_documents(doc):
     except (ValueError, ZeroDivisionError):  # outside the grammar, or q = 0
         with pytest.raises(ValidationError):
             instance_from_dict(doc)
+        return
+    except ValidationError as exc:  # a scene its kind refuses
+        with pytest.raises(ValidationError) as info:
+            instance_from_dict(doc)
+        assert str(info.value) == str(exc)
         return
     assert instance_from_dict(doc) == want
 
