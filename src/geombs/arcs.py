@@ -22,9 +22,8 @@ Arcs meeting exactly at a cut lose that adjacency when unrolled, and no
 other edge is lost.  So a candidate is re-checked on the circular graph
 only when it would replace the best so far and holds both an arc starting
 at the cut and one ending there; the gap cut never is.  That graph is
-``model._graph_over`` of the whole scene, as every arc graph is, built on
-the solve's first re-check, so scenes with distinct endpoints (all
-generated ones) never build it.
+``build_intersection_graph``'s, built on the solve's first re-check, so
+scenes with distinct endpoints (all generated ones) never build it.
 """
 from itertools import accumulate
 
@@ -40,7 +39,7 @@ from .model import (
     _expect,
     _graph_over,
     _positions,
-    build_intersection_graph,  # unused here, but perfbench/tracing.py patches arcs.build_intersection_graph
+    build_intersection_graph,
     certify,
     is_bipartite,
 )
@@ -123,7 +122,7 @@ def solve_arcs(instance: GeometricInstance) -> Solution:
             # the unrolled sweep did not see
             if candidate & starting and candidate & ending:
                 if masks is None:
-                    masks = _graph_over(instance, range(instance.n)).masks
+                    masks = build_intersection_graph(instance).masks
                 if _kernels.two_color(masks, candidate)[1] is not None:
                     continue
             best, best_size = candidate, count

@@ -46,15 +46,15 @@ def _load_unweighted(path, command):
 
 
 def _pick_algorithm(instance, weights):
-    """Strongest applicable algorithm for the scene (line-stabbed at y=0);
-    the PTAS is the only one that reads weights."""
+    """Strongest applicable algorithm for the scene: on disks, one-sided
+    where ``solve_one_sided`` takes the scene, two-sided where the line
+    y = 0 stabs it; the PTAS is the only one that reads weights."""
     if weights and instance.kind in _WEIGHTED_KINDS:
         return "ptas"
     if instance.kind == UNIT_DISKS:
-        sides = _line_sides(instance, 0)
-        if None in sides:
-            return "3approx"
-        return "one_sided" if all(sides) else "two_sided"
+        if None not in _line_sides(instance):
+            return "one_sided"
+        return "3approx" if None in _line_sides(instance, 0) else "two_sided"
     if instance.kind == RECTS:
         return "oracle"  # general rectangles have no guarantee algorithm
     return default_suite(instance.kind)[0]

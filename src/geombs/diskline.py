@@ -9,6 +9,11 @@ its last neighbour in x-order.  With centers on both sides, a maximum
 independent set per side (longest chain in x-order, O(n^2) adjacency tests)
 gives a 2-approximation whose side labels are the 2-coloring.
 
+One line stabs every disk with every center on or above it exactly when
+the centers span at most r in height, so the one-sided solvers take no
+line: they check that span from the lowest center.  The two-sided solver
+takes its line, as the sides, and so its output, depend on it.
+
 Which side of the line a center lies on, and whether its disk meets the
 line, is read off ``model._offsets`` (``_line_sides``, which the command
 line's algorithm choice also asks); the x-order sorts exact ``_key``s.
@@ -20,6 +25,7 @@ from .model import (
     GeometricInstance,
     Solution,
     _expect,
+    _frac,
     _key,
     _offsets,
     build_intersection_graph,
@@ -28,28 +34,31 @@ from .model import (
 )
 
 
-def _line_sides(instance, line_y):
+def _line_sides(instance, line_y=None):
     """Per disk of a valid unit-disk scene, whether its center lies on or
     above the line y = ``line_y``, or None if the disk misses the line:
-    |y - line_y| <= r and y >= line_y, on the ``_offsets`` (y - line_y) / r."""
+    |y - line_y| <= r and y >= line_y, on the ``_offsets`` (y - line_y) / r.
+    The line defaults to the one through the lowest center, which every
+    disk meets exactly when the centers span at most r in height."""
     ys = [d.center.y for d in instance.objects]
+    if line_y is None:
+        line_y = min(ys, key=_key, default=0)
     return [None if abs(p) > q else p >= 0
             for p, q in _offsets(ys, line_y, instance.disk_radius)]
 
 
-def _stabbed(instance, line_y, one_sided):
+def _stabbed(instance, line_y=None):
     """``(graph, sides)`` of a disk scene whose disks all meet the line
-    y = ``line_y``, with centers on or above it if ``one_sided``; ``sides``
-    is the scene's ``_line_sides``."""
+    y = ``line_y``, by default the line through the lowest center;
+    ``sides`` is the scene's ``_line_sides``, checked before the graph is
+    built."""
     _expect(instance, UNIT_DISKS)
-    graph = build_intersection_graph(instance)
     sides = _line_sides(instance, line_y)
-    for i, above in enumerate(sides):
-        if above is None:
-            raise ValidationError(f"disk {i} does not intersect the line")
-        if one_sided and not above:
-            raise ValidationError(f"disk {i} has its center below the line")
-    return graph, sides
+    if None in sides:
+        where = "" if line_y is not None else " through the lowest center"
+        raise ValidationError(
+            f"disk {sides.index(None)} does not intersect the line{where}")
+    return build_intersection_graph(instance), sides
 
 
 def _x_order(instance, indices):
@@ -98,23 +107,25 @@ def _two_sided(graph, above, below):
     return sorted(coloring), coloring
 
 
-def solve_one_sided(instance: GeometricInstance, line_y=0) -> Solution:
-    """Exact maximum bipartite subset; centers on or above the line."""
-    graph, _ = _stabbed(instance, line_y, one_sided=True)
+def solve_one_sided(instance: GeometricInstance) -> Solution:
+    """Exact maximum bipartite subset; centers span at most r in height."""
+    graph, _ = _stabbed(instance)
     selected = _chain(graph, _x_order(instance, range(instance.n)))
     return certify(graph, Solution(tuple(selected), is_bipartite(graph, selected)))
 
 
-def one_sided_mis(instance: GeometricInstance, line_y=0) -> tuple:
-    """Exact maximum independent set via the longest disjointness chain."""
-    graph, _ = _stabbed(instance, line_y, one_sided=True)
+def one_sided_mis(instance: GeometricInstance) -> tuple:
+    """Exact maximum independent set via the longest disjointness chain;
+    centers span at most r in height."""
+    graph, _ = _stabbed(instance)
     selected = _mis_chain(graph, _x_order(instance, range(instance.n)))
     return certify(graph, Solution(tuple(selected)), "independent").selected
 
 
 def solve_two_sided(instance: GeometricInstance, line_y=0) -> Solution:
     """2-approximation: a maximum independent set per side, unioned."""
-    graph, sides = _stabbed(instance, line_y, one_sided=False)
+    # _frac refuses None, which _stabbed would read as the lowest center's
+    graph, sides = _stabbed(instance, _frac(line_y))
     above = [i for i, up in enumerate(sides) if up]
     below = [i for i, up in enumerate(sides) if not up]
     selected, coloring = _two_sided(

@@ -416,18 +416,17 @@ def rects_intersect(a: RectObj, b: RectObj) -> bool:
 @_frozen
 class IntersectionGraph:
     """Vertex-indexed adjacency; ``masks[i]`` is the neighbor bitmask of i.
-    The masks are kept as a tuple, one per vertex."""
+    The masks are kept as a tuple, one per vertex, so there are n = len(masks)
+    vertices."""
 
-    n: int
     masks: tuple
 
     def __post_init__(self):
-        masks = tuple(self.masks)
-        if len(masks) != self.n:
-            raise ValidationError(
-                f"graph of {self.n} vertices needs {self.n} masks, "
-                f"got {len(masks)}")
-        IntersectionGraph.masks.__set__(self, masks)
+        IntersectionGraph.masks.__set__(self, tuple(self.masks))
+
+    @property
+    def n(self) -> int:
+        return len(self.masks)
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.masks[i] >> j & 1)
@@ -563,7 +562,7 @@ def _graph_over(instance: GeometricInstance, indices) -> IntersectionGraph:
             inside = (began[e] & ~began[s] if s < e
                       else began[e] | began[-1] & ~began[s])
             masks[i] = (covering[s] | inside) & ~(1 << i)
-        return IntersectionGraph(instance.n, tuple(masks))
+        return IntersectionGraph(masks)
     items.sort(key=itemgetter(0))
     if instance.kind == INTERVALS:
         lefts = [item[0] for item in items]
@@ -605,7 +604,7 @@ def _graph_over(instance: GeometricInstance, indices) -> IntersectionGraph:
                     mask |= 1 << j
                     masks[j] |= bit
             masks[i] |= mask
-    return IntersectionGraph(instance.n, tuple(masks))
+    return IntersectionGraph(masks)
 
 
 def build_intersection_graph(instance: GeometricInstance) -> IntersectionGraph:

@@ -1,19 +1,20 @@
 """Shifting-technique PTAS for unit disks and unit squares.
 
-A height-k slab (k in units of one object diameter) is solved exactly:
-partition the slab into diameter-wide boxes and list per box every
-2-colorable subset with its proper colorings, one vertex each.  Vertices of
-consecutive boxes combine iff no edge across them joins same-colored
-objects; boxes two or more apart never interact.  One DP pass over the
-boxes finds a maximum-weight path, an optimal bipartite set for the slab,
-testing step edges as it goes, never storing them, and turns only the
-chosen path into scene indices.  A box's subsets come from
-``_kernels.bipartite_subsets`` at one component join each: a box holds O(k)
-cells of pairwise-intersecting objects, at most 2 per cell in a bipartite
-set, so b objects give b^O(k) subsets, not 2^b (Hochbaum & Maass, JACM 1985).
-A box with more than 2^16 such subsets, the most a 16-object box can have,
+A scene of any height is solved exactly: partition it into
+diameter-wide boxes and list per box every 2-colorable subset with its
+proper colorings, one vertex each.  Vertices of consecutive boxes combine
+iff no edge across them joins same-colored objects; boxes two or more
+apart never interact.  One DP pass over the boxes finds a maximum-weight
+path, an optimal bipartite set, testing step edges as it goes, never
+storing them, and turns only the chosen path into scene indices.  A box's
+subsets come from ``_kernels.bipartite_subsets`` at one component join
+each: a box of a slab k diameters high holds O(k) cells of
+pairwise-intersecting objects, at most 2 per cell in a bipartite set, so b
+objects give b^O(k) subsets, not 2^b (Hochbaum & Maass, JACM 1985).  A box
+with more than 2^16 such subsets, the most a 16-object box can have,
 raises ``CapacityError`` (exit 4 on the command line) after listing
-2^16 + 1 of them, so no box costs more than a 16-object one.
+2^16 + 1 of them, so no box costs more than a 16-object one, whatever the
+height: ``solve_slab`` runs the DP on a whole scene and takes no slab.
 
 A box none of whose objects meets an object of box b - 1 or b + 1 enters
 the DP as one vertex, its heaviest subset (the first listed on a tie) with
@@ -63,16 +64,15 @@ def _half_extent(instance) -> Fraction:
 
 
 def _units(instance, h):
-    """(xs, ys, lowest anchor y): each object's ``_offsets`` in half extents
-    h, ys above the lowest, read at an anchor, the centre moved by one fixed
-    vector (a disk's centre, a square's lower-left corner)."""
+    """(xs, ys): each object's ``_offsets`` in half extents h, ys above the
+    lowest, read at an anchor, the centre moved by one fixed vector (a
+    disk's centre, a square's lower-left corner)."""
     objs = instance.objects
     if instance.kind == UNIT_DISKS:
         xs, ys = [o.center.x for o in objs], [o.center.y for o in objs]
     else:
         xs, ys = [o.x_min for o in objs], [o.y_min for o in objs]
-    lo = min(ys, key=_key)
-    return _offsets(xs, 0, h), _offsets(ys, lo, h), lo
+    return _offsets(xs, 0, h), _offsets(ys, min(ys, key=_key), h)
 
 
 def _check_weights(instance, weights):
@@ -179,40 +179,21 @@ def _slab_dag(graph, xs, members, wts, first=0):
     return out
 
 
-def _scene_slab_dag(instance, k, slab_bottom, wts):
-    """(graph, slab boxes) of a scene that is one slab."""
-    h = _half_extent(instance)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValidationError(
-            f"slab height multiplier k must be an int >= 1, got {k!r}")
-    graph = build_intersection_graph(instance)
-    xs, ys, lo = _units(instance, h)
-    # every anchor must lie in [b, b + 2k - 2], in half extents above the
-    # lowest; by default b = 0, the lowest anchor
-    bn, bd = 0, 1
-    if slab_bottom is not None:
-        (bn, bd), = _offsets([_frac(slab_bottom)], lo, h)
-        if instance.kind == UNIT_DISKS:
-            bn += bd  # a disk's anchor, its centre, is h above its bottom
-    for i, (n, m) in enumerate(ys):
-        if n * bd < bn * m or n * bd > (bn + 2 * (k - 1) * bd) * m:
-            raise ValidationError(f"object {i} crosses the slab boundary")
-    return graph, _slab_dag(graph, xs, range(instance.n), wts)
-
-
-def build_slab_dag(instance: GeometricInstance, k: int, slab_bottom=None):
-    """The boxes of a scene that is one slab, as the slab DP reads them,
+def build_slab_dag(instance: GeometricInstance):
+    """The boxes of a disk or square scene, as the slab DP reads them,
     under unit weights: ascending (box, subsets) pairs, each subset a
     (bitmask of scene indices, its size, its colorings), each coloring a
     tuple of bitmasks (class 0, class 1, their neighborhoods), as
     ``_slab_dag`` returns them.  A box none of whose objects meets a
     neighboring box's lists one subset, its largest, the first on a tie.
 
-    The slab is k diameters high from ``slab_bottom`` (by default the lowest
-    object's bottom).  Not exported: the name stays for
-    ``perfbench/tracing.py``, which traces it.
+    Not exported: the name stays for ``perfbench/tracing.py``, which
+    traces it.
     """
-    return _scene_slab_dag(instance, k, slab_bottom, [1] * instance.n)[1]
+    h = _half_extent(instance)
+    graph = build_intersection_graph(instance)
+    xs, _ = _units(instance, h)
+    return _slab_dag(graph, xs, range(instance.n), [1] * instance.n)
 
 
 def _slab(boxes):
@@ -259,16 +240,14 @@ def _slab(boxes):
     return [i for i, _ in pairs], dict(pairs)
 
 
-def solve_slab(
-    instance: GeometricInstance,
-    k: int,
-    slab_bottom=None,
-    weights=None,
-) -> Solution:
-    """Exact maximum(-weight) bipartite subset of a slab-confined scene."""
+def solve_slab(instance: GeometricInstance, weights=None) -> Solution:
+    """Exact maximum(-weight) bipartite subset of a disk or square scene of
+    any height, by one DP pass over its boxes."""
     wts = _check_weights(instance, weights)
-    graph, boxes = _scene_slab_dag(instance, k, slab_bottom, wts)
-    selected, coloring = _slab(boxes)
+    h = _half_extent(instance)
+    graph = build_intersection_graph(instance)
+    xs, _ = _units(instance, h)
+    selected, coloring = _slab(_slab_dag(graph, xs, range(instance.n), wts))
     return certify(graph, Solution(tuple(selected), coloring))
 
 
@@ -292,7 +271,7 @@ def solve_ptas_weighted(instance: GeometricInstance, weights, epsilon) -> Soluti
     graph = build_intersection_graph(instance)
     wts = _check_weights(instance, weights)
     k = max(2, -(-ed // en))  # ceil(1 / epsilon), at least two offsets
-    xs, ys, _ = _units(instance, h)
+    xs, ys = _units(instance, h)
 
     # Grid line j lies j diameters above the lowest bottom, and an object
     # spans [z, z + 1], z = n / 2m diameters.  A slab owns its bottom line,

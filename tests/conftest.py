@@ -12,7 +12,7 @@ def graph_from_edges(n, edges):
             raise ValueError(f"bad edge ({u}, {v})")
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return IntersectionGraph(n, tuple(masks))
+    return IntersectionGraph(masks)
 
 
 def graph_edges(g):

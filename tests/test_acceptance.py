@@ -210,7 +210,7 @@ def test_criterion_07_slab_exactness_and_ptas_ratio(announce):
             UNIT_DISKS, 1 + seed % 12, seed, disk_mode="slab", slab_k=2
         )
         opt = exact_mbs(graph(inst)).size
-        assert solve_slab(inst, 2, slab_bottom=0).size == opt, seed
+        assert solve_slab(inst).size == opt, seed
         assert 2 * solve_ptas(inst, F(1, 2)).size >= opt, seed
     announce("07 slab exactness + PTAS ratio", f"{count} instances, n<=12, k=2")
 

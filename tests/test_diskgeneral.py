@@ -67,7 +67,6 @@ class TestSlabAssignment:
         # per-group exact optima jointly dominate the global optimum
         for seed in range(60):
             inst = generate_instance(UNIT_DISKS, 2 + seed % 10, seed)
-            base, _ = line_groups(inst)
             ys = [d.center.y for d in inst.objects]
             total = 0
             for t, indices in _bands(ys, inst.disk_radius).items():
@@ -76,8 +75,7 @@ class TestSlabAssignment:
                     tuple(inst.objects[i] for i in indices),
                     inst.disk_radius,
                 )
-                total += solve_one_sided(
-                    sub, line_y=base + t * inst.disk_radius).size
+                total += solve_one_sided(sub).size
             opt = exact_mbs(build_intersection_graph(inst)).size
             assert total >= opt, seed
 

@@ -1,5 +1,6 @@
 """Line-stabbed unit disks: exact one-sided DP, MIS chain, 2-approximation,
 and the structural facts they rely on."""
+import random
 import time
 from fractions import Fraction as F
 
@@ -22,6 +23,7 @@ from geombs import (
     one_sided_mis,
     solve_one_sided,
     solve_two_sided,
+    translate_instance,
 )
 from geombs import _kernels
 from kernel_reference import has_induced_cycle_at_least
@@ -55,15 +57,22 @@ class TestOneSidedGolden:
         assert sol.size == 2 and sol.coloring[0] != sol.coloring[1]
 
     def test_validation(self):
+        # one disk at any height is one-sided; centers spanning more than r
+        # in height are not, wherever they lie
+        assert solve_one_sided(disks([(0, 2)])).selected == (0,)
+        assert solve_one_sided(disks([(0, F(-1, 2))])).selected == (0,)
+        tiny = F(1, 10**30)
         with pytest.raises(ValidationError):
-            solve_one_sided(disks([(0, 2)]))  # misses the line
+            solve_one_sided(disks([(0, 2), (3, 1 - tiny)]))
         with pytest.raises(ValidationError):
-            solve_one_sided(disks([(0, F(-1, 2))]))  # center below
+            solve_one_sided(disks([(0, F(-1, 2)), (3, F(1, 2) + tiny)]))
 
-    @pytest.mark.parametrize("line_y", [0.0, True, "x"])
+    @pytest.mark.parametrize("line_y", [0.0, True, "x", None])
     def test_line_must_be_exact(self, line_y):
+        # the one-sided solvers take no line; the two-sided one reads its
+        # line exactly, and None is no line
         with pytest.raises(ValidationError):
-            solve_one_sided(disks([(0, 1)]), line_y=line_y)
+            solve_two_sided(disks([(0, 1)]), line_y=line_y)
 
 
 class TestOneSidedProperties:
@@ -86,6 +95,20 @@ class TestOneSidedProperties:
             g = build_intersection_graph(inst)
             assert is_independent(g, picked) is None
             assert len(picked) == exact_mis(g).size, seed
+
+    def test_exact_at_any_height_and_radius(self):
+        # no line is given: centers spanning at most r, moved up or down
+        # and at any radius, are solved exactly
+        rng = random.Random(32)
+        for seed in range(400):
+            radius = rng.choice([F(1, 3), F(1), F(5, 2)])
+            inst = generate_instance(UNIT_DISKS, 1 + seed % 12, seed,
+                                     radius=radius, disk_mode="one_sided")
+            dy = F(rng.randrange(-40, 41), rng.choice([1, 3, 7]))
+            inst = translate_instance(inst, 0, dy)
+            g = build_intersection_graph(inst)
+            assert solve_one_sided(inst).size == exact_mbs(g).size, seed
+            assert len(one_sided_mis(inst)) == exact_mis(g).size, seed
 
 
 class TestStructure:
@@ -244,22 +267,38 @@ class TestStabbingBoundary:
         return disks([(3 * i, y) for i, y in enumerate(ys)], r=self.R)
 
     def test_one_sided_accepts_the_line_and_line_plus_r(self):
-        inst = self.scene(self.LINE, self.LINE + self.R, self.LINE + self.R / 2)
-        assert solve_one_sided(inst, line_y=self.LINE).selected == (0, 1, 2)
-        assert one_sided_mis(inst, line_y=self.LINE) == (0, 1, 2)
+        # centers spanning exactly r, at any height
+        for low in (self.LINE, -self.LINE, 7 * self.LINE, -self.R / 5):
+            inst = self.scene(low, low + self.R, low + self.R / 2)
+            assert solve_one_sided(inst).selected == (0, 1, 2)
+            assert one_sided_mis(inst) == (0, 1, 2)
 
     @pytest.mark.parametrize("solver", [solve_one_sided, one_sided_mis,
                                         solve_two_sided])
     def test_beyond_line_plus_r_misses(self, solver):
         inst = self.scene(self.LINE, self.LINE + self.R + self.TINY)
-        with pytest.raises(ValidationError, match="disk 1 does not intersect"):
-            solver(inst, line_y=self.LINE)
+        if solver is solve_two_sided:
+            with pytest.raises(ValidationError,
+                               match="disk 1 does not intersect the line$"):
+                solver(inst, line_y=self.LINE)
+        else:  # centers spanning r + TINY
+            with pytest.raises(ValidationError, match="disk 1 does not "
+                               "intersect the line through the lowest center"):
+                solver(inst)
 
-    @pytest.mark.parametrize("solver", [solve_one_sided, one_sided_mis])
-    def test_one_sided_rejects_just_below_the_line(self, solver):
-        inst = self.scene(self.LINE + self.R, self.LINE - self.TINY)
-        with pytest.raises(ValidationError, match="disk 1 has its center below"):
-            solver(inst, line_y=self.LINE)
+    @pytest.mark.parametrize("solver", [solve_one_sided, one_sided_mis,
+                                        solve_two_sided])
+    def test_refused_before_the_graph_is_built(self, solver, monkeypatch):
+        # the line check reads only the centers, so a refused scene costs no
+        # graph build; both lines miss a disk of this scene
+        import geombs.diskline as diskline
+
+        def no_graph(instance):
+            raise AssertionError("graph built for a refused scene")
+
+        monkeypatch.setattr(diskline, "build_intersection_graph", no_graph)
+        with pytest.raises(ValidationError, match="does not intersect"):
+            solver(self.scene(self.LINE, self.LINE + self.R + self.TINY))
 
     def test_two_sided_sides_at_the_line_and_line_minus_r(self):
         # a center on the line is above it (colour 0), one at line - r below

@@ -7,7 +7,7 @@ solve: no solver module builds a scene or a graph object of its own, and
 the interval, arc and unit-height solvers certify on their selection's
 graph alone.  The interval and arc graph builds run no pair test.  The
 interval sweeps and graph builds, the disk solvers, the PTAS and its
-slab solver from a given bottom, the disk graph build and the arc solver
+slab solver, the disk graph build and the arc solver
 make no more ``Fraction`` order comparisons than there are objects, and
 all but the interval sweeps no ``Fraction`` arithmetic.  On generated
 rectangle scenes, whose equal coordinates are one object each, the graph
@@ -108,8 +108,7 @@ SOLVER_CALLS = {
     "solve_3approx": lambda: geombs.solve_3approx(_scene("unit_disks", 8, 5)),
     "solve_logn": lambda: geombs.solve_logn(_scene("unit_disks", 8, 6)),
     "solve_slab": lambda: geombs.solve_slab(
-        _scene("unit_disks", 6, 7, disk_mode="slab", slab_k=1), 1,
-        slab_bottom=0),
+        _scene("unit_disks", 6, 7, disk_mode="slab", slab_k=1)),
     "solve_ptas": lambda: geombs.solve_ptas(
         _scene("unit_squares", 7, 8), Fraction(1, 2)),
     "solve_ptas_weighted": lambda: geombs.solve_ptas_weighted(
@@ -197,10 +196,8 @@ SCENE_SOLVERS = {
     "solve_two_sided": (geombs.solve_two_sided, DISKS),
     "solve_3approx": (geombs.solve_3approx, DISKS),
     "solve_logn": (geombs.solve_logn, DISKS),
-    "solve_slab": (lambda inst: geombs.solve_slab(inst, 1, slab_bottom=0),
-                   SHIFTED),
-    "build_slab_dag": (lambda inst: geombs.ptas.build_slab_dag(inst, 1),
-                       SHIFTED),
+    "solve_slab": (geombs.solve_slab, SHIFTED),
+    "build_slab_dag": (geombs.ptas.build_slab_dag, SHIFTED),
     "solve_ptas": (lambda inst: geombs.solve_ptas(inst, Fraction(1, 2)),
                    SHIFTED),
     "solve_ptas_weighted": (lambda inst: geombs.solve_ptas_weighted(
@@ -244,8 +241,8 @@ def test_every_scene_solver_refuses_other_kinds_and_empty_scenes(solver):
 @pytest.mark.parametrize("call", [
     geombs.solve_one_sided, geombs.one_sided_mis, geombs.solve_two_sided,
     geombs.solve_3approx, geombs.solve_logn,
-    lambda inst: geombs.solve_slab(inst, 1, slab_bottom=0),
-    lambda inst: geombs.ptas.build_slab_dag(inst, 1),
+    lambda inst: geombs.solve_slab(inst),
+    lambda inst: geombs.ptas.build_slab_dag(inst),
     lambda inst: geombs.solve_ptas(inst, Fraction(1, 2)),
     lambda inst: geombs.solve_ptas_weighted(inst, [1], Fraction(1, 2)),
 ])
@@ -356,7 +353,7 @@ DISK_AND_ARC_CALLS = {
     "solve_arcs": ("arcs", {}, ()),
     "build_intersection_graph": ("unit_disks", {}, ()),
     "solve_ptas": ("unit_squares", {}, (Fraction(1, 2),)),
-    "solve_slab": ("unit_disks", {"disk_mode": "slab"}, (2, 0)),
+    "solve_slab": ("unit_disks", {"disk_mode": "slab"}, ()),
     "solve_ptas_weighted": ("unit_disks", {},
                             (geombs.generate_weights(GATE_N, 1), Fraction(1, 2))),
 }
@@ -444,7 +441,7 @@ INT_READ_CALLS = {
     "solve_3approx": ("unit_disks", {}, geombs.solve_3approx),
     "solve_logn": ("unit_disks", {}, geombs.solve_logn),
     "solve_slab": ("unit_disks", {"disk_mode": "slab", "slab_k": 1},
-                   lambda inst: geombs.solve_slab(inst, 1, slab_bottom=0)),
+                   geombs.solve_slab),
     "solve_ptas": ("unit_squares", {},
                    lambda inst: geombs.solve_ptas(inst, Fraction(1, 2))),
     "solve_ptas_weighted": ("unit_disks", {}, lambda inst:
@@ -560,7 +557,7 @@ def test_ptas_boxes_join_once_per_feasible_subset(kind, monkeypatch):
         scene = geombs.generate_instance(kind, 24, seed, spread=3)
         joins.clear()
         listed.clear()
-        geombs.ptas.build_slab_dag(scene, 40)
+        geombs.ptas.build_slab_dag(scene)
         assert len(joins) == sum(len(s) - 1 for s in listed), seed
         per_box = [sum(sel.bit_count() == 1 for sel, _ in s) for s in listed]
         assert max(per_box) >= 8, seed

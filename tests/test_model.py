@@ -158,7 +158,7 @@ SLOTTED = {
     "RectObj": RectObj(0, 1, F(1, 7), F(8, 7)),
     "GeometricInstance": GeometricInstance(
         UNIT_DISKS, [DiskObj(Point(0, 0)), DiskObj(Point(1, 1))], "1/2"),
-    "IntersectionGraph": IntersectionGraph(3, (2, 0, 1)),
+    "IntersectionGraph": IntersectionGraph((2, 0, 1)),
     "Solution": Solution((2, 0)),
     "Solution, coloured": Solution((2, 0), {0: 0, 2: 1}),
 }
@@ -230,7 +230,7 @@ SIGNATURES = {
              "y_max: 'Fraction') -> None",
     GeometricInstance: "(kind: 'str', objects: 'tuple', "
                        "disk_radius: 'Optional[Fraction]' = None) -> None",
-    IntersectionGraph: "(n: 'int', masks: 'tuple') -> None",
+    IntersectionGraph: "(masks: 'tuple') -> None",
     Solution: "(selected: 'tuple', coloring: 'Optional[dict]' = None) -> None",
 }
 
@@ -301,19 +301,18 @@ class TestConstructors:
         center = Point(1, 2)
         assert DiskObj(center).center is center
         masks = (0, 1)
-        assert IntersectionGraph(2, masks).masks is masks  # already a tuple
+        assert IntersectionGraph(masks).masks is masks  # already a tuple
 
     def test_graph_copies_a_mask_list(self):
         masks = [2, 1]
-        graph = IntersectionGraph(2, masks)
+        graph = IntersectionGraph(masks)
         masks[0] = 0
         assert graph.masks == (2, 1) and type(graph.masks) is tuple
-        assert hash(graph) == hash(IntersectionGraph(2, (2, 1)))
+        assert hash(graph) == hash(IntersectionGraph((2, 1)))
 
-    @pytest.mark.parametrize("n, masks", [(2, [0]), (1, (0, 0)), (0, [1])])
-    def test_graph_needs_one_mask_per_vertex(self, n, masks):
-        with pytest.raises(ValidationError, match=f"needs {n} masks"):
-            IntersectionGraph(n, masks)
+    @pytest.mark.parametrize("masks", [[], (0,), [2, 1], (6, 5, 3)])
+    def test_graph_has_one_vertex_per_mask(self, masks):
+        assert IntersectionGraph(masks).n == len(masks)
 
     @pytest.mark.parametrize("name", sorted(SLOTTED))
     def test_copy_and_deepcopy(self, name):

@@ -94,24 +94,12 @@ def as_the_dp_reads_it(instance, vertices, step_edges, wts):
 class TestSlab:
     def test_one_box_triangle(self):
         inst = disks([(0, 1), (F(1, 2), 1), (1, 1)])
-        sol = solve_slab(inst, 1, slab_bottom=0)
+        sol = solve_slab(inst)
         assert sol.size == 2
 
     def test_two_boxes_one_disk_each(self):
         inst = disks([(0, 1), (10, 1)])
-        assert solve_slab(inst, 1, slab_bottom=0).size == 2
-
-    def test_crossing_disk_rejected(self):
-        inst = disks([(0, 3)])
-        with pytest.raises(ValidationError):
-            solve_slab(inst, 1, slab_bottom=0)
-
-    def test_default_bottom_still_bounds_the_top(self):
-        # the slab starts at the lowest bottom; a disk 3/2 diameters higher
-        # sticks out of a slab one diameter high
-        with pytest.raises(ValidationError, match="object 1 crosses"):
-            ptas.build_slab_dag(disks([(0, 1), (0, 4)]), 1)
-        assert ptas.build_slab_dag(disks([(0, 1), (0, 4)]), 3)
+        assert solve_slab(inst).size == 2
 
     def test_box_capacity(self):
         # one box of four pairwise-disjoint stacks of co-located disks: a
@@ -121,11 +109,11 @@ class TestSlab:
         stacks = [(0, 1), (0, F(7, 2)), (F(19, 10), F(9, 4)),
                   (F(19, 10), F(49, 10))]
         inst = disks([c for c in stacks for _ in range(5)])
-        sol = solve_slab(inst, 3, slab_bottom=0)
+        sol = solve_slab(inst)
         assert sol.size == 8 == exact_mbs(build_intersection_graph(inst)).size
         inst = disks([c for c in stacks for _ in range(6)])
         with pytest.raises(CapacityError, match="more than 65536"):
-            solve_slab(inst, 3, slab_bottom=0)
+            solve_slab(inst)
 
     def test_deep_box_is_a_capacity_error(self):
         # one box of 1,200 pairwise-disjoint disks: its 2-colorable subsets
@@ -133,28 +121,16 @@ class TestSlab:
         # interpreter's recursion limit
         inst = disks([(0, 3 * i) for i in range(1200)])
         with pytest.raises(CapacityError, match="more than 65536"):
-            solve_slab(inst, 1800)
+            solve_slab(inst)
         with pytest.raises(CapacityError, match="more than 65536"):
             solve_ptas(inst, F(1, 2000))
-
-    def test_slab_bottom_must_be_exact(self):
-        with pytest.raises(ValidationError):
-            solve_slab(disks([(0, 1)]), 1, slab_bottom=0.0)
-
-    @pytest.mark.parametrize("k", (F(3, 2), 1.5, True, 0, "1"))
-    def test_multiplier_must_be_a_positive_int(self, k):
-        inst = disks([(0, 1), (3, 1)])
-        with pytest.raises(ValidationError):
-            solve_slab(inst, k, slab_bottom=0)
-        with pytest.raises(ValidationError):
-            ptas.build_slab_dag(inst, k, slab_bottom=0)
 
     def test_dag_edges_respect_box_order(self):
         for seed in range(30):
             inst = generate_instance(
                 UNIT_DISKS, 2 + seed % 9, seed, disk_mode="slab", slab_k=2
             )
-            boxes = ptas.build_slab_dag(inst, 2, slab_bottom=0)
+            boxes = ptas.build_slab_dag(inst)
             order = [b for b, _ in boxes]
             assert order == sorted(set(order)), seed
             vertices, step_edges = expand(boxes)
@@ -166,15 +142,45 @@ class TestSlab:
             inst = generate_instance(
                 UNIT_DISKS, 1 + seed % 12, seed, disk_mode="slab", slab_k=2
             )
-            sol = solve_slab(inst, 2, slab_bottom=0)
+            sol = solve_slab(inst)
             g = build_intersection_graph(inst)
             assert sol.size == exact_mbs(g).size, seed
             assert is_bipartite(g, sol.selected) is not None
 
+    def test_exact_on_scenes_of_any_height(self):
+        # no slab is given: a disk or square scene many diameters high is
+        # one box DP, which equals the oracle and, for n <= 9, the heaviest
+        # 2-colourable subset of all 2^n
+        tall = 0
+        for seed in range(336):
+            kind = (UNIT_DISKS, UNIT_SQUARES)[seed % 2]
+            n = 1 + seed % 14
+            inst = generate_instance(kind, n, seed,
+                                     spread=(1, 2, 3, 5)[seed // 2 % 4])
+            g = build_intersection_graph(inst)
+            assert solve_slab(inst).size == exact_mbs(g).size, seed
+            # two diameters hold objects whose anchors span one diameter
+            if kind == UNIT_DISKS:
+                ys = [o.center.y for o in inst.objects]
+                tall += max(ys) - min(ys) > 2 * inst.disk_radius
+            else:
+                ys = [o.y_min for o in inst.objects]
+                tall += max(ys) - min(ys) > 1
+            if n <= 9:
+                weights = generate_weights(n, seed)
+                sol = solve_slab(inst, weights=weights)
+                best = max(
+                    sum(weights[i] for i in subset)
+                    for mask in range(1 << n)
+                    for subset in [kernel_reference._indices(mask)]
+                    if kernel_reference.two_colorable(g.masks, subset))
+                assert sum(weights[i] for i in sol.selected) == best, seed
+        assert tall >= 150, tall
+
     def test_weighted_slab_beats_unweighted_choice(self):
         # triangle with one heavy vertex: the heavy disk must be kept
         inst = disks([(0, 1), (F(1, 2), 1), (1, 1)])
-        sol = solve_slab(inst, 1, slab_bottom=0, weights=[1, 10, 1])
+        sol = solve_slab(inst, weights=[1, 10, 1])
         assert 1 in sol.selected
 
 
@@ -402,7 +408,7 @@ class TestWeighted:
         inst = GeometricInstance(UNIT_DISKS, (), F(1))
         for solve in (lambda: solve_ptas(inst, F(1, 2)),
                       lambda: solve_ptas_weighted(inst, [], F(1, 2)),
-                      lambda: solve_slab(inst, 2, slab_bottom=0)):
+                      lambda: solve_slab(inst)):
             with pytest.raises(ValidationError, match="instance has no objects"):
                 solve()
 
